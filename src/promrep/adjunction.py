@@ -121,22 +121,21 @@ def triangle_rep(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> TriangleRepResult:
 def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """The prom-side triangle: the composite on 2^M is the identity map.
 
-    The composite sends α to the union of the down-set {β | β ⊆ α}; it is
-    evaluated pointwise on the 2^M carrier so the nested powerset 2^(2^M)
-    is never materialized.
+    The composite relates m to α iff m lies in some β ⊆ α, that is the
+    relation ∈⨾(∈\\∈) with ∈\\∈ the subset order; read column by column
+    it is a map 2^M → 2^M.  It is computed relationally in O(|M|·2^|M|)
+    row operations, so neither the 4^|M| pairs of ⊆ nor the nested
+    powerset 2^(2^M) is ever enumerated.
     """
     bundle = powerset(r.M, cap)
-    n = 1 << len(r.M)
-    image = []
-    for alpha in range(n):
-        acc = 0
-        for beta in range(n):
-            if beta & ~alpha == 0:
-                acc |= beta
-        image.append(acc)
-    composite = FnMap(bundle.carrier, bundle.carrier, tuple(image))
+    composite = FnMap(bundle.carrier, bundle.carrier, _triangle_prom_image(bundle.mem))
     ident = identity_map(bundle.carrier)
     return composite.image == ident.image and fn_eq_into_powerset(composite, ident, bundle.mem)
+
+
+def _triangle_prom_image(mem: Rel) -> tuple[int, ...]:
+    """Column α of ∈⨾(∈\\∈) as a subset mask, for every α in 2^M."""
+    return converse(compose(mem, left_residual(mem, mem))).rows
 
 
 def rel_to_map(tau: Rel, y: Preorder, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:

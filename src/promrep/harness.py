@@ -501,19 +501,31 @@ def _enum_squares(bounds, cap):
             yield {"r": r}
 
 
+def _superset_masks(n: int) -> tuple[int, ...]:
+    """Row α: the mask of all β ⊇ α among the subsets of n elements.
+
+    This is the law's reference for ∈\\∈, so it is built from bitmasks
+    alone and never from mem or left_residual: a kernel bug shared by both
+    sides would cancel out.  Each row grows one base element at a time:
+    β must contain element i when α does, and may or may not otherwise.
+    """
+    rows = []
+    for alpha in range(1 << n):
+        row = 1
+        for i in range(n):
+            if alpha >> i & 1:
+                row <<= 1 << i
+            else:
+                row |= row << (1 << i)
+        rows.append(row)
+    return tuple(rows)
+
+
 def _check_mem_subset(inst, cap):
     base = inst["A"]
     bundle = powerset(base, cap)
     computed = left_residual(bundle.mem, bundle.mem)
-    n = 1 << len(base)
-    rows = []
-    for alpha in range(n):
-        row = 0
-        for beta in range(n):
-            if alpha & ~beta == 0:
-                row |= 1 << beta
-        rows.append(row)
-    direct = Rel(bundle.carrier, bundle.carrier, tuple(rows))
+    direct = Rel(bundle.carrier, bundle.carrier, _superset_masks(len(base)))
     if not eq(computed, direct):
         return "∈\\∈ differs from the subset order", {}
     return _ok()
@@ -1099,6 +1111,8 @@ def search(config: SearchConfig) -> SearchSummary:
     spec = CATALOG.get(config.law)
     if spec is None:
         raise ConfigError(f"unknown law {config.law!r}")
+    if config.parallelism < 1:
+        raise ConfigError(f"parallelism must be at least 1, got {config.parallelism}")
     bounds = _normalize_bounds(spec, config.bounds)
     if config.mode == "exhaustive":
         return _search_exhaustive(spec, bounds, config)

@@ -43,32 +43,48 @@ def _ref(table: dict, name, what: str):
     return table[name]
 
 
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key) or {}
+    if not isinstance(section, dict):
+        raise WorkspaceError(f"section {key!r} must be a JSON object")
+    return section
+
+
+def _record(rec, what: str, name) -> dict:
+    if not isinstance(rec, dict):
+        raise WorkspaceError(f"{what} {name!r} must be a JSON object")
+    return rec
+
+
 def parse(doc) -> Workspace:
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace document must be a JSON object")
     ws = Workspace()
-    for name, labels in (doc.get("sets") or {}).items():
+    for name, labels in _section(doc, "sets").items():
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise WorkspaceError(f"set {name!r} must be a list of labels")
         try:
             ws.sets[name] = FinSet(name, tuple(labels))
         except ValueError as e:
             raise WorkspaceError(str(e)) from None
-    for name, rec in (doc.get("relations") or {}).items():
+    for name, rec in _section(doc, "relations").items():
+        rec = _record(rec, "relation", name)
         src = _ref(ws.sets, rec.get("from"), "set")
         dst = _ref(ws.sets, rec.get("to"), "set")
         try:
             ws.relations[name] = Rel.from_pairs(src, dst, rec.get("pairs") or [])
         except (KeyError, ValueError, TypeError) as e:
             raise WorkspaceError(f"relation {name!r}: {e}") from None
-    for name, rec in (doc.get("functions") or {}).items():
+    for name, rec in _section(doc, "functions").items():
+        rec = _record(rec, "function", name)
         src = _ref(ws.sets, rec.get("from"), "set")
         dst = _ref(ws.sets, rec.get("to"), "set")
+        mapping = _record(rec.get("map") or {}, "map of function", name)
         try:
-            ws.functions[name] = FnMap.from_labels(src, dst, rec.get("map") or {})
+            ws.functions[name] = FnMap.from_labels(src, dst, mapping)
         except (KeyError, ValueError) as e:
             raise WorkspaceError(f"function {name!r}: {e}") from None
-    records = doc.get("structures") or {}
+    records = _section(doc, "structures")
     # two passes: morphisms may reference other structures
     for name, rec in records.items():
         kind = rec.get("kind") if isinstance(rec, dict) else None

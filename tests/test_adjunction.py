@@ -15,6 +15,7 @@ from promrep import (
     eq,
     finset,
     fn_eq_into_powerset,
+    full,
     gen_preorder,
     gen_prom,
     gen_prom_morphism,
@@ -38,11 +39,20 @@ from promrep import (
     unit,
     unit_natural,
 )
+from promrep.adjunction import _triangle_prom_image
 from promrep.harness import (
+    SearchConfig,
+    _superset_masks,
+    check_law,
     enumerate_prom_morphisms,
     enumerate_rep_morphisms,
     random_rel,
+    replay,
+    search,
 )
+import promrep.adjunction as adjunction_module
+import promrep.harness as harness_module
+import promrep.rel as rel_module
 import random
 
 
@@ -141,8 +151,82 @@ def test_triangle_rep_two_chain_is_strict():
 
 
 def test_triangle_prom_small_sizes():
-    for m in range(4):
+    for m in range(13):
         assert triangle_prom(gen_representation(m, m, 2))
+
+
+def pointwise_triangle_prom_image(n):
+    """The O(4^n) definition: α ↦ the union of all β ⊆ α."""
+    image = []
+    for alpha in range(1 << n):
+        acc = 0
+        for beta in range(1 << n):
+            if beta & ~alpha == 0:
+                acc |= beta
+        image.append(acc)
+    return tuple(image)
+
+
+def pointwise_superset_masks(n):
+    """The O(4^n) definition of ∈\\∈: row α holds every β ⊇ α."""
+    rows = []
+    for alpha in range(1 << n):
+        row = 0
+        for beta in range(1 << n):
+            if alpha & ~beta == 0:
+                row |= 1 << beta
+        rows.append(row)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_triangle_prom_composite_matches_pointwise_definition(n):
+    mem = powerset(finset("M", n, "m")).mem
+    assert _triangle_prom_image(mem) == pointwise_triangle_prom_image(n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_subset_reference_matches_pointwise_definition(n):
+    expected = pointwise_superset_masks(n)
+    assert _superset_masks(n) == expected
+    mem = powerset(finset("M", n, "m")).mem
+    assert left_residual(mem, mem).rows == expected
+
+
+# --- mutation: the checks catch injected kernel bugs -------------------------
+
+def full_residual(x, z):
+    return full(x.dst, z.dst)
+
+
+def residual_skipping_last_row(x, z):
+    """Forgets the constraint from the last source element."""
+    keep = finset(x.src.name, len(x.src) - 1, "_")
+    return left_residual(Rel(keep, x.dst, x.rows[:-1]), Rel(keep, z.dst, z.rows[:-1]))
+
+
+@pytest.mark.parametrize("bug", [full_residual, residual_skipping_last_row])
+def test_residual_bug_is_caught_by_both_powerset_laws(monkeypatch, bug):
+    monkeypatch.setattr(adjunction_module, "left_residual", bug)
+    monkeypatch.setattr(harness_module, "left_residual", bug)
+    assert not triangle_prom(gen_representation(1, 3, 2))
+    summary = search(SearchConfig("mem-residual-subset", mode="exhaustive", bounds=(3,)))
+    assert not summary.passed
+    assert summary.witness.violation == "∈\\∈ differs from the subset order"
+    assert replay(summary.witness)
+
+
+def test_dropped_column_is_caught_by_triangle_repr(monkeypatch):
+    by_columns = rel_module._compose_by_columns
+
+    def drop_first_column(xrows, yrows, width):
+        return tuple(row & ~1 for row in by_columns(xrows, yrows, width))
+
+    p = gen_prom(5, 3, 8)  # ⊆ on 2^8 has 256 rows: the column strategy runs
+    assert check_law("triangle-repr", {"p": p}) is None
+    monkeypatch.setattr(rel_module, "_compose_by_columns", drop_first_column)
+    witness = check_law("triangle-repr", {"p": p})
+    assert witness is not None and replay(witness)
 
 
 # --- psi / tee --------------------------------------------------------------

@@ -2,8 +2,14 @@
 summary determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import promrep
 
 from promrep import (
     gen_prom,
@@ -75,6 +81,36 @@ def test_check_dangling_reference(tmp_path):
 
 def test_check_unreadable_file():
     assert main(["check", "/no/such/file.json", "p"]) == 2
+
+
+def run_cli(*args):
+    """The CLI in its own process, so exit code and stderr are the real ones."""
+    src = str(Path(promrep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "promrep.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sets": [1]},
+        {"structures": "p"},
+        {"relations": {"r": 5}},
+        {"sets": {"A": ["a"]}, "functions": {"f": ["A", "A"]}},
+        {"sets": {"A": ["a"]}, "functions": {"f": {"from": "A", "to": "A", "map": ["a"]}}},
+        {"sets": {"A": ["a"]}, "functions": {"f": {"from": "A", "to": "A", "map": {"a": {}}}}},
+        {"functions": {"f": {"from": "A", "to": "A", "map": {"a": {}}}}},
+    ],
+)
+def test_check_malformed_workspace_is_input_error(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("check", str(path), "p")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # --- apply ------------------------------------------------------------------
@@ -166,6 +202,13 @@ def test_verify_infeasible_bounds(capsys):
 
 def test_verify_bad_max_size():
     assert main(["verify", "lemma7", "--max-size", "two"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    assert main(["verify", "lemma1", "--trials", "5", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: parallelism must be at least 1" in captured.err
 
 
 def test_verify_jobs_do_not_change_stdout(capsys):

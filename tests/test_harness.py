@@ -219,6 +219,13 @@ def test_search_rejects_unknown_mode_and_law():
         search(SearchConfig(law="nope"))
 
 
+@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+def test_search_rejects_parallelism_below_one(mode):
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError):
+            search(SearchConfig(law="lemma1", mode=mode, parallelism=jobs))
+
+
 def test_all_laws_pass_smoke():
     for law, spec in CATALOG.items():
         if spec.generate is not None:

@@ -1,9 +1,12 @@
 """Kernel tests: operator semantics against independent pointwise oracles,
 plus hypothesis property tests for the algebraic laws."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import promrep.rel as rel_module
 from promrep import (
     CarrierMismatch,
     FinSet,
@@ -75,6 +78,24 @@ def test_finset_rejects_duplicate_labels():
         FinSet("A", ("a0", "a0"))
 
 
+def test_finset_index_positions():
+    A = finset("A", 5, "a")
+    assert [A.index(label) for label in A] == list(range(5))
+    assert A.index("a3") == 3  # cached positions answer repeated lookups
+
+
+@pytest.mark.parametrize("label", ["z", "", 0, None, ("a0",), {}, [], {"a0"}])
+def test_finset_index_non_member_is_key_error(label):
+    with pytest.raises(KeyError):
+        A2.index(label)
+
+
+def test_finset_positions_stay_out_of_equality():
+    a, b = finset("A", 2, "a"), finset("A", 2, "a")
+    a.index("a1")
+    assert a == b and hash(a) == hash(b)
+
+
 def test_empty_carrier_is_legal():
     E = finset("E", 0)
     assert len(E) == 0
@@ -122,6 +143,69 @@ def test_compose_matches_witness_search():
     y = rel(B2, C1, ("b1", "c0"))
     got = compose(x, y)
     assert set(got.pairs()) == oracle_compose(x, y) == {("a0", "c0")}
+
+
+def pairs_compose(x: Rel, y: Rel) -> set:
+    """Composition from the pair lists alone, independent of both strategies."""
+    after = {}
+    for b, c in y.pairs():
+        after.setdefault(b, []).append(c)
+    return {(a, c) for a, b in x.pairs() for c in after.get(b, ())}
+
+
+def random_rows(rng, src, dst, density):
+    return Rel(src, dst, tuple(
+        sum(1 << j for j in range(len(dst)) if rng.random() < density) for _ in src
+    ))
+
+
+def compose_recording_path(monkeypatch, x, y):
+    used = []
+    by_columns = rel_module._compose_by_columns
+
+    def spy(*args):
+        used.append("columns")
+        return by_columns(*args)
+
+    monkeypatch.setattr(rel_module, "_compose_by_columns", spy)
+    got = compose(x, y)
+    return got, ("columns" if used else "rows")
+
+
+@pytest.mark.parametrize(
+    "rows, middle, cols, path",
+    [
+        (100, 200, 0, "columns"),
+        (100, 200, 1, "columns"),
+        (100, 200, 4, "columns"),
+        (100, 200, 12, "columns"),
+        (100, 200, 300, "rows"),  # wide target: |A|·|C| outweighs popcount(x)
+        (64, 200, 1, "rows"),  # 64 rows never weigh the column strategy
+        (0, 200, 4, "rows"),
+        (100, 0, 4, "rows"),
+    ],
+)
+def test_compose_both_strategies_match_pairs(monkeypatch, rows, middle, cols, path):
+    rng = random.Random(rows * 1000 + middle + cols)
+    A, B, C = finset("A", rows, "a"), finset("B", middle, "b"), finset("C", cols, "c")
+    x, y = random_rows(rng, A, B, 0.5), random_rows(rng, B, C, 0.4)
+    got, used = compose_recording_path(monkeypatch, x, y)
+    assert used == path
+    expected = Rel.from_pairs(A, C, pairs_compose(x, y))
+    assert got.rows == expected.rows
+    # the strategy compose did not pick must agree as well
+    assert rel_module._compose_by_columns(x.rows, y.rows, cols) == expected.rows
+
+
+@pytest.mark.parametrize("cols", [1, 4, 12])
+def test_compose_subset_order_into_narrow_target(monkeypatch, cols):
+    """The tall, narrow shape of the powerset constructions: ⊆ on 2^8 ⨾ 2^8 ⇸ C."""
+    bundle = powerset(finset("M", 8, "m"))
+    subset = left_residual(bundle.mem, bundle.mem)
+    tau = random_rows(random.Random(cols), bundle.carrier, finset("C", cols, "c"), 0.02)
+    got, used = compose_recording_path(monkeypatch, subset, tau)
+    assert used == "columns"
+    assert set(got.pairs()) == pairs_compose(subset, tau)
 
 
 def test_compose_carrier_mismatch():
