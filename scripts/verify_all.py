@@ -17,7 +17,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     failures = 0
@@ -25,9 +24,7 @@ def main() -> int:
         if spec.enumerate is not None:
             config = SearchConfig(law=law, mode="exhaustive", bounds=spec.exhaustive_limit)
         else:
-            config = SearchConfig(
-                law=law, trials=args.trials, seed=args.seed, parallelism=args.jobs
-            )
+            config = SearchConfig(law=law, trials=args.trials, seed=args.seed)
         started = time.monotonic()
         summary = search(config)
         elapsed = time.monotonic() - started

@@ -71,8 +71,7 @@ def unit_natural(m: PromMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     rhs = compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m), cap), unit(m.src, cap))
     if lhs.src != rhs.src or lhs.dst != rhs.dst or lhs.phi.image != rhs.phi.image:
         return False
-    mem = powerset(m.dst.B, cap).mem
-    return lhs.psi.image == rhs.psi.image and fn_eq_into_powerset(lhs.psi, rhs.psi, mem)
+    return fn_eq_into_powerset(lhs.psi, rhs.psi, powerset(m.dst.B, cap).mem)
 
 
 def counit_natural(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
@@ -129,8 +128,7 @@ def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """
     bundle = powerset(r.M, cap)
     composite = FnMap(bundle.carrier, bundle.carrier, _triangle_prom_image(bundle.mem))
-    ident = identity_map(bundle.carrier)
-    return composite.image == ident.image and fn_eq_into_powerset(composite, ident, bundle.mem)
+    return fn_eq_into_powerset(composite, identity_map(bundle.carrier), bundle.mem)
 
 
 def _triangle_prom_image(mem: Rel) -> tuple[int, ...]:

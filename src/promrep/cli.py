@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-size", default=None, metavar="N[,N...]")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help="at least 1; trials run serially for now")
     p_verify.add_argument("--pretty", action="store_true")
     p_verify.add_argument("--powerset-cap", type=int, default=DEFAULT_POWERSET_CAP)
     p_verify.set_defaults(func=cmd_verify)

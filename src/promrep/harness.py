@@ -5,14 +5,18 @@ by `search` signals a kernel bug rather than a refuted conjecture; the
 harness still reports it faithfully, with the offending structures
 serialized so the violation can be replayed.
 
+Each law family's instances are described once, as a `Schema`; its seeded
+generator and exhaustive enumerator are both derived from that description,
+so the two search modes range over the same instance space.
+
 Seeded runs are deterministic: trial i derives its own RNG from a 64-bit
-mix of (seed, i), so serial and parallel executions agree bit for bit.
+mix of (seed, i), so a run's result depends only on the seed and the trial
+count.  Trials run serially.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Iterator
@@ -24,11 +28,14 @@ from .rel import (
     FnMap,
     Rel,
     compose,
+    compose_maps,
     eq,
     finset,
     fn_eq_into_powerset,
     graph_lower,
     graph_upper,
+    identity,
+    identity_map,
     left_residual,
     leq,
     powerset,
@@ -212,18 +219,13 @@ def _gen_prom_morphism_into(
     size_a = rng.randint(0, max_size) if len(dst.A) > 0 else 0
     size_b2 = len(dst.B)
     size_b = size_b2 + rng.randint(0, max(0, max_size - size_b2)) if size_b2 > 0 else 0
-    if size_b == 0:
-        size_a = 0
     A = finset(a[0], size_a, a[1])
     B = finset(b[0], size_b, b[1])
     phi = random_fnmap(rng, A, dst.A)
-    if size_b > 0:
-        targets = list(range(size_b2))
-        rng.shuffle(targets)
-        image = [targets[i] if i < size_b2 else rng.randrange(size_b2) for i in range(size_b)]
-        psi = FnMap(B, dst.B, tuple(image))
-    else:
-        psi = FnMap(B, dst.B, ())
+    targets = list(range(size_b2))
+    rng.shuffle(targets)
+    image = [targets[i] if i < size_b2 else rng.randrange(size_b2) for i in range(size_b)]
+    psi = FnMap(B, dst.B, tuple(image))
     f_image = []
     for i in range(size_a):
         want = dst.f.image[phi.image[i]]
@@ -240,10 +242,13 @@ def _gen_prom_morphism_into(
     return PromMorphism(src, dst, phi, psi, check=False)
 
 
-def gen_prom_morphism(seed: int, max_size: int) -> PromMorphism:
-    rng = random.Random(seed)
+def _gen_prom_morphism(rng: random.Random, max_size: int) -> PromMorphism:
     dst = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), ("A2", "c"), ("B2", "d"))
     return _gen_prom_morphism_into(rng, dst, max_size)
+
+
+def gen_prom_morphism(seed: int, max_size: int) -> PromMorphism:
+    return _gen_prom_morphism(random.Random(seed), max_size)
 
 
 def _gen_rep_morphism(rng: random.Random, max_size: int) -> RepMorphism:
@@ -288,11 +293,7 @@ def enumerate_preorders(carrier: FinSet) -> Iterator[Preorder]:
 
 
 def enumerate_fnmaps(src: FinSet, dst: FinSet) -> Iterator[FnMap]:
-    if len(src) == 0:
-        yield FnMap(src, dst, ())
-        return
-    if len(dst) == 0:
-        return
+    # one empty map out of an empty carrier, none from a nonempty one into it
     for image in product(range(len(dst)), repeat=len(src)):
         yield FnMap(src, dst, image)
 
@@ -360,6 +361,104 @@ def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
 
 
 # ---------------------------------------------------------------------------
+# instance schemas
+
+#: Edge probability of a schema's `rel` fields.
+SCHEMA_EDGE_PROBABILITY = 0.4
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A law family's instance space, from which both search modes derive.
+
+    `carriers` are (name, label prefix, bound index) triples: each carrier
+    has 0..bounds[index] elements.  `fields` are (key, kind, *args) tuples:
+
+    - ("rel", src, dst): a relation between two carriers;
+    - ("preorder", c): a preorder on a carrier;
+    - ("fn", src, dst): a function between two carriers;
+    - ("carrier", c): the carrier itself;
+    - ("prom", i, j): a prom with |A| ≤ bounds[i] and |B| ≤ bounds[j];
+    - ("rep", i, j): a representation with |M| ≤ bounds[i], |S| ≤ bounds[j].
+
+    `generate` draws the carrier sizes, then the fields, in declaration
+    order; `enumerate` ranges over every size and field value, so each
+    generated instance is also enumerated.  For each tuple of carrier sizes
+    it streams the first field and holds the values of the others, so the
+    largest field comes first.  A function's domain is empty when its codomain is, so
+    the codomain carrier must be declared first.
+    """
+
+    carriers: tuple[tuple[str, str, int], ...]
+    fields: tuple[tuple, ...]
+
+    def _fn_positions(self) -> list[tuple[int, int]]:
+        pos = {name: i for i, (name, _, _) in enumerate(self.carriers)}
+        return [(pos[args[0]], pos[args[1]]) for _, kind, *args in self.fields if kind == "fn"]
+
+    def generate(self, rng: random.Random, bounds, cap) -> dict:
+        fns = self._fn_positions()
+        sizes: list[int] = []
+        for i, (_, _, bound) in enumerate(self.carriers):
+            into_empty = any(src == i and sizes[dst] == 0 for src, dst in fns)
+            sizes.append(0 if into_empty else rng.randint(0, bounds[bound]))
+        sets = self._carriers(sizes)
+        return {f[0]: _draw(rng, f, sets, bounds) for f in self.fields}
+
+    def enumerate(self, bounds, cap) -> Iterator[dict]:
+        fns = self._fn_positions()
+        keys = [key for key, *_ in self.fields]
+        first, rest = self.fields[0], self.fields[1:]
+        for sizes in product(*(range(bounds[bound] + 1) for _, _, bound in self.carriers)):
+            if any(sizes[src] and not sizes[dst] for src, dst in fns):
+                continue
+            sets = self._carriers(sizes)
+            pools = [tuple(_series(f, sets, bounds)) for f in rest]
+            for value in _series(first, sets, bounds):
+                for others in product(*pools):
+                    yield dict(zip(keys, (value, *others)))
+
+    def _carriers(self, sizes) -> dict[str, FinSet]:
+        return {name: finset(name, size, prefix) for (name, prefix, _), size in zip(self.carriers, sizes)}
+
+
+def _draw(rng: random.Random, field: tuple, sets: dict, bounds):
+    """One random value of a schema field."""
+    _, kind, *args = field
+    if kind == "rel":
+        return random_rel(rng, sets[args[0]], sets[args[1]], SCHEMA_EDGE_PROBABILITY)
+    if kind == "preorder":
+        return _gen_preorder(rng, sets[args[0]])
+    if kind == "fn":
+        return random_fnmap(rng, sets[args[0]], sets[args[1]])
+    if kind == "carrier":
+        return sets[args[0]]
+    if kind == "prom":
+        return _gen_prom(rng, rng.randint(0, bounds[args[0]]), rng.randint(0, bounds[args[1]]))
+    if kind == "rep":
+        return _gen_representation(rng, rng.randint(0, bounds[args[0]]), rng.randint(0, bounds[args[1]]))
+    raise ValueError(f"unknown schema field kind {kind!r}")
+
+
+def _series(field: tuple, sets: dict, bounds):
+    """Every value of a schema field, lazily."""
+    _, kind, *args = field
+    if kind == "rel":
+        return enumerate_relations(sets[args[0]], sets[args[1]])
+    if kind == "preorder":
+        return enumerate_preorders(sets[args[0]])
+    if kind == "fn":
+        return enumerate_fnmaps(sets[args[0]], sets[args[1]])
+    if kind == "carrier":
+        return (sets[args[0]],)
+    if kind == "prom":
+        return enumerate_proms(bounds[args[0]], bounds[args[1]])
+    if kind == "rep":
+        return enumerate_representations(bounds[args[0]], bounds[args[1]])
+    raise ValueError(f"unknown schema field kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # the law catalog
 
 @dataclass(frozen=True)
@@ -422,26 +521,10 @@ def _check_dual(inst, cap):
     return _ok()
 
 
-def _gen_triple(rng, bounds, cap):
-    n = bounds[0]
-    A = finset("A", rng.randint(0, n), "a")
-    B = finset("B", rng.randint(0, n), "b")
-    C = finset("C", rng.randint(0, n), "c")
-    return {
-        "x": random_rel(rng, A, B, 0.4),
-        "y": random_rel(rng, B, C, 0.4),
-        "z": random_rel(rng, A, C, 0.4),
-    }
-
-
-def _enum_triples(bounds, cap):
-    n = bounds[0]
-    for sa, sb, sc in product(range(n + 1), repeat=3):
-        A, B, C = finset("A", sa, "a"), finset("B", sb, "b"), finset("C", sc, "c")
-        for x in enumerate_relations(A, B):
-            for y in enumerate_relations(B, C):
-                for z in enumerate_relations(A, C):
-                    yield {"x": x, "y": y, "z": z}
+_TRIPLE = Schema(
+    (("A", "a", 0), ("B", "b", 0), ("C", "c", 0)),
+    (("x", "rel", "A", "B"), ("y", "rel", "B", "C"), ("z", "rel", "A", "C")),
+)
 
 
 def _check_modular(inst, cap):
@@ -453,31 +536,10 @@ def _check_modular(inst, cap):
     return _ok()
 
 
-def _gen_modular(rng, bounds, cap):
-    n = bounds[0]
-    A = finset("A", rng.randint(0, n), "a")
-    B = finset("B", rng.randint(1, n) if n else 0, "b")
-    C = finset("C", rng.randint(1, n) if n else 0, "c")
-    D = finset("D", rng.randint(0, n) if len(B) else 0, "d")
-    E = finset("E", rng.randint(0, n) if len(C) else 0, "e")
-    return {
-        "x": random_rel(rng, A, B, 0.4),
-        "y": random_rel(rng, A, C, 0.4),
-        "f": random_fnmap(rng, D, B),
-        "g": random_fnmap(rng, E, C),
-    }
-
-
-def _enum_modular(bounds, cap):
-    n = bounds[0]
-    for sa, sb, sc, sd, se in product(range(n + 1), repeat=5):
-        A, B, C = finset("A", sa, "a"), finset("B", sb, "b"), finset("C", sc, "c")
-        D, E = finset("D", sd, "d"), finset("E", se, "e")
-        for f in enumerate_fnmaps(D, B):
-            for g in enumerate_fnmaps(E, C):
-                for x in enumerate_relations(A, B):
-                    for y in enumerate_relations(A, C):
-                        yield {"x": x, "y": y, "f": f, "g": g}
+_MODULAR = Schema(
+    (("A", "a", 0), ("B", "b", 0), ("C", "c", 0), ("D", "d", 0), ("E", "e", 0)),
+    (("x", "rel", "A", "B"), ("y", "rel", "A", "C"), ("f", "fn", "D", "B"), ("g", "fn", "E", "C")),
+)
 
 
 def _check_single_axiom(inst, cap):
@@ -489,16 +551,7 @@ def _check_single_axiom(inst, cap):
     return None, {"preorders": int(axioms)}
 
 
-def _gen_square(rng, bounds, cap):
-    A = finset("A", rng.randint(0, bounds[0]), "a")
-    return {"r": random_rel(rng, A, A, 0.4)}
-
-
-def _enum_squares(bounds, cap):
-    for size in range(bounds[0] + 1):
-        A = finset("A", size, "a")
-        for r in enumerate_relations(A, A):
-            yield {"r": r}
+_SQUARE = Schema((("A", "a", 0),), (("r", "rel", "A", "A"),))
 
 
 def _superset_masks(n: int) -> tuple[int, ...]:
@@ -531,13 +584,7 @@ def _check_mem_subset(inst, cap):
     return _ok()
 
 
-def _gen_mem_subset(rng, bounds, cap):
-    return {"A": finset("M", rng.randint(0, bounds[0]), "m")}
-
-
-def _enum_mem_subset(bounds, cap):
-    for size in range(bounds[0] + 1):
-        yield {"A": finset("M", size, "m")}
+_POWERSET_BASE = Schema((("M", "m", 0),), (("A", "carrier", "M"),))
 
 
 def _check_lemma7(inst, cap):
@@ -547,18 +594,7 @@ def _check_lemma7(inst, cap):
     return _ok()
 
 
-def _gen_lemma7(rng, bounds, cap):
-    A = finset("A", rng.randint(0, bounds[0]), "a")
-    B = finset("B", rng.randint(0, bounds[1]), "b")
-    return {"x": random_rel(rng, A, B, 0.4)}
-
-
-def _enum_lemma7(bounds, cap):
-    for sa in range(bounds[0] + 1):
-        for sb in range(bounds[1] + 1):
-            A, B = finset("A", sa, "a"), finset("B", sb, "b")
-            for x in enumerate_relations(A, B):
-                yield {"x": x}
+_LEMMA7 = Schema((("A", "a", 0), ("B", "b", 1)), (("x", "rel", "A", "B"),))
 
 
 def _check_psi_char(inst, cap):
@@ -574,19 +610,7 @@ def _check_psi_char(inst, cap):
     return _ok()
 
 
-def _gen_psi_char(rng, bounds, cap):
-    M = finset("M", rng.randint(0, bounds[0]), "m")
-    B = finset("B", rng.randint(0, bounds[1]), "b")
-    return {"tau": random_rel(rng, M, B, 0.4), "y": _gen_preorder(rng, B)}
-
-
-def _enum_psi_char(bounds, cap):
-    for sm in range(bounds[0] + 1):
-        for sb in range(bounds[1] + 1):
-            M, B = finset("M", sm, "m"), finset("B", sb, "b")
-            for y in enumerate_preorders(B):
-                for tau in enumerate_relations(M, B):
-                    yield {"tau": tau, "y": y}
+_PSI = Schema((("M", "m", 0), ("B", "b", 1)), (("tau", "rel", "M", "B"), ("y", "preorder", "B")))
 
 
 def _check_soundness_equiv(inst, cap):
@@ -598,19 +622,10 @@ def _check_soundness_equiv(inst, cap):
     return _ok()
 
 
-def _gen_soundness_equiv(rng, bounds, cap):
-    M = finset("M", rng.randint(0, bounds[0]), "m")
-    S = finset("S", rng.randint(0, bounds[1]), "s")
-    return {"sat": random_rel(rng, M, S, 0.4), "ord": random_rel(rng, S, S, 0.4)}
-
-
-def _enum_soundness_equiv(bounds, cap):
-    for sm in range(bounds[0] + 1):
-        for ss in range(bounds[1] + 1):
-            M, S = finset("M", sm, "m"), finset("S", ss, "s")
-            for sat in enumerate_relations(M, S):
-                for ord_rel in enumerate_relations(S, S):
-                    yield {"sat": sat, "ord": ord_rel}
+_SOUNDNESS = Schema(
+    (("M", "m", 0), ("S", "s", 1)),
+    (("sat", "rel", "M", "S"), ("ord", "rel", "S", "S")),
+)
 
 
 # --- functor laws ----------------------------------------------------------
@@ -624,13 +639,7 @@ def _check_lemma1(inst, cap):
     return _ok()
 
 
-def _gen_prom_inst(rng, bounds, cap):
-    return {"p": _gen_prom(rng, rng.randint(0, bounds[0]), rng.randint(0, bounds[1]))}
-
-
-def _enum_prom_inst(bounds, cap):
-    for p in enumerate_proms(bounds[0], bounds[1]):
-        yield {"p": p}
+_PROM = Schema((), (("p", "prom", 0, 1),))
 
 
 def _check_lemma2(inst, cap):
@@ -643,12 +652,7 @@ def _check_lemma2(inst, cap):
 
 
 def _gen_prommor_inst(rng, bounds, cap):
-    return {"m": _gen_prom_morphism_into_fresh(rng, bounds[0])}
-
-
-def _gen_prom_morphism_into_fresh(rng, max_size):
-    dst = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), ("A2", "c"), ("B2", "d"))
-    return _gen_prom_morphism_into(rng, dst, max_size)
+    return {"m": _gen_prom_morphism(rng, bounds[0])}
 
 
 def _check_lemma3(inst, cap):
@@ -691,13 +695,7 @@ def _check_lemma4(inst, cap):
     return _ok()
 
 
-def _gen_rep_inst(rng, bounds, cap):
-    return {"R": _gen_representation(rng, rng.randint(0, bounds[0]), rng.randint(0, bounds[1]))}
-
-
-def _enum_rep_inst(bounds, cap):
-    for r in enumerate_representations(bounds[0], bounds[1]):
-        yield {"R": r}
+_REP = Schema((), (("R", "rep", 0, 1),))
 
 
 def _check_lemma5(inst, cap):
@@ -715,9 +713,7 @@ def _gen_repmor_inst(rng, bounds, cap):
 
 def _enum_repmor_inst(bounds, cap):
     reps = list(enumerate_representations(bounds[0], bounds[1]))
-    reps2 = list(
-        enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t"))
-    )
+    reps2 = list(enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t")))
     for r1 in reps:
         for r2 in reps2:
             for m in enumerate_rep_morphisms(r1, r2):
@@ -725,8 +721,7 @@ def _enum_repmor_inst(bounds, cap):
 
 
 def _psi_eq(a: FnMap, b: FnMap, base: FinSet, cap: int) -> bool:
-    mem = powerset(base, cap).mem
-    return a.image == b.image and fn_eq_into_powerset(a, b, mem)
+    return fn_eq_into_powerset(a, b, powerset(base, cap).mem)
 
 
 def _check_lemma6(inst, cap):
@@ -756,13 +751,11 @@ def _gen_lemma6(rng, bounds, cap):
     r3 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n), ("M3", "o"), ("S3", "u"))
     homs1 = list(enumerate_rep_morphisms(r1, r2))
     homs2 = list(enumerate_rep_morphisms(r2, r3))
-    if homs1 and homs2:
-        return {"m1": rng.choice(homs1), "m2": rng.choice(homs2)}
-    if homs1:
-        return {"m1": rng.choice(homs1), "m2": identity_rep_morphism(r2)}
-    if homs2:
-        return {"m1": identity_rep_morphism(r2), "m2": rng.choice(homs2)}
-    return {"m1": identity_rep_morphism(r1), "m2": identity_rep_morphism(r1)}
+    if not (homs1 or homs2):
+        return {"m1": identity_rep_morphism(r1), "m2": identity_rep_morphism(r1)}
+    m1 = rng.choice(homs1) if homs1 else identity_rep_morphism(r2)
+    m2 = rng.choice(homs2) if homs2 else identity_rep_morphism(r2)
+    return {"m1": m1, "m2": m2}
 
 
 def _enum_lemma6(bounds, cap):
@@ -775,6 +768,42 @@ def _enum_lemma6(bounds, cap):
         for m1 in incoming:
             for m2 in outgoing:
                 yield {"m1": m1, "m2": m2}
+
+
+def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
+    """Exhaustive functoriality of the direct image on raw tau data.
+
+    M on morphisms only transforms tau, so strict functoriality at a carrier
+    bound reduces to: direct_image(1_M) = id and
+    direct_image(tau2⨾tau1) = direct_image(tau1)⨾direct_image(tau2)
+    for all composable tau pairs within the bound.  Returns the number of
+    cases checked and the first violation message, if any.
+    """
+    checked = 0
+    for size in range(max_size + 1):
+        M = finset("M", size, "m")
+        bundle = powerset(M, cap)
+        lifted = direct_image(identity(M), cap)
+        ident = identity_map(bundle.carrier)
+        checked += 1
+        if not fn_eq_into_powerset(lifted, ident, bundle.mem):
+            return checked, f"direct image of 1_M is not the identity at |M|={size}"
+    for s1, s2, s3 in product(range(max_size + 1), repeat=3):
+        M1, M2, M3 = finset("M1", s1, "a"), finset("M2", s2, "b"), finset("M3", s3, "c")
+        mem = powerset(M3, cap).mem
+        for tau1 in enumerate_relations(M2, M1):
+            lift1 = direct_image(tau1, cap)
+            for tau2 in enumerate_relations(M3, M2):
+                lift2 = direct_image(tau2, cap)
+                lhs = direct_image(compose(tau2, tau1), cap)
+                rhs = compose_maps(lift2, lift1)
+                checked += 1
+                if not fn_eq_into_powerset(lhs, rhs, mem):
+                    return checked, (
+                        "direct image is not multiplicative at "
+                        f"tau1={tau1.pairs()}, tau2={tau2.pairs()}"
+                    )
+    return checked, None
 
 
 # --- adjunction laws -------------------------------------------------------
@@ -823,18 +852,17 @@ def _check_counit_natural(inst, cap):
 
 
 def _hom_pair_instances(p: Prom, r: Representation, cap: int):
-    rp = prom_to_rep(p)
-    mr = rep_to_prom(r, cap)
-    rep_homs = list(enumerate_rep_morphisms(rp, r))
-    prom_homs = list(enumerate_prom_morphisms(p, mr))
-    return rp, mr, rep_homs, prom_homs
+    """The hom-sets R(p) → r and p → M(r) that Ψ and T map between."""
+    rep_homs = list(enumerate_rep_morphisms(prom_to_rep(p), r))
+    prom_homs = list(enumerate_prom_morphisms(p, rep_to_prom(r, cap)))
+    return rep_homs, prom_homs
 
 
 def _check_lemma8(inst, cap):
     p, r = inst["p"], inst["R"]
     _require(check_prom(p), "prom")
     _require(check_representation(r), "representation")
-    _, _, rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
+    rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
     for m in rep_homs:
         res = check_prom_morphism(lift(m, p, cap))
         if not res:
@@ -850,7 +878,7 @@ def _check_lemma9(inst, cap):
     p, r = inst["p"], inst["R"]
     _require(check_prom(p), "prom")
     _require(check_representation(r), "representation")
-    _, _, rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
+    rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
         back = lift(lower(m, r, p, cap), p, cap)
@@ -867,21 +895,7 @@ def _check_lemma9(inst, cap):
     return None, notes
 
 
-def _gen_hom_pair(rng, bounds, cap):
-    n = bounds[0]
-    return {
-        "p": _gen_prom(rng, rng.randint(0, n), rng.randint(0, n)),
-        "R": _gen_representation(rng, rng.randint(0, n), rng.randint(0, n)),
-    }
-
-
-def _enum_hom_pair(bounds, cap):
-    n = bounds[0]
-    proms = list(enumerate_proms(n, n))
-    reps = list(enumerate_representations(n, n))
-    for p in proms:
-        for r in reps:
-            yield {"p": p, "R": r}
+_HOM_PAIR = Schema((), (("p", "prom", 0, 0), ("R", "rep", 0, 0)))
 
 
 # --- exactness laws --------------------------------------------------------
@@ -915,50 +929,35 @@ def _check_lemma11(inst, cap):
 CATALOG: dict[str, LawSpec] = {}
 
 
-def _law(law, summary, check, generate=None, enumerate=None, default_bounds=(3,), limit=None):
-    CATALOG[law] = LawSpec(law, summary, check, generate, enumerate, default_bounds, limit)
+def _law(law, summary, check, instances, default_bounds=(3,), limit=None):
+    """Register a law; `instances` is a Schema or a (generate, enumerate) pair."""
+    if isinstance(instances, Schema):
+        instances = (instances.generate, instances.enumerate)
+    CATALOG[law] = LawSpec(law, summary, check, *instances, default_bounds, limit)
 
 
-_law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _gen_triple, _enum_triples, (3,), (2,))
-_law("dual-galois", "x ≤ z/y ⇔ x⨾y ≤ z", _check_dual, _gen_triple, _enum_triples, (3,), (2,))
+_law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _TRIPLE, (3,), (2,))
+_law("dual-galois", "x ≤ z/y ⇔ x⨾y ≤ z", _check_dual, _TRIPLE, (3,), (2,))
+_law("modular-tautology", "f_*⨾(x\\y)⨾g^* = (x⨾f^*)\\(y⨾g^*)", _check_modular, _MODULAR, (3,), (2,))
+_law("preorder-single-axiom", "preorder(r) ⇔ r = r\\r", _check_single_axiom, _SQUARE, (3,), (4,))
+_law("mem-residual-subset", "∈\\∈ = ⊆", _check_mem_subset, _POWERSET_BASE, (3,), (8,))
+_law("lemma1", "R sends proms to sound representations", _check_lemma1, _PROM, (4, 4), (2, 2))
+_law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, (_gen_prommor_inst, None), (4,))
+_law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, (_gen_lemma3, None), (3,))
+_law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _REP, (3, 3), (2, 2))
 _law(
-    "modular-tautology",
-    "f_*⨾(x\\y)⨾g^* = (x⨾f^*)\\(y⨾g^*)",
-    _check_modular,
-    _gen_modular,
-    _enum_modular,
-    (3,),
-    (2,),
+    "lemma5",
+    "M sends representation morphisms to prom morphisms",
+    _check_lemma5,
+    (_gen_repmor_inst, _enum_repmor_inst),
+    (2, 2),
+    (2, 2),
 )
-_law(
-    "preorder-single-axiom",
-    "preorder(r) ⇔ r = r\\r",
-    _check_single_axiom,
-    _gen_square,
-    _enum_squares,
-    (3,),
-    (4,),
-)
-_law(
-    "mem-residual-subset",
-    "∈\\∈ = ⊆",
-    _check_mem_subset,
-    _gen_mem_subset,
-    _enum_mem_subset,
-    (3,),
-    (8,),
-)
-_law("lemma1", "R sends proms to sound representations", _check_lemma1, _gen_prom_inst, _enum_prom_inst, (4, 4), (2, 2))
-_law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, _gen_prommor_inst, None, (4,))
-_law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, _gen_lemma3, None, (3,))
-_law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _gen_rep_inst, _enum_rep_inst, (3, 3), (2, 2))
-_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _gen_repmor_inst, _enum_repmor_inst, (2, 2), (2, 2))
 _law(
     "lemma6",
     "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)",
     _check_lemma6,
-    _gen_lemma6,
-    _enum_lemma6,
+    (_gen_lemma6, _enum_lemma6),
     (2, 2),
     # |S| capped at 1 in exhaustive mode: representations with empty sat have
     # hom-sets of every phi and tau, so the composable-pair space at (2,2)
@@ -967,65 +966,17 @@ _law(
     # larger bound without the cross product.
     (2, 1),
 )
-
-
-def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
-    """Exhaustive functoriality of the direct image on raw tau data.
-
-    M on morphisms only transforms tau, so strict functoriality at a carrier
-    bound reduces to: direct_image(1_M) = id and
-    direct_image(tau2⨾tau1) = direct_image(tau1)⨾direct_image(tau2)
-    for all composable tau pairs within the bound.  Returns the number of
-    cases checked and the first violation message, if any.
-    """
-    from .rel import compose_maps, identity, identity_map
-
-    checked = 0
-    for size in range(max_size + 1):
-        M = finset("M", size, "m")
-        bundle = powerset(M, cap)
-        lifted = direct_image(identity(M), cap)
-        ident = identity_map(bundle.carrier)
-        checked += 1
-        if lifted.image != ident.image or not fn_eq_into_powerset(lifted, ident, bundle.mem):
-            return checked, f"direct image of 1_M is not the identity at |M|={size}"
-    for s1 in range(max_size + 1):
-        for s2 in range(max_size + 1):
-            for s3 in range(max_size + 1):
-                M1, M2, M3 = finset("M1", s1, "a"), finset("M2", s2, "b"), finset("M3", s3, "c")
-                mem = powerset(M3, cap).mem
-                for tau1 in enumerate_relations(M2, M1):
-                    lift1 = direct_image(tau1, cap)
-                    for tau2 in enumerate_relations(M3, M2):
-                        lift2 = direct_image(tau2, cap)
-                        lhs = direct_image(compose(tau2, tau1), cap)
-                        rhs = compose_maps(lift2, lift1)
-                        checked += 1
-                        if lhs.image != rhs.image or not fn_eq_into_powerset(lhs, rhs, mem):
-                            return checked, (
-                                "direct image is not multiplicative at "
-                                f"tau1={tau1.pairs()}, tau2={tau2.pairs()}"
-                            )
-    return checked, None
-_law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _gen_lemma7, _enum_lemma7, (2, 3), (4, 4))
-_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _gen_hom_pair, _enum_hom_pair, (2,), (2,))
-_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _gen_hom_pair, _enum_hom_pair, (2,), (2,))
-_law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _gen_rep_inst, _enum_rep_inst, (3, 3), (2, 2))
-_law("lemma11", "p order-reflecting ⇔ R(p) exact", _check_lemma11, _gen_prom_inst, _enum_prom_inst, (4, 4), (2, 2))
-_law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _gen_prom_inst, _enum_prom_inst, (3, 3), (2, 2))
-_law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _gen_rep_inst, _enum_rep_inst, (3, 3), (2, 2))
-_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, _gen_prommor_inst, None, (3,))
-_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _gen_repmor_inst, None, (2,))
-_law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _gen_psi_char, _enum_psi_char, (3, 3), (2, 2))
-_law(
-    "soundness-residual-equiv",
-    "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨",
-    _check_soundness_equiv,
-    _gen_soundness_equiv,
-    _enum_soundness_equiv,
-    (3, 3),
-    (2, 2),
-)
+_law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4))
+_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,))
+_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,))
+_law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _REP, (3, 3), (2, 2))
+_law("lemma11", "p order-reflecting ⇔ R(p) exact", _check_lemma11, _PROM, (4, 4), (2, 2))
+_law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _PROM, (3, 3), (2, 2))
+_law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _REP, (3, 3), (2, 2))
+_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, (_gen_prommor_inst, None), (3,))
+_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, (_gen_repmor_inst, None), (2,))
+_law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _PSI, (3, 3), (2, 2))
+_law("soundness-residual-equiv", "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨", _check_soundness_equiv, _SOUNDNESS, (3, 3), (2, 2))
 
 LAW_IDS = tuple(CATALOG)
 
@@ -1059,7 +1010,7 @@ class SearchConfig:
     bounds: tuple[int, ...] | None = None
     trials: int = 200
     seed: int = 0
-    parallelism: int = 1
+    parallelism: int = 1  # validated (at least 1), but trials run serially
     powerset_cap: int = DEFAULT_POWERSET_CAP
 
 
@@ -1145,22 +1096,11 @@ def _search_seeded(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary
         raise ConfigError(f"law {spec.law!r} has no seeded generator")
     if config.trials < 0:
         raise ConfigError("trials must be nonnegative")
-
-    def run_trial(i: int):
+    summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
+    for i in range(config.trials):
         child = mix_seed(config.seed, i)
         instance = spec.generate(random.Random(child), bounds, config.powerset_cap)
         violation, notes = spec.check(instance, config.powerset_cap)
-        return i, child, instance, violation, notes
-
-    indices = range(config.trials)
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(run_trial, indices))
-    else:
-        results = [run_trial(i) for i in indices]
-
-    summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
-    for i, child, instance, violation, notes in results:
         summary.checked += 1
         _merge_notes(summary.notes, notes)
         if violation is not None and summary.witness is None:

@@ -107,7 +107,9 @@ def test_criterion_06_lemmas_4_6_enumerated():
     s5 = _run("lemma5", mode="exhaustive", bounds=(2, 2))
     s6 = _run("lemma6", mode="exhaustive", bounds=(2, 1))
     assert s4.passed and s5.passed and s6.passed
-    assert s5.checked > 10000  # every enumerated morphism at |M|,|M'|,|S|,|S'| ≤ 2
+    assert s4.checked == 64
+    assert s5.checked == 17419  # every enumerated morphism at |M|,|M'|,|S|,|S'| ≤ 2
+    assert s6.checked == 5772
     # strict functoriality at the full (2,2) bound: identity images for every
     # representation, and composition via tau multiplicativity (the only data
     # M transforms)
@@ -150,8 +152,10 @@ def test_criterion_09_lemmas_8_9_hom_sets():
     s8 = _run("lemma8", mode="exhaustive", bounds=(2,))
     s9 = _run("lemma9", mode="exhaustive", bounds=(2,))
     assert s8.passed and s9.passed
-    assert s9.notes.get("rep_homs", 0) > 0 and s9.notes.get("prom_homs", 0) > 0
-    assert s9.notes.get("strict_t_psi", 0) >= 1  # at least one strict TΨ instance
+    assert s8.checked == s9.checked == 4416
+    hom_sets = {"prom_homs": 17313, "rep_homs": 29263}
+    assert s8.notes == hom_sets
+    assert s9.notes == {**hom_sets, "strict_t_psi": 11950}  # strict TΨ instances included
     _report(9, f"ΨT=id on {s9.notes['prom_homs']} prom homs, TΨ⩾id on {s9.notes['rep_homs']} rep homs, {s9.notes['strict_t_psi']} strict")
 
 

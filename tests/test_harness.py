@@ -1,5 +1,8 @@
 """Generators, enumerators, the law catalog, and the search engine."""
 
+import hashlib
+import random
+
 import pytest
 
 from promrep import (
@@ -30,6 +33,7 @@ from promrep import (
 )
 from promrep.harness import (
     LawSpec,
+    Schema,
     direct_image_functorial,
     enumerate_fnmaps,
     enumerate_preorders,
@@ -239,3 +243,108 @@ def test_all_laws_pass_smoke():
 def test_direct_image_functorial_small():
     checked, violation = direct_image_functorial(2)
     assert violation is None and checked > 0
+
+
+# --- golden instances -------------------------------------------------------
+#
+# Recorded from the hand-written generators and enumerators that the instance
+# schemas replaced, so a change of draw order or of instance space shows up
+# here.  modular-tautology's stream was re-recorded when its generator began
+# drawing |B| and |C| from 0..n, as its enumerator always did.
+
+GOLDEN_STREAMS = {
+    "counit-natural": "2b53d7de1320b81cdca6cb94c3cf3d54f6c724aff5877e91a7fb126f539bc3ac",
+    "dual-galois": "e879e6500bcce26e0d63d776c617a46783ad7d3b1e4ee2fb5a28778b90f07cf5",
+    "eq1-galois": "e879e6500bcce26e0d63d776c617a46783ad7d3b1e4ee2fb5a28778b90f07cf5",
+    "lemma1": "7aa1eb016e102adf481cdcb190741a855865f8bfbd76c3a857fca25937252c5f",
+    "lemma10": "9818474b547201ac02712efa9562ac268df00e90183d48775c933346351e658b",
+    "lemma11": "7aa1eb016e102adf481cdcb190741a855865f8bfbd76c3a857fca25937252c5f",
+    "lemma2": "c2e33eea7a0c27dc790c56f53ce9c55ea10dbd8a32893700ed01336541fb929f",
+    "lemma3": "7c8f467db3270b46eabef24d8c39007f09ac0fbb72eb62d7f4ec8e8758debbcf",
+    "lemma4": "9818474b547201ac02712efa9562ac268df00e90183d48775c933346351e658b",
+    "lemma5": "2b53d7de1320b81cdca6cb94c3cf3d54f6c724aff5877e91a7fb126f539bc3ac",
+    "lemma6": "8148a58cf5b66ba62ad66356b643d9c48902dabf2f8111e319a986c66b35b954",
+    "lemma7": "89cc9f6678626efb7450a2a86d47f175be8249eeea72e2440ebb1c6ee8b9222d",
+    "lemma8": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
+    "lemma9": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
+    "mem-residual-subset": "3c9ee32151152cc4285469838e733729c5870464411cccfb83382b4b3af77722",
+    "modular-tautology": "6a6c6de2ddc2a4e3f4d54857ea1627f26e8920ddc904753be3a1b4debd02a43e",
+    "preorder-single-axiom": "f2997c0ac7b7119bcf52aff54e9d146a20fb33920c070f77b00368faf863eb9d",
+    "psi-characterization": "de9933b179211a20e5baf8e5a8676809c99f809573abef02c6d743f267b1e570",
+    "soundness-residual-equiv": "33a952ecd6749b6b0a7f75337aa2bd42a60aaaab4db0abcf5284117849525ebd",
+    "triangle-pom": "9818474b547201ac02712efa9562ac268df00e90183d48775c933346351e658b",
+    "triangle-repr": "19da2f75ced50e5564668b64ffb96d02defdcc0f79bbd1624af19f19fc726129",
+    "unit-natural": "11aedf44e69dc085c69f598b0864e89794eb600553365b090e6877eaf2bb1786",
+}
+
+#: (law, bounds) -> (instance count, sha256 of the sorted instance reprs)
+GOLDEN_SETS = {
+    ("eq1-galois", (2,)): (5053, "3cefd9cfde3b8fab6be06eb2092373a81aba6c6f553cdc48358db893de56ad80"),
+    ("dual-galois", (2,)): (5053, "3cefd9cfde3b8fab6be06eb2092373a81aba6c6f553cdc48358db893de56ad80"),
+    ("modular-tautology", (2,)): (16971, "221844799ec1c685753510e5c8b35e177c0a0dfc158b4082aabb3c8e615bd825"),
+    ("preorder-single-axiom", (3,)): (531, "0bc93d029dddd016acf1d55992b4b4c1ffda2c1c20f46a5eb91a1402503a491a"),
+    ("mem-residual-subset", (8,)): (9, "8f193fda031d6f8c2ef491506e4ff1d740038186103f686e4a53031e9fa83c56"),
+    ("lemma1", (2, 2)): (69, "d9194271423aa03a0cf81772e91cd5104b5ecd87c97f0458b9aedf812f3bc5a6"),
+    ("lemma4", (2, 2)): (64, "624d810c01aa6daed0a3e7eeb27582378eb8faa78d5982ded4fb4d96a0f72956"),
+    ("lemma5", (1, 2)): (809, "f7d229865457a74678738e46a2a4edd24bdec745175ab1e8660ab3f66fe788e6"),
+    ("lemma6", (1, 1)): (77, "a66958974e1d746bae2ac04de870a66fc64053162918d2916a32483e9d04616e"),
+    ("lemma7", (4, 3)): (5058, "115389b30d41d22a12251d50e4ef8f5ca76dd9fc76df88454d78d084398b0f93"),
+    ("lemma8", (2,)): (4416, "d8ab9f185542b66e23e9b523e627f9a0899f1a9185d936e5f390d5c08164d0b8"),
+    ("lemma9", (2,)): (4416, "d8ab9f185542b66e23e9b523e627f9a0899f1a9185d936e5f390d5c08164d0b8"),
+    ("lemma10", (2, 2)): (64, "624d810c01aa6daed0a3e7eeb27582378eb8faa78d5982ded4fb4d96a0f72956"),
+    ("lemma11", (2, 2)): (69, "d9194271423aa03a0cf81772e91cd5104b5ecd87c97f0458b9aedf812f3bc5a6"),
+    ("triangle-repr", (2, 2)): (69, "d9194271423aa03a0cf81772e91cd5104b5ecd87c97f0458b9aedf812f3bc5a6"),
+    ("triangle-pom", (2, 2)): (64, "624d810c01aa6daed0a3e7eeb27582378eb8faa78d5982ded4fb4d96a0f72956"),
+    ("psi-characterization", (2, 2)): (94, "32893e80f195952fc3148fed15f4f37e76a1d7f834f691485227c2cab111abfd"),
+    ("soundness-residual-equiv", (2, 2)): (353, "f75b6fa0562ff4ac97488933ee73bffc955074dae01e845749c4340814cc1617"),
+}
+
+SCHEMA_LAWS = [
+    law for law, spec in CATALOG.items() if isinstance(getattr(spec.generate, "__self__", None), Schema)
+]
+
+
+def _instance_repr(inst) -> str:
+    return repr(sorted(inst.items()))
+
+
+def test_golden_tables_cover_the_catalog():
+    assert set(GOLDEN_STREAMS) == set(CATALOG)
+    enumerable = {law for law, spec in CATALOG.items() if spec.enumerate is not None}
+    assert {law for law, _ in GOLDEN_SETS} == enumerable and len(enumerable) == 18
+    assert len(SCHEMA_LAWS) == 16
+    assert all(CATALOG[law].enumerate.__self__ is CATALOG[law].generate.__self__ for law in SCHEMA_LAWS)
+
+
+@pytest.mark.parametrize("law", list(GOLDEN_STREAMS))
+def test_seeded_stream_matches_golden(law):
+    spec = CATALOG[law]
+    digest = hashlib.sha256()
+    for i in range(20):
+        inst = spec.generate(random.Random(mix_seed(0, i)), spec.default_bounds, 12)
+        digest.update(_instance_repr(inst).encode())
+    assert digest.hexdigest() == GOLDEN_STREAMS[law]
+
+
+@pytest.mark.parametrize("law, bounds", list(GOLDEN_SETS))
+def test_enumerated_set_matches_golden(law, bounds):
+    reprs = sorted(_instance_repr(inst) for inst in CATALOG[law].enumerate(bounds, 12))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert (len(reprs), digest) == GOLDEN_SETS[law, bounds]
+
+
+@pytest.mark.parametrize("law", SCHEMA_LAWS)
+def test_generated_instances_at_the_limit_are_enumerated(law):
+    # drift guard: both search modes must range over the same instance space
+    spec = CATALOG[law]
+    limit = spec.exhaustive_limit
+
+    def key(inst):
+        return tuple(sorted(inst.items()))
+
+    wanted = {key(spec.generate(random.Random(mix_seed(1, i)), limit, 12)) for i in range(25)}
+    for inst in spec.enumerate(limit, 12):
+        wanted.discard(key(inst))
+        if not wanted:
+            break
+    assert not wanted
