@@ -30,6 +30,10 @@ from promrep import (
 from promrep.harness import enumerate_rep_morphisms
 
 
+def _strict(holds: bool) -> str:
+    return "  (strict)" if holds else ""
+
+
 def main():
     A = finset("A", 1, "a")
     B = finset("B", 2, "b")
@@ -39,16 +43,17 @@ def main():
 
     r_id = prommor_to_repmor(identity_prom_morphism(p))
     ident = identity_rep_morphism(prom_to_rep(p))
+    up, down = repmor_leq(ident, r_id), repmor_leq(r_id, ident)
     print("1. lax identity law:")
     print(f"   image-of-id tau = {r_id.tau.pairs()}")
-    print(f"   id  <=  image-of-id : {repmor_leq(ident, r_id)}")
-    print(f"   image-of-id  <=  id : {repmor_leq(r_id, ident)}  (strict)\n")
+    print(f"   id  <=  image-of-id : {up}")
+    print(f"   image-of-id  <=  id : {down}{_strict(up and not down)}\n")
 
     tri = triangle_rep(p)
     print("2. representation-side triangle:")
     print(f"   composite tau = {tri.composite.tau.pairs()}")
     print(f"   equals (id, y): {tri.equals_expected}, dominates id: "
-          f"{tri.dominates_identity}, strict: {tri.strict}\n")
+          f"{tri.dominates_identity}{_strict(tri.strict)}\n")
 
     rp = prom_to_rep(p)
     print("3. lower-after-lift saturation:")
@@ -57,7 +62,8 @@ def main():
         if not eq(around.tau, m.tau):
             print(f"   tau          = {m.tau.pairs()}")
             print(f"   after TΨ     = {around.tau.pairs()}")
-            print(f"   id <= TΨ(m): {repmor_leq(m, around)}  (strict)")
+            below = repmor_leq(m, around)
+            print(f"   id <= TΨ(m): {below}{_strict(below)}")
             break
     else:
         print("   no strict instance in this hom-set")

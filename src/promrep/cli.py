@@ -19,10 +19,9 @@ from . import workspace
 from .adjunction import counit, lift, lower, unit
 from .functors import prom_to_rep, rep_to_prom
 from .harness import CATALOG, ConfigError, SearchConfig, search
-from .rel import DEFAULT_POWERSET_CAP, CarrierMismatch, PowersetCapExceeded
+from .rel import DEFAULT_POWERSET_CAP, PowersetCapExceeded
 from .structures import (
     CheckResult,
-    Preorder,
     Prom,
     PromMorphism,
     Representation,
@@ -34,22 +33,16 @@ from .structures import (
     check_representation,
 )
 
-FUNCTORS = ("R", "M", "MR", "RM", "unit", "counit", "psi", "tee")
-
+#: Structure kind → (axioms in check order, checker).
 _CHECKS = {
-    Preorder: ("preorder", ("reflexivity", "transitivity"), lambda s: check_preorder(s.rel)),
-    Prom: ("prom", ("x preorder", "y preorder", "order preservation"), check_prom),
-    Representation: ("representation", ("ord preorder", "soundness"), check_representation),
-    PromMorphism: (
-        "prom_morphism",
+    "preorder": (("reflexivity", "transitivity"), lambda s: check_preorder(s.rel)),
+    "prom": (("x preorder", "y preorder", "order preservation"), check_prom),
+    "representation": (("ord preorder", "soundness"), check_representation),
+    "prom_morphism": (
         ("phi order preservation", "psi order preservation", "commuting square"),
         check_prom_morphism,
     ),
-    RepMorphism: (
-        "rep_morphism",
-        ("phi order preservation", "commuting square"),
-        check_rep_morphism,
-    ),
+    "rep_morphism": (("phi order preservation", "commuting square"), check_rep_morphism),
 }
 
 
@@ -79,11 +72,9 @@ def _named(ws: workspace.Workspace, name: str):
 def cmd_check(args) -> int:
     ws = _load(args.file)
     obj = _named(ws, args.name)
-    kind, axioms, checker = _CHECKS[type(obj)]
-    try:
-        res: CheckResult = checker(obj)
-    except CarrierMismatch as e:
-        raise InputError(str(e)) from None
+    kind = workspace.KIND_OF[type(obj)]
+    axioms, checker = _CHECKS[kind]
+    res: CheckResult = checker(obj)
     print(f"structure: {args.name}")
     print(f"kind: {kind}")
     if res.ok:
@@ -115,36 +106,30 @@ def _find_rep_preimage(ws: workspace.Workspace, prom: Prom, cap: int) -> Represe
     )
 
 
-def _apply(functor: str, ws: workspace.Workspace, obj, cap: int):
-    def expect(cls, what):
-        if not isinstance(obj, cls):
-            raise InputError(f"functor {functor} applies to a {what}")
+#: Functor → (class of its input, its image given workspace, input, cap).
+#: psi and tee also look up, in the workspace, the object their map needs.
+_FUNCTORS = {
+    "R": (Prom, lambda ws, p, cap: prom_to_rep(p)),
+    "M": (Representation, lambda ws, r, cap: rep_to_prom(r, cap)),
+    "MR": (Prom, lambda ws, p, cap: rep_to_prom(prom_to_rep(p), cap)),
+    "RM": (Representation, lambda ws, r, cap: prom_to_rep(rep_to_prom(r, cap))),
+    "unit": (Prom, lambda ws, p, cap: unit(p, cap)),
+    "counit": (Representation, lambda ws, r, cap: counit(r, cap)),
+    "psi": (RepMorphism, lambda ws, m, cap: lift(m, _find_prom_preimage(ws, m.src), cap)),
+    "tee": (
+        PromMorphism,
+        lambda ws, m, cap: lower(m, _find_rep_preimage(ws, m.dst, cap), m.src, cap),
+    ),
+}
 
-    if functor == "R":
-        expect(Prom, "prom")
-        return prom_to_rep(obj)
-    if functor == "M":
-        expect(Representation, "representation")
-        return rep_to_prom(obj, cap)
-    if functor == "MR":
-        expect(Prom, "prom")
-        return rep_to_prom(prom_to_rep(obj), cap)
-    if functor == "RM":
-        expect(Representation, "representation")
-        return prom_to_rep(rep_to_prom(obj, cap))
-    if functor == "unit":
-        expect(Prom, "prom")
-        return unit(obj, cap)
-    if functor == "counit":
-        expect(Representation, "representation")
-        return counit(obj, cap)
-    if functor == "psi":
-        expect(RepMorphism, "rep_morphism")
-        p = _find_prom_preimage(ws, obj.src)
-        return lift(obj, p, cap)
-    expect(PromMorphism, "prom_morphism")
-    r = _find_rep_preimage(ws, obj.dst, cap)
-    return lower(obj, r, obj.src, cap)
+FUNCTORS = tuple(_FUNCTORS)
+
+
+def _apply(functor: str, ws: workspace.Workspace, obj, cap: int):
+    cls, image = _FUNCTORS[functor]
+    if not isinstance(obj, cls):
+        raise InputError(f"functor {functor} applies to a {workspace.KIND_OF[cls]}")
+    return image(ws, obj, cap)
 
 
 def cmd_apply(args) -> int:
@@ -154,7 +139,9 @@ def cmd_apply(args) -> int:
         image = _apply(args.functor, ws, obj, args.powerset_cap)
         out = workspace.build({f"{args.functor}({args.name})": image})
         text = workspace.dumps(out)
-    except (PowersetCapExceeded, CarrierMismatch, workspace.WorkspaceError) as e:
+    except ValueError as e:
+        # the cap, carriers that do not connect, an unserializable image, or
+        # subsets that print alike (with a label "", {""} and {} are both "{}")
         raise InputError(str(e)) from None
     sys.stdout.write(text)
     return 0

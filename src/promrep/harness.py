@@ -59,6 +59,7 @@ from .structures import (
     identity_prom_morphism,
     identity_rep_morphism,
     is_preorder,
+    order_violation,
     preorder_closure,
     repmor_leq,
 )
@@ -309,11 +310,9 @@ def enumerate_proms(
             A = finset(a[0], size_a, a[1])
             B = finset(b[0], size_b, b[1])
             for y in enumerate_preorders(B):
-                gy = y.rel
                 for f in enumerate_fnmaps(A, B):
-                    up = graph_upper(f)
                     for x in enumerate_preorders(A):
-                        if leq(compose(up, x.rel), compose(gy, up)):
+                        if order_violation(f, x.rel, y.rel) is None:
                             yield Prom(x, y, f, check=False)
 
 
@@ -343,21 +342,28 @@ def enumerate_rep_morphisms(r1: Representation, r2: Representation) -> Iterator[
     if cells > MAX_TAU_CELLS:
         raise ConfigError(f"tau enumeration over {cells} cells exceeds limit {MAX_TAU_CELLS}")
     for phi in enumerate_fnmaps(r1.S, r2.S):
-        up = graph_upper(phi)
-        if not leq(compose(up, r1.ord.rel), compose(r2.ord.rel, up)):
+        if order_violation(phi, r1.ord.rel, r2.ord.rel) is not None:
             continue
-        rhs = compose(r2.sat, up)
+        rhs = compose(r2.sat, graph_upper(phi))
         for tau in enumerate_relations(r2.M, r1.M):
             if eq(compose(tau, r1.sat), rhs):
                 yield RepMorphism(r1, r2, phi, tau, check=False)
 
 
 def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
+    """All morphisms p1 → p2 between valid proms, in (φ, ψ) product order.
+
+    φ and ψ are each filtered for order preservation once; the ψ that pass
+    are grouped by ψ∘f, so each φ meets exactly those with ψ∘f = f'∘φ."""
+    f, f2 = p1.f.image, p2.f.image
+    by_square: dict[tuple[int, ...], list[FnMap]] = {}
+    for psi in enumerate_fnmaps(p1.B, p2.B):
+        if order_violation(psi, p1.y.rel, p2.y.rel) is None:
+            by_square.setdefault(tuple(psi.image[b] for b in f), []).append(psi)
     for phi in enumerate_fnmaps(p1.A, p2.A):
-        for psi in enumerate_fnmaps(p1.B, p2.B):
-            m = PromMorphism(p1, p2, phi, psi, check=False)
-            if check_prom_morphism(m):
-                yield m
+        if order_violation(phi, p1.x.rel, p2.x.rel) is None:
+            for psi in by_square.get(tuple(f2[a] for a in phi.image), ()):
+                yield PromMorphism(p1, p2, phi, psi, check=False)
 
 
 # ---------------------------------------------------------------------------

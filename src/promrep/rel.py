@@ -249,6 +249,9 @@ class FnMap:
         missing = set(src.elements) - set(mapping)
         if missing:
             raise ValueError(f"function undefined on {sorted(missing)}")
+        extra = set(mapping) - set(src.elements)
+        if extra:
+            raise ValueError(f"function defined outside its source on {sorted(extra)}")
         return cls(src, dst, tuple(dst.index(mapping[a]) for a in src.elements))
 
     def of(self, label: str) -> str:

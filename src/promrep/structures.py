@@ -1,9 +1,12 @@
 """Preorders, proms, representations, and their morphisms.
 
-Constructors validate eagerly by default; pass check=False to build a
-structure without validation (the harness uses this for negative tests and
-for structures already known valid).  Every axiom has a check_* function
-that reports the first violated axiom together with a concrete witness.
+Constructors validate eagerly by default.  Every constructor checks that
+its carriers connect (a preorder is square, a prom's map runs between its
+two carriers, and so on) and raises CarrierMismatch otherwise; check=False
+skips only the axioms, not these carrier checks (the harness uses it for
+negative tests and for structures already known valid).  Every axiom has
+a check_* function that reports the first violated axiom together with a
+concrete witness.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class Preorder:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
+        if self.rel.src != self.rel.dst:
+            raise CarrierMismatch("a preorder must be a square relation")
         if check:
             res = check_preorder(self.rel)
             if not res:
@@ -104,6 +109,8 @@ class Prom:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
+        if self.f.src != self.x.carrier or self.f.dst != self.y.carrier:
+            raise CarrierMismatch("prom map does not connect the two preordered carriers")
         if check:
             res = check_prom(self)
             if not res:
@@ -119,23 +126,35 @@ class Prom:
 
 
 def check_prom(p: Prom) -> CheckResult:
-    if p.f.src != p.x.carrier or p.f.dst != p.y.carrier:
-        raise CarrierMismatch("prom map does not connect the two preordered carriers")
     res = check_preorder(p.x.rel)
     if not res:
         return CheckResult(False, "x " + res.axiom, res.witness)
     res = check_preorder(p.y.rel)
     if not res:
         return CheckResult(False, "y " + res.axiom, res.witness)
-    # f^*⨾x ≤ y⨾f^*, checked pointwise for a readable witness (a, a').
-    x, y, img = p.x.rel, p.y.rel, p.f.image
-    for i, row in enumerate(x.rows):
-        for j in range(len(p.A)):
-            if row >> j & 1 and not y.rows[img[i]] >> img[j] & 1:
-                return CheckResult(
-                    False, "order preservation", (p.A.elements[i], p.A.elements[j])
-                )
+    bad = order_violation(p.f, p.x.rel, p.y.rel)
+    if bad is not None:
+        i, j = bad
+        return CheckResult(False, "order preservation", (p.A.elements[i], p.A.elements[j]))
     return OK
+
+
+def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with (i, j) ∈ x but (f i, f j) ∉ y.
+
+    None means f carries x into y, that is f^*⨾x ≤ y⨾f^*.  Checked
+    pointwise, so a failure comes with a readable witness.
+    """
+    img, yrows = f.image, y.rows
+    for i, row in enumerate(x.rows):
+        target = yrows[img[i]]
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            if not target >> img[j] & 1:
+                return i, j
+            row ^= low
+    return None
 
 
 @dataclass(frozen=True)
@@ -147,6 +166,10 @@ class PromMorphism:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
+        if self.phi.src != self.src.A or self.phi.dst != self.dst.A:
+            raise CarrierMismatch("phi does not connect the source carriers")
+        if self.psi.src != self.src.B or self.psi.dst != self.dst.B:
+            raise CarrierMismatch("psi does not connect the target carriers")
         if check:
             res = check_prom_morphism(self)
             if not res:
@@ -183,6 +206,8 @@ class Representation:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
+        if self.sat.dst != self.ord.carrier:
+            raise CarrierMismatch("preorder carrier does not match the statement carrier")
         if check:
             res = check_representation(self)
             if not res:
@@ -198,8 +223,6 @@ class Representation:
 
 
 def check_representation(r: Representation) -> CheckResult:
-    if r.sat.dst != r.ord.carrier:
-        raise CarrierMismatch("preorder carrier does not match the statement carrier")
     res = check_preorder(r.ord.rel)
     if not res:
         return res
@@ -226,6 +249,10 @@ class RepMorphism:
     check: InitVar[bool] = True
 
     def __post_init__(self, check):
+        if self.phi.src != self.src.S or self.phi.dst != self.dst.S:
+            raise CarrierMismatch("phi does not connect the statement carriers")
+        if self.tau.src != self.dst.M or self.tau.dst != self.src.M:
+            raise CarrierMismatch("tau does not connect the model carriers")
         if check:
             res = check_rep_morphism(self)
             if not res:
@@ -233,10 +260,6 @@ class RepMorphism:
 
 
 def check_rep_morphism(m: RepMorphism) -> CheckResult:
-    if m.phi.src != m.src.S or m.phi.dst != m.dst.S:
-        raise CarrierMismatch("phi does not connect the statement carriers")
-    if m.tau.src != m.dst.M or m.tau.dst != m.src.M:
-        raise CarrierMismatch("tau does not connect the model carriers")
     res = check_prom(Prom(m.src.ord, m.dst.ord, m.phi, check=False))
     if not res:
         return CheckResult(False, "phi: " + res.axiom, res.witness)

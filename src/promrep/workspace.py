@@ -2,9 +2,13 @@
 
 A workspace file has four sections: sets (name → ordered labels),
 relations (name → {from, to, pairs}), functions (name → {from, to, map})
-and structures (name → tagged record referencing the other sections by
-name).  Serialization is canonical — fixed section order, sorted names,
-pairs in row-major carrier order — so output files are byte-stable.
+and structures (name → {kind, ...}, referencing the other sections by
+name).  `KINDS` is the one statement of each structure kind's record
+layout; parsing, serialization and `build` all walk it.  An absent or
+null section, `pairs` or `map` means empty; anything else malformed
+raises WorkspaceError.  Serialization is canonical — fixed section
+order, sorted names, pairs in row-major carrier order — so output files
+are byte-stable.
 """
 
 from __future__ import annotations
@@ -34,7 +38,36 @@ class Workspace:
     structures: dict[str, object] = field(default_factory=dict)
 
 
-STRUCTURE_KINDS = ("preorder", "prom", "representation", "prom_morphism", "rep_morphism")
+#: Structure kind → (class, fields in record order).  A field is (key, what):
+#: the key is both the record key and the class's attribute, and what says
+#: what it names: "relation", "preorder" (a relation read as a preorder),
+#: "function", or the class of another structure.
+KINDS = {
+    "preorder": (Preorder, (("rel", "relation"),)),
+    "prom": (Prom, (("x", "preorder"), ("y", "preorder"), ("f", "function"))),
+    "representation": (Representation, (("sat", "relation"), ("ord", "preorder"))),
+    "prom_morphism": (
+        PromMorphism,
+        (("src", Prom), ("dst", Prom), ("phi", "function"), ("psi", "function")),
+    ),
+    "rep_morphism": (
+        RepMorphism,
+        (("src", Representation), ("dst", Representation), ("phi", "function"), ("tau", "relation")),
+    ),
+}
+
+STRUCTURE_KINDS = tuple(KINDS)
+
+#: Structure class → its kind.
+KIND_OF = {cls: kind for kind, (cls, _) in KINDS.items()}
+
+#: The section a field names an entry of; structure fields name "structures".
+_SECTION = {"relation": "relations", "preorder": "relations", "function": "functions"}
+
+
+def _entry(value, what):
+    """The section entry a field's value is stored as: a preorder's relation."""
+    return value.rel if what == "preorder" else value
 
 
 def _ref(table: dict, name, what: str):
@@ -43,11 +76,14 @@ def _ref(table: dict, name, what: str):
     return table[name]
 
 
-def _section(doc: dict, key: str) -> dict:
-    section = doc.get(key) or {}
-    if not isinstance(section, dict):
-        raise WorkspaceError(f"section {key!r} must be a JSON object")
-    return section
+def _optional(rec: dict, key: str, kind: type, what: str):
+    """rec[key]; only an absent or null value means empty."""
+    value = rec.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise WorkspaceError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def _record(rec, what: str, name) -> dict:
@@ -60,91 +96,60 @@ def parse(doc) -> Workspace:
     if not isinstance(doc, dict):
         raise WorkspaceError("workspace document must be a JSON object")
     ws = Workspace()
-    for name, labels in _section(doc, "sets").items():
+    for name, labels in _optional(doc, "sets", dict, "section 'sets'").items():
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
             raise WorkspaceError(f"set {name!r} must be a list of labels")
         try:
             ws.sets[name] = FinSet(name, tuple(labels))
         except ValueError as e:
             raise WorkspaceError(str(e)) from None
-    for name, rec in _section(doc, "relations").items():
+    for name, rec in _optional(doc, "relations", dict, "section 'relations'").items():
         rec = _record(rec, "relation", name)
         src = _ref(ws.sets, rec.get("from"), "set")
         dst = _ref(ws.sets, rec.get("to"), "set")
+        pairs = _optional(rec, "pairs", list, f"pairs of relation {name!r}")
+        if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+            raise WorkspaceError(f"relation {name!r}: each pair must be a list of two labels")
         try:
-            ws.relations[name] = Rel.from_pairs(src, dst, rec.get("pairs") or [])
-        except (KeyError, ValueError, TypeError) as e:
+            ws.relations[name] = Rel.from_pairs(src, dst, pairs)
+        except KeyError as e:
             raise WorkspaceError(f"relation {name!r}: {e}") from None
-    for name, rec in _section(doc, "functions").items():
+    for name, rec in _optional(doc, "functions", dict, "section 'functions'").items():
         rec = _record(rec, "function", name)
         src = _ref(ws.sets, rec.get("from"), "set")
         dst = _ref(ws.sets, rec.get("to"), "set")
-        mapping = _record(rec.get("map") or {}, "map of function", name)
+        mapping = _optional(rec, "map", dict, f"map of function {name!r}")
         try:
             ws.functions[name] = FnMap.from_labels(src, dst, mapping)
         except (KeyError, ValueError) as e:
             raise WorkspaceError(f"function {name!r}: {e}") from None
-    records = _section(doc, "structures")
-    # two passes: morphisms may reference other structures
+    records = _optional(doc, "structures", dict, "section 'structures'")
     for name, rec in records.items():
         kind = rec.get("kind") if isinstance(rec, dict) else None
         if kind not in STRUCTURE_KINDS:
             raise WorkspaceError(f"structure {name!r} has unknown kind {kind!r}")
-        if kind in ("prom_morphism", "rep_morphism"):
-            continue
-        ws.structures[name] = _parse_object(ws, name, rec)
-    for name, rec in records.items():
-        if rec["kind"] in ("prom_morphism", "rep_morphism"):
-            ws.structures[name] = _parse_morphism(ws, name, rec)
+    # two passes: morphisms reference other structures, so they come second
+    for morphisms in (False, True):
+        for name, rec in records.items():
+            fields = KINDS[rec["kind"]][1]
+            if any(isinstance(what, type) for _, what in fields) == morphisms:
+                ws.structures[name] = _parse_structure(ws, name, rec)
     return ws
 
 
-def _parse_object(ws: Workspace, name: str, rec: dict):
+def _parse_structure(ws: Workspace, name: str, rec: dict):
+    cls, fields = KINDS[rec["kind"]]
+    args = []
     try:
-        if rec["kind"] == "preorder":
-            return Preorder(_ref(ws.relations, rec.get("rel"), "relation"), check=False)
-        if rec["kind"] == "prom":
-            return Prom(
-                Preorder(_ref(ws.relations, rec.get("x"), "relation"), check=False),
-                Preorder(_ref(ws.relations, rec.get("y"), "relation"), check=False),
-                _ref(ws.functions, rec.get("f"), "function"),
-                check=False,
-            )
-        return Representation(
-            _ref(ws.relations, rec.get("sat"), "relation"),
-            Preorder(_ref(ws.relations, rec.get("ord"), "relation"), check=False),
-            check=False,
-        )
-    except WorkspaceError:
-        raise
-    except ValueError as e:
-        raise WorkspaceError(f"structure {name!r}: {e}") from None
-
-
-def _parse_morphism(ws: Workspace, name: str, rec: dict):
-    src = _ref(ws.structures, rec.get("src"), "structure")
-    dst = _ref(ws.structures, rec.get("dst"), "structure")
-    if rec["kind"] == "prom_morphism":
-        if not isinstance(src, Prom) or not isinstance(dst, Prom):
-            raise WorkspaceError(f"structure {name!r}: endpoints must be proms")
-    elif not isinstance(src, Representation) or not isinstance(dst, Representation):
-        raise WorkspaceError(f"structure {name!r}: endpoints must be representations")
-    try:
-        if rec["kind"] == "prom_morphism":
-            return PromMorphism(
-                src,
-                dst,
-                _ref(ws.functions, rec.get("phi"), "function"),
-                _ref(ws.functions, rec.get("psi"), "function"),
-                check=False,
-            )
-        return RepMorphism(
-            src,
-            dst,
-            _ref(ws.functions, rec.get("phi"), "function"),
-            _ref(ws.relations, rec.get("tau"), "relation"),
-            check=False,
-        )
+        for key, what in fields:
+            section = _SECTION.get(what, "structures")
+            value = _ref(getattr(ws, section), rec.get(key), section[:-1])
+            if what == "preorder":
+                value = Preorder(value, check=False)
+            elif isinstance(what, type) and not isinstance(value, what):
+                raise WorkspaceError(f"structure {name!r}: {key} must be a {KIND_OF[what]}")
+            args.append(value)
+        return cls(*args, check=False)
     except WorkspaceError:
         raise
     except ValueError as e:
@@ -192,38 +197,18 @@ def _name_of(table: dict, obj, what: str) -> str:
 
 def _structure_record(ws: Workspace, back: dict, name: str) -> dict:
     obj = ws.structures[name]
-    if isinstance(obj, Preorder):
-        return {"kind": "preorder", "rel": _name_of(ws.relations, obj.rel, "relation")}
-    if isinstance(obj, Prom):
-        return {
-            "kind": "prom",
-            "x": _name_of(ws.relations, obj.x.rel, "relation"),
-            "y": _name_of(ws.relations, obj.y.rel, "relation"),
-            "f": _name_of(ws.functions, obj.f, "function"),
-        }
-    if isinstance(obj, Representation):
-        return {
-            "kind": "representation",
-            "sat": _name_of(ws.relations, obj.sat, "relation"),
-            "ord": _name_of(ws.relations, obj.ord.rel, "relation"),
-        }
-    if isinstance(obj, PromMorphism):
-        return {
-            "kind": "prom_morphism",
-            "src": back[obj.src],
-            "dst": back[obj.dst],
-            "phi": _name_of(ws.functions, obj.phi, "function"),
-            "psi": _name_of(ws.functions, obj.psi, "function"),
-        }
-    if isinstance(obj, RepMorphism):
-        return {
-            "kind": "rep_morphism",
-            "src": back[obj.src],
-            "dst": back[obj.dst],
-            "phi": _name_of(ws.functions, obj.phi, "function"),
-            "tau": _name_of(ws.relations, obj.tau, "relation"),
-        }
-    raise WorkspaceError(f"structure {name!r} has unserializable type {type(obj).__name__}")
+    kind = KIND_OF.get(type(obj))
+    if kind is None:
+        raise WorkspaceError(f"structure {name!r} has unserializable type {type(obj).__name__}")
+    rec = {"kind": kind}
+    for key, what in KINDS[kind][1]:
+        value = getattr(obj, key)
+        if isinstance(what, type):
+            rec[key] = back[value]
+        else:
+            section = _SECTION[what]
+            rec[key] = _name_of(getattr(ws, section), _entry(value, what), section[:-1])
+    return rec
 
 
 def build(objects: dict[str, object]) -> Workspace:
@@ -240,23 +225,12 @@ def build(objects: dict[str, object]) -> Workspace:
             raise WorkspaceError(f"two different carriers named {s.name!r}")
         ws.sets[s.name] = s
 
-    def add_rel(name: str, r: Rel) -> Rel:
-        add_set(r.src)
-        add_set(r.dst)
-        for existing in ws.relations.values():
-            if existing == r:
-                return r
-        ws.relations[name] = r
-        return r
-
-    def add_fn(name: str, f: FnMap) -> FnMap:
-        add_set(f.src)
-        add_set(f.dst)
-        for existing in ws.functions.values():
-            if existing == f:
-                return f
-        ws.functions[name] = f
-        return f
+    def add(section: str, name: str, value):
+        add_set(value.src)
+        add_set(value.dst)
+        table = getattr(ws, section)
+        if value not in table.values():
+            table[name] = value
 
     def add_structure(name: str, obj):
         for existing_name, existing in ws.structures.items():
@@ -265,33 +239,18 @@ def build(objects: dict[str, object]) -> Workspace:
         if isinstance(obj, FinSet):
             add_set(obj)
             return None
-        if isinstance(obj, Rel):
-            add_rel(name, obj)
+        if isinstance(obj, (Rel, FnMap)):
+            add("relations" if isinstance(obj, Rel) else "functions", name, obj)
             return None
-        if isinstance(obj, FnMap):
-            add_fn(name, obj)
-            return None
-        if isinstance(obj, Preorder):
-            add_rel(f"{name}.rel", obj.rel)
-        elif isinstance(obj, Prom):
-            add_rel(f"{name}.x", obj.x.rel)
-            add_rel(f"{name}.y", obj.y.rel)
-            add_fn(f"{name}.f", obj.f)
-        elif isinstance(obj, Representation):
-            add_rel(f"{name}.sat", obj.sat)
-            add_rel(f"{name}.ord", obj.ord.rel)
-        elif isinstance(obj, PromMorphism):
-            add_structure(f"{name}.src", obj.src)
-            add_structure(f"{name}.dst", obj.dst)
-            add_fn(f"{name}.phi", obj.phi)
-            add_fn(f"{name}.psi", obj.psi)
-        elif isinstance(obj, RepMorphism):
-            add_structure(f"{name}.src", obj.src)
-            add_structure(f"{name}.dst", obj.dst)
-            add_fn(f"{name}.phi", obj.phi)
-            add_rel(f"{name}.tau", obj.tau)
-        else:
+        kind = KIND_OF.get(type(obj))
+        if kind is None:
             raise WorkspaceError(f"cannot serialize object of type {type(obj).__name__}")
+        for key, what in KINDS[kind][1]:
+            value = getattr(obj, key)
+            if isinstance(what, type):
+                add_structure(f"{name}.{key}", value)
+            else:
+                add(_SECTION[what], f"{name}.{key}", _entry(value, what))
         ws.structures[name] = obj
         return name
 

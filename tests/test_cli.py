@@ -92,6 +92,23 @@ def run_cli(*args):
     )
 
 
+# Valid as it stands: p is the (empty) preorder on an empty carrier.
+EMPTY_P = {
+    "sets": {"A": []},
+    "relations": {"r": {"from": "A", "to": "A"}},
+    "structures": {"p": {"kind": "preorder", "rel": "r"}},
+}
+
+
+def _preorder_p(pairs):
+    """p is a preorder on {a, b} whose relation lists `pairs`."""
+    return {
+        "sets": {"A": ["a", "b"]},
+        "relations": {"r": {"from": "A", "to": "A", "pairs": pairs}},
+        "structures": {"p": {"kind": "preorder", "rel": "r"}},
+    }
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -102,6 +119,22 @@ def run_cli(*args):
         {"sets": {"A": ["a"]}, "functions": {"f": {"from": "A", "to": "A", "map": ["a"]}}},
         {"sets": {"A": ["a"]}, "functions": {"f": {"from": "A", "to": "A", "map": {"a": {}}}}},
         {"functions": {"f": {"from": "A", "to": "A", "map": {"a": {}}}}},
+        # only an absent or null section, pairs or map means empty
+        {"sets": []},
+        {**EMPTY_P, "functions": []},
+        {**EMPTY_P, "relations": {"r": {"from": "A", "to": "A", "pairs": {}}}},
+        {**EMPTY_P, "relations": {"r": {"from": "A", "to": "A", "pairs": 0}}},
+        {**EMPTY_P, "functions": {"f": {"from": "A", "to": "A", "map": []}}},
+        # a pair is a list of two labels, not a two-letter string
+        _preorder_p({"aa": 0, "bb": 0}),
+        _preorder_p(["aa", "bb"]),
+        # a map key outside the source carrier
+        {
+            "sets": {"A": ["a"]},
+            "relations": {"r": {"from": "A", "to": "A", "pairs": [["a", "a"]]}},
+            "functions": {"f": {"from": "A", "to": "A", "map": {"a": "a", "zz": "a"}}},
+            "structures": {"p": {"kind": "prom", "x": "r", "y": "r", "f": "f"}},
+        },
     ],
 )
 def test_check_malformed_workspace_is_input_error(tmp_path, doc):
@@ -114,6 +147,64 @@ def test_check_malformed_workspace_is_input_error(tmp_path, doc):
 
 
 # --- apply ------------------------------------------------------------------
+
+# p's x runs from A to B, so it is no preorder; R0's ord lies on A, not on
+# the statements S.  Loading either file fails, whatever the command.
+NON_SQUARE_X = {
+    "sets": {"A": ["a0"], "B": ["b0", "b1"]},
+    "relations": {
+        "ab": {"from": "A", "to": "B", "pairs": [["a0", "b0"]]},
+        "y": {"from": "B", "to": "B", "pairs": [["b0", "b0"], ["b1", "b1"]]},
+    },
+    "functions": {"f": {"from": "A", "to": "B", "map": {"a0": "b0"}}},
+    "structures": {"p": {"kind": "prom", "x": "ab", "y": "y", "f": "f"}},
+}
+ORD_OFF_STATEMENTS = {
+    "sets": {"A": ["a0"], "M": ["m0"], "S": ["s0"]},
+    "relations": {
+        "sat": {"from": "M", "to": "S", "pairs": [["m0", "s0"]]},
+        "ord": {"from": "A", "to": "A", "pairs": [["a0", "a0"]]},
+    },
+    "structures": {"R0": {"kind": "representation", "sat": "sat", "ord": "ord"}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, command",
+    [
+        (NON_SQUARE_X, ["apply", "R"]),
+        (NON_SQUARE_X, ["apply", "unit"]),
+        (NON_SQUARE_X, ["check"]),
+        (ORD_OFF_STATEMENTS, ["apply", "M"]),
+        (ORD_OFF_STATEMENTS, ["apply", "counit"]),
+        (ORD_OFF_STATEMENTS, ["apply", "RM"]),
+        (ORD_OFF_STATEMENTS, ["check"]),
+    ],
+)
+def test_disconnected_carriers_are_input_errors(tmp_path, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*command, str(path), next(iter(doc["structures"])))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+@pytest.mark.parametrize("functor", ["M", "counit", "RM"])
+def test_apply_with_colliding_subset_labels_is_input_error(tmp_path, functor):
+    # with a model labelled "", the subsets {""} and {} both print as "{}"
+    doc = {
+        "sets": {"M": ["", "m1"], "S": []},
+        "relations": {"sat": {"from": "M", "to": "S"}, "ord": {"from": "S", "to": "S"}},
+        "structures": {"R0": {"kind": "representation", "sat": "sat", "ord": "ord"}},
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("check", str(path), "R0").returncode == 0
+    proc = run_cli("apply", functor, str(path), "R0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
 
 def _apply_and_recheck(tmp_path, capsys, functor, src_file, name):
     assert main(["apply", functor, src_file, name]) == 0

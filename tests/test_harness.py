@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,7 @@ from promrep import (
     InvalidStructure,
     Preorder,
     Prom,
+    PromMorphism,
     Rel,
     SearchConfig,
     Witness,
@@ -37,6 +39,7 @@ from promrep.harness import (
     direct_image_functorial,
     enumerate_fnmaps,
     enumerate_preorders,
+    enumerate_prom_morphisms,
     enumerate_proms,
     enumerate_relations,
     enumerate_rep_morphisms,
@@ -127,6 +130,24 @@ def test_enumerate_rep_morphisms_contains_identity():
         m.phi.image == tuple(range(len(r.S))) and eq(m.tau, identity(r.M)) for m in homs
     )
     assert all(check_rep_morphism(m) for m in homs)
+
+
+def test_enumerate_prom_morphisms_matches_brute_force():
+    """Every φ×ψ candidate filtered by check_prom_morphism, in the same order."""
+    small = list(enumerate_proms(2, 1))
+    large = list(enumerate_proms(2, 2, ("A2", "c"), ("B2", "d")))
+    found = 0
+    for p1, p2 in [*product(small, large), *product(large, small)]:
+        brute = [
+            (phi.image, psi.image)
+            for phi in enumerate_fnmaps(p1.A, p2.A)
+            for psi in enumerate_fnmaps(p1.B, p2.B)
+            if check_prom_morphism(PromMorphism(p1, p2, phi, psi, check=False))
+        ]
+        homs = [(m.phi.image, m.psi.image) for m in enumerate_prom_morphisms(p1, p2)]
+        assert homs == brute
+        found += len(homs)
+    assert found == 1812
 
 
 def test_enumerate_rep_morphisms_bound_guard():

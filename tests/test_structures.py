@@ -26,6 +26,7 @@ from promrep import (
     gen_rep_morphism,
     gen_representation,
     identity,
+    identity_map,
     identity_prom_morphism,
     identity_rep_morphism,
     is_preorder,
@@ -71,6 +72,25 @@ def test_single_axiom_characterization_exhaustive():
 def test_non_square_preorder_is_error():
     with pytest.raises(CarrierMismatch):
         is_preorder(rel(A2, B2))
+
+
+def test_constructors_check_carriers_even_without_axioms():
+    M1 = finset("M", 1, "m")
+    p = Prom(Preorder(identity(A2)), Preorder(identity(B2)), FnMap(A2, B2, (0, 1)))
+    r = Representation(rel(M1, B2), Preorder(identity(B2)))
+    disconnected = [
+        lambda: Preorder(rel(A2, B2), check=False),
+        lambda: Prom(p.x, p.y, FnMap(B2, B2, (0, 1)), check=False),
+        lambda: Prom(p.x, p.y, FnMap(A2, A2, (0, 1)), check=False),
+        lambda: Representation(rel(M1, B2), Preorder(identity(A2)), check=False),
+        lambda: PromMorphism(p, p, identity_map(B2), identity_map(B2), check=False),
+        lambda: PromMorphism(p, p, identity_map(A2), identity_map(A2), check=False),
+        lambda: RepMorphism(r, r, identity_map(M1), identity(M1), check=False),
+        lambda: RepMorphism(r, r, identity_map(B2), identity(B2), check=False),
+    ]
+    for build in disconnected:
+        with pytest.raises(CarrierMismatch):
+            build()
 
 
 def test_closure_of_empty_is_identity():
