@@ -58,7 +58,7 @@ def main():
     rp = prom_to_rep(p)
     print("3. lower-after-lift saturation:")
     for m in enumerate_rep_morphisms(rp, rp):
-        around = lower(lift(m, p), rp, p)
+        around = lower(lift(m, p), rp)
         if not eq(around.tau, m.tau):
             print(f"   tau          = {m.tau.pairs()}")
             print(f"   after TΨ     = {around.tau.pairs()}")

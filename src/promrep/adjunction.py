@@ -16,13 +16,13 @@ from .rel import (
     FnMap,
     Rel,
     compose,
-    converse,
     eq,
     fn_eq_into_powerset,
     graph_upper,
     identity,
     identity_map,
     left_residual,
+    power_transpose,
     powerset,
 )
 from .structures import (
@@ -45,11 +45,9 @@ from .functors import (
 
 
 def unit(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
-    """The identity on A paired with the down-set map b ↦ {b' | (b',b)∈y}."""
+    """The identity on A paired with the down-set map b ↦ {b' | (b',b)∈y}: Λ(y)."""
     target = rep_to_prom(prom_to_rep(p), cap)
-    bundle = powerset(p.B, cap)
-    # column b of y, read off as a mask over B; mask doubles as carrier index
-    psi = FnMap(p.B, bundle.carrier, converse(p.y.rel).rows)
+    psi = power_transpose(p.y.rel, powerset(p.B, cap).mem)
     return PromMorphism(p, target, identity_map(p.A), psi, check=False)
 
 
@@ -121,45 +119,34 @@ def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """The prom-side triangle: the composite on 2^M is the identity map.
 
     The composite relates m to α iff m lies in some β ⊆ α, that is the
-    relation ∈⨾(∈\\∈) with ∈\\∈ the subset order; read column by column
-    it is a map 2^M → 2^M.  It is computed relationally in O(|M|·2^|M|)
+    relation ∈⨾(∈\\∈) with ∈\\∈ the subset order, and the map 2^M → 2^M
+    is its power transpose.  It is computed relationally in O(|M|·2^|M|)
     row operations, so neither the 4^|M| pairs of ⊆ nor the nested
     powerset 2^(2^M) is ever enumerated.
     """
-    bundle = powerset(r.M, cap)
-    composite = FnMap(bundle.carrier, bundle.carrier, _triangle_prom_image(bundle.mem))
-    return fn_eq_into_powerset(composite, identity_map(bundle.carrier), bundle.mem)
+    mem = powerset(r.M, cap).mem
+    return fn_eq_into_powerset(_triangle_prom_composite(mem), identity_map(mem.dst), mem)
 
 
-def _triangle_prom_image(mem: Rel) -> tuple[int, ...]:
-    """Column α of ∈⨾(∈\\∈) as a subset mask, for every α in 2^M."""
-    return converse(compose(mem, left_residual(mem, mem))).rows
+def _triangle_prom_composite(mem: Rel) -> FnMap:
+    """Λ(∈⨾(∈\\∈)): 2^M → 2^M, α ↦ {m | m lies in some β ⊆ α}."""
+    return power_transpose(compose(mem, left_residual(mem, mem)), mem)
 
 
 def rel_to_map(tau: Rel, y: Preorder, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
     """Ψ: saturate tau along y and read it as a set-valued map B → 2^M.
 
-    b ↦ {m | ∃b': (m,b')∈tau and (b',b)∈y}; characterized by
-    ∈⨾(result)^* = tau⨾y.
+    b ↦ {m | ∃b': (m,b')∈tau and (b',b)∈y}, that is Λ(τ⨾y), characterized
+    by ∈⨾(result)^* = tau⨾y.
     """
     if tau.dst != y.carrier:
         raise ValueError("tau must target the preordered carrier")
-    bundle = powerset(tau.src, cap)
-    saturated = compose(tau, y.rel)
-    return FnMap(y.carrier, bundle.carrier, converse(saturated).rows)
+    return power_transpose(compose(tau, y.rel), powerset(tau.src, cap).mem)
 
 
 def map_to_rel(psi: FnMap, base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> Rel:
-    """T: flatten a set-valued map B → 2^M to the relation M ⇸ B."""
-    bundle = powerset(base, cap)
-    if psi.dst != bundle.carrier:
-        raise ValueError("map codomain is not the powerset of the given base")
-    rows = [0] * len(base)
-    for b, mask in enumerate(psi.image):
-        for m_i in range(len(base)):
-            if mask >> m_i & 1:
-                rows[m_i] |= 1 << b
-    return Rel(base, psi.src, tuple(rows))
+    """T: flatten a set-valued map B → 2^M to the relation ∈⨾ψ^*: M ⇸ B."""
+    return compose(powerset(base, cap).mem, graph_upper(psi))
 
 
 def lift(m: RepMorphism, p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
@@ -171,10 +158,8 @@ def lift(m: RepMorphism, p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphi
     )
 
 
-def lower(m: PromMorphism, r: Representation, p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
+def lower(m: PromMorphism, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
     """Galois lower of a prom morphism into the image of r."""
     if m.dst != rep_to_prom(r, cap):
         raise ValueError("morphism destination is not the prom image of r")
-    if m.src != p:
-        raise ValueError("morphism source is not the given prom")
-    return RepMorphism(prom_to_rep(p), r, m.phi, map_to_rel(m.psi, r.M, cap), check=False)
+    return RepMorphism(prom_to_rep(m.src), r, m.phi, map_to_rel(m.psi, r.M, cap), check=False)

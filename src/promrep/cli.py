@@ -116,10 +116,7 @@ _FUNCTORS = {
     "unit": (Prom, lambda ws, p, cap: unit(p, cap)),
     "counit": (Representation, lambda ws, r, cap: counit(r, cap)),
     "psi": (RepMorphism, lambda ws, m, cap: lift(m, _find_prom_preimage(ws, m.src), cap)),
-    "tee": (
-        PromMorphism,
-        lambda ws, m, cap: lower(m, _find_rep_preimage(ws, m.dst, cap), m.src, cap),
-    ),
+    "tee": (PromMorphism, lambda ws, m, cap: lower(m, _find_rep_preimage(ws, m.dst, cap), cap)),
 }
 
 FUNCTORS = tuple(_FUNCTORS)
@@ -140,8 +137,7 @@ def cmd_apply(args) -> int:
         out = workspace.build({f"{args.functor}({args.name})": image})
         text = workspace.dumps(out)
     except ValueError as e:
-        # the cap, carriers that do not connect, an unserializable image, or
-        # subsets that print alike (with a label "", {""} and {} are both "{}")
+        # the cap, carriers that do not connect, or an unserializable image
         raise InputError(str(e)) from None
     sys.stdout.write(text)
     return 0

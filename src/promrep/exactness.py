@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .rel import compose, eq, graph_lower, graph_upper, left_residual, leq
+from .rel import eq, left_residual, leq, pullback
 from .structures import Prom, Representation
 
 
@@ -13,8 +13,7 @@ def is_exact(r: Representation) -> bool:
 
 def is_order_reflecting(p: Prom) -> bool:
     """f_*⨾y⨾f^* ≤ x: comparability downstairs forces comparability upstairs."""
-    pulled = compose(graph_lower(p.f), compose(p.y.rel, graph_upper(p.f)))
-    return leq(pulled, p.x.rel)
+    return leq(pullback(p.y.rel, p.f), p.x.rel)
 
 
 def exactness_is_identity(r: Representation) -> bool:
@@ -24,5 +23,4 @@ def exactness_is_identity(r: Representation) -> bool:
 
 def reflection_is_identity(p: Prom) -> bool:
     """For order-reflecting proms, x equals the pullback of y along f."""
-    pulled = compose(graph_lower(p.f), compose(p.y.rel, graph_upper(p.f)))
-    return eq(p.x.rel, pulled)
+    return eq(p.x.rel, pullback(p.y.rel, p.f))

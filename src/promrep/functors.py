@@ -15,6 +15,7 @@ from .rel import (
     compose,
     graph_upper,
     left_residual,
+    power_transpose,
     powerset,
 )
 from .structures import (
@@ -44,36 +45,19 @@ def subset_order(bundle) -> Preorder:
 
 
 def theory_map(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
-    """s ↦ {m | m ⊨ s} into the powerset of models."""
-    bundle = powerset(r.M, cap)
-    image = [0] * len(r.S)
-    for m_i, row in enumerate(r.sat.rows):
-        for s_i in range(len(r.S)):
-            if row >> s_i & 1:
-                image[s_i] |= 1 << m_i
-    # a subset's carrier index equals its bitmask
-    return FnMap(r.S, bundle.carrier, tuple(image))
+    """s ↦ {m | m ⊨ s} into the powerset of models: Λ(⊨)."""
+    return power_transpose(r.sat, powerset(r.M, cap).mem)
 
 
 def rep_to_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> Prom:
-    """⟨S, 2^M, ≤, ⊆, s↦{m | m⊨s}⟩."""
+    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩."""
     bundle = powerset(r.M, cap)
-    return Prom(r.ord, subset_order(bundle), theory_map(r, cap), check=False)
+    return Prom(r.ord, subset_order(bundle), power_transpose(r.sat, bundle.mem), check=False)
 
 
 def direct_image(tau: Rel, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
-    """Lift tau: M' ⇸ M to the map 2^M → 2^M', α ↦ {b | ∃a∈α: (b,a)∈tau}."""
-    src_bundle = powerset(tau.dst, cap)
-    dst_bundle = powerset(tau.src, cap)
-    n = 1 << len(tau.dst)
-    image = []
-    for alpha in range(n):
-        out = 0
-        for b, row in enumerate(tau.rows):
-            if row & alpha:
-                out |= 1 << b
-        image.append(out)
-    return FnMap(src_bundle.carrier, dst_bundle.carrier, tuple(image))
+    """Lift tau: M' ⇸ M to the map 2^M → 2^M', α ↦ {b | ∃a∈α: (b,a)∈tau}: Λ(τ⨾∈)."""
+    return power_transpose(compose(tau, powerset(tau.dst, cap).mem), powerset(tau.src, cap).mem)
 
 
 def repmor_to_prommor(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:

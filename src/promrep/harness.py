@@ -39,6 +39,7 @@ from .rel import (
     left_residual,
     leq,
     powerset,
+    pullback,
     right_residual,
 )
 from .structures import (
@@ -75,7 +76,6 @@ from .adjunction import (
     counit_natural,
     lift,
     lower,
-    map_to_rel,
     recover_by_membership,
     rel_to_map,
     triangle_prom,
@@ -151,11 +151,6 @@ def _thin(rng: random.Random, r: Rel) -> Rel:
     return Rel(r.src, r.dst, tuple(rows))
 
 
-def _pullback(pre: Preorder, f: FnMap) -> Rel:
-    """f_*⨾y⨾f^*: the preorder on the source induced through f."""
-    return compose(graph_lower(f), compose(pre.rel, graph_upper(f)))
-
-
 def _gen_prom(
     rng: random.Random,
     size_a: int,
@@ -172,7 +167,7 @@ def _gen_prom(
     B = finset(b[0], size_b, b[1])
     y = _gen_preorder(rng, B)
     f = random_fnmap(rng, A, B)
-    pull = _pullback(y, f)
+    pull = pullback(y.rel, f)
     if rng.random() < 0.5:
         x = Preorder(pull, check=False)
     else:
@@ -233,8 +228,8 @@ def _gen_prom_morphism_into(
         fiber = [j for j in range(size_b) if psi.image[j] == want]
         f_image.append(rng.choice(fiber))
     f = FnMap(A, B, tuple(f_image))
-    y = Preorder(_pullback(dst.y, psi), check=False)
-    x_pull = _pullback(dst.x, phi)
+    y = Preorder(pullback(dst.y.rel, psi), check=False)
+    x_pull = pullback(dst.x.rel, phi)
     if rng.random() < 0.5:
         x = Preorder(x_pull, check=False)
     else:
@@ -402,7 +397,7 @@ class Schema:
         pos = {name: i for i, (name, _, _) in enumerate(self.carriers)}
         return [(pos[args[0]], pos[args[1]]) for _, kind, *args in self.fields if kind == "fn"]
 
-    def generate(self, rng: random.Random, bounds, cap) -> dict:
+    def generate(self, rng: random.Random, bounds) -> dict:
         fns = self._fn_positions()
         sizes: list[int] = []
         for i, (_, _, bound) in enumerate(self.carriers):
@@ -411,7 +406,7 @@ class Schema:
         sets = self._carriers(sizes)
         return {f[0]: _draw(rng, f, sets, bounds) for f in self.fields}
 
-    def enumerate(self, bounds, cap) -> Iterator[dict]:
+    def enumerate(self, bounds) -> Iterator[dict]:
         fns = self._fn_positions()
         keys = [key for key, *_ in self.fields]
         first, rest = self.fields[0], self.fields[1:]
@@ -488,8 +483,8 @@ class LawSpec:
     law: str
     summary: str
     check: Callable  # (instance: dict, cap: int) -> (violation | None, notes)
-    generate: Callable | None  # (rng, bounds, cap) -> instance
-    enumerate: Callable | None  # (bounds, cap) -> iterator of instances
+    generate: Callable | None  # (rng, bounds) -> instance
+    enumerate: Callable | None  # bounds -> iterator of instances
     default_bounds: tuple[int, ...]
     exhaustive_limit: tuple[int, ...] | None
 
@@ -606,13 +601,9 @@ _LEMMA7 = Schema((("A", "a", 0), ("B", "b", 1)), (("x", "rel", "A", "B"),))
 def _check_psi_char(inst, cap):
     tau, y = inst["tau"], inst["y"]
     _require(check_preorder(y.rel), "preorder")
-    psi_map = rel_to_map(tau, y, cap)
-    saturated = compose(tau, y.rel)
     mem = powerset(tau.src, cap).mem
-    if not eq(compose(mem, graph_upper(psi_map)), saturated):
+    if not eq(compose(mem, graph_upper(rel_to_map(tau, y, cap))), compose(tau, y.rel)):
         return "characterization ∈⨾(Ψτ)^* = τ⨾y broken", {}
-    if not eq(map_to_rel(psi_map, tau.src, cap), saturated):
-        return "T(Ψτ) differs from τ⨾y", {}
     return _ok()
 
 
@@ -657,7 +648,7 @@ def _check_lemma2(inst, cap):
     return _ok()
 
 
-def _gen_prommor_inst(rng, bounds, cap):
+def _gen_prommor_inst(rng, bounds):
     return {"m": _gen_prom_morphism(rng, bounds[0])}
 
 
@@ -681,7 +672,7 @@ def _check_lemma3(inst, cap):
     return None, notes
 
 
-def _gen_lemma3(rng, bounds, cap):
+def _gen_lemma3(rng, bounds):
     n = bounds[0]
     dst2 = _gen_prom(rng, rng.randint(0, n), rng.randint(0, n), ("A3", "u"), ("B3", "v"))
     m2 = _gen_prom_morphism_into(rng, dst2, n, ("A2", "c"), ("B2", "d"))
@@ -713,11 +704,11 @@ def _check_lemma5(inst, cap):
     return _ok()
 
 
-def _gen_repmor_inst(rng, bounds, cap):
+def _gen_repmor_inst(rng, bounds):
     return {"m": _gen_rep_morphism(rng, bounds[0])}
 
 
-def _enum_repmor_inst(bounds, cap):
+def _enum_repmor_inst(bounds):
     reps = list(enumerate_representations(bounds[0], bounds[1]))
     reps2 = list(enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t")))
     for r1 in reps:
@@ -750,7 +741,7 @@ def _check_lemma6(inst, cap):
     return _ok()
 
 
-def _gen_lemma6(rng, bounds, cap):
+def _gen_lemma6(rng, bounds):
     n = bounds[0]
     r1 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n))
     r2 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n), ("M2", "n"), ("S2", "t"))
@@ -764,7 +755,7 @@ def _gen_lemma6(rng, bounds, cap):
     return {"m1": m1, "m2": m2}
 
 
-def _enum_lemma6(bounds, cap):
+def _enum_lemma6(bounds):
     reps = list(enumerate_representations(bounds[0], bounds[1]))
     reps2 = list(enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t")))
     reps3 = list(enumerate_representations(bounds[0], bounds[1], ("M3", "o"), ("S3", "u")))
@@ -874,7 +865,7 @@ def _check_lemma8(inst, cap):
         if not res:
             return "Ψ image is not a prom morphism: " + _fmt(res), {}
     for m in prom_homs:
-        res = check_rep_morphism(lower(m, r, p, cap))
+        res = check_rep_morphism(lower(m, r, cap))
         if not res:
             return "T image is not a representation morphism: " + _fmt(res), {}
     return None, {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs)}
@@ -887,11 +878,11 @@ def _check_lemma9(inst, cap):
     rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
-        back = lift(lower(m, r, p, cap), p, cap)
+        back = lift(lower(m, r, cap), p, cap)
         if back.phi.image != m.phi.image or not _psi_eq(back.psi, m.psi, r.M, cap):
             return "ΨT is not the identity on prom morphisms", notes
     for m in rep_homs:
-        around = lower(lift(m, p, cap), r, p, cap)
+        around = lower(lift(m, p, cap), r, cap)
         if not repmor_leq(m, around):
             return "TΨ does not dominate the identity", notes
         if not eq(around.tau, compose(m.tau, p.y.rel)):
@@ -1087,7 +1078,7 @@ def _search_exhaustive(spec: LawSpec, bounds, config: SearchConfig) -> SearchSum
             f"for law {spec.law!r}"
         )
     summary = SearchSummary(spec.law, "exhaustive", bounds, None, 0)
-    for instance in spec.enumerate(bounds, config.powerset_cap):
+    for instance in spec.enumerate(bounds):
         violation, notes = spec.check(instance, config.powerset_cap)
         summary.checked += 1
         _merge_notes(summary.notes, notes)
@@ -1105,7 +1096,7 @@ def _search_seeded(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary
     summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
     for i in range(config.trials):
         child = mix_seed(config.seed, i)
-        instance = spec.generate(random.Random(child), bounds, config.powerset_cap)
+        instance = spec.generate(random.Random(child), bounds)
         violation, notes = spec.check(instance, config.powerset_cap)
         summary.checked += 1
         _merge_notes(summary.notes, notes)

@@ -12,10 +12,19 @@ column, one operation per pair of y plus one per cell of the result; it
 wins for tall, narrow products such as the 2^M ⊆ order into a small
 carrier.  `compose` picks the cheaper one from these operand counts,
 considering columns only when x has more than 64 rows.
+
+The powerset encoding lives here: a subset's index in its powerset
+carrier is its bitmask over the base order.  `powerset` builds the carrier
+and the membership relation ∈, and `power_transpose` (Λ) turns a relation
+into the set-valued map it denotes, so the constructions convert between
+relations and maps into a powerset only through these two and
+`singleton_map` = Λ(id).  (The harness's reference for ∈\\∈ builds its
+masks apart from this module on purpose.)
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -294,21 +303,29 @@ class PowersetBundle:
     mem: Rel  # base ⇸ carrier
 
 
-def subset_label(base: FinSet, mask: int) -> str:
-    inner = ",".join(l for i, l in enumerate(base.elements) if mask >> i & 1)
-    return "{" + inner + "}"
+def subset_labels(base: FinSet) -> tuple[str, ...]:
+    """The label of every subset of `base` in bitmask order, `{a,b}` in base order.
+
+    An element label that is empty or contains one of ,{}" is written as a
+    JSON string, so that no two subsets print alike.
+    """
+    inner = [""]
+    for label in base.elements:
+        if not label or any(c in label for c in ',{}"'):
+            label = json.dumps(label, ensure_ascii=False)
+        inner += [f"{s},{label}" if s else label for s in inner]
+    return tuple(f"{{{s}}}" for s in inner)
 
 
 def powerset(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> PowersetBundle:
     """All subsets of `base`, ordered by ascending bitmask over the base order.
 
-    The index of a subset in the carrier equals its bitmask, which the rest of
-    the package relies on when converting between masks and carrier elements.
+    The index of a subset in the carrier equals its bitmask.
     """
     n = len(base)
     if n > cap:
         raise PowersetCapExceeded(f"|{base.name}| = {n} exceeds powerset cap {cap}")
-    carrier = FinSet(f"2^{base.name}", tuple(subset_label(base, m) for m in range(1 << n)))
+    carrier = FinSet(f"2^{base.name}", subset_labels(base))
     rows = [0] * n
     for m in range(1 << n):
         for i in _bits(m):
@@ -316,10 +333,25 @@ def powerset(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> PowersetBundle:
     return PowersetBundle(base, carrier, Rel(base, carrier, tuple(rows)))
 
 
+def power_transpose(x: Rel, mem: Rel) -> FnMap:
+    """Λx: x.dst → 2^(x.src), b ↦ {a | (a,b)∈x}; the unique f with ∈⨾f^* = x.
+
+    `mem` is the membership relation of x.src's powerset.  Column b of x,
+    read as a mask over x.src, is the carrier index of Λx(b).
+    """
+    if mem.src != x.src:
+        raise CarrierMismatch(f"membership over {mem.src.name} cannot transpose {x.src.name}")
+    return FnMap(x.dst, mem.dst, _transpose(x.rows, len(x.dst)))
+
+
 def singleton_map(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
-    """a ↦ {a} into the powerset carrier."""
-    bundle = powerset(base, cap)
-    return FnMap(base, bundle.carrier, tuple(1 << i for i in range(len(base))))
+    """a ↦ {a} into the powerset carrier: Λ(id)."""
+    return power_transpose(identity(base), powerset(base, cap).mem)
+
+
+def pullback(y: Rel, f: FnMap) -> Rel:
+    """f_*⨾y⨾f^*: (a,a') iff (f(a),f(a'))∈y."""
+    return compose(graph_lower(f), compose(y, graph_upper(f)))
 
 
 def fn_eq_into_powerset(f: FnMap, g: FnMap, mem: Rel) -> bool:

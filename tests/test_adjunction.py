@@ -39,7 +39,7 @@ from promrep import (
     unit,
     unit_natural,
 )
-from promrep.adjunction import _triangle_prom_image
+from promrep.adjunction import _triangle_prom_composite
 from promrep.harness import (
     SearchConfig,
     _superset_masks,
@@ -54,6 +54,7 @@ import promrep.adjunction as adjunction_module
 import promrep.harness as harness_module
 import promrep.rel as rel_module
 import random
+import sys
 
 
 def rel(src, dst, *pairs):
@@ -182,7 +183,7 @@ def pointwise_superset_masks(n):
 @pytest.mark.parametrize("n", range(9))
 def test_triangle_prom_composite_matches_pointwise_definition(n):
     mem = powerset(finset("M", n, "m")).mem
-    assert _triangle_prom_image(mem) == pointwise_triangle_prom_image(n)
+    assert _triangle_prom_composite(mem).image == pointwise_triangle_prom_image(n)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -227,6 +228,22 @@ def test_dropped_column_is_caught_by_triangle_repr(monkeypatch):
     monkeypatch.setattr(rel_module, "_compose_by_columns", drop_first_column)
     witness = check_law("triangle-repr", {"p": p})
     assert witness is not None and replay(witness)
+
+
+@pytest.mark.parametrize("law", ["lemma4", "psi-characterization", "triangle-pom"])
+def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
+    transpose = rel_module.power_transpose
+
+    def drop_last_column(x, mem):
+        f = transpose(x, mem)
+        return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "promrep" and getattr(module, "power_transpose", None) is transpose:
+            monkeypatch.setattr(module, "power_transpose", drop_last_column)
+    summary = search(SearchConfig(law))
+    assert not summary.passed
+    assert replay(summary.witness)
 
 
 # --- psi / tee --------------------------------------------------------------
@@ -288,11 +305,11 @@ def test_lift_lower_roundtrips():
     rep_homs, prom_homs = _hom_sets(p, r)
     bundle = powerset(r.M)
     for m in prom_homs:
-        back = lift(lower(m, r, p), p)
+        back = lift(lower(m, r), p)
         assert back.phi.image == m.phi.image
         assert fn_eq_into_powerset(back.psi, m.psi, bundle.mem)
     for m in rep_homs:
-        around = lower(lift(m, p), r, p)
+        around = lower(lift(m, p), r)
         assert repmor_leq(m, around)
         assert eq(around.tau, compose(m.tau, p.y.rel))
 

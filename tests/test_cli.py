@@ -191,19 +191,23 @@ def test_disconnected_carriers_are_input_errors(tmp_path, doc, command):
     assert "Traceback" not in proc.stderr
 
 @pytest.mark.parametrize("functor", ["M", "counit", "RM"])
-def test_apply_with_colliding_subset_labels_is_input_error(tmp_path, functor):
-    # with a model labelled "", the subsets {""} and {} both print as "{}"
-    doc = {
-        "sets": {"M": ["", "m1"], "S": []},
-        "relations": {"sat": {"from": "M", "to": "S"}, "ord": {"from": "S", "to": "S"}},
-        "structures": {"R0": {"kind": "representation", "sat": "sat", "ord": "ord"}},
-    }
-    path = tmp_path / "labels.json"
-    path.write_text(json.dumps(doc))
-    assert run_cli("check", str(path), "R0").returncode == 0
-    proc = run_cli("apply", functor, str(path), "R0")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+def test_apply_with_quoted_subset_labels_round_trips(tmp_path, capsys, functor):
+    # a label that is empty or holds one of ,{}" is quoted inside a subset,
+    # so {""} and {} differ, and so do {"a,b"} and {a,b}
+    for models, quoted in ((["", "m1"], '{""}'), (["a,b", "a", "b"], '{"a,b"}')):
+        doc = {
+            "sets": {"M": models, "S": []},
+            "relations": {"sat": {"from": "M", "to": "S"}, "ord": {"from": "S", "to": "S"}},
+            "structures": {"R0": {"kind": "representation", "sat": "sat", "ord": "ord"}},
+        }
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "R0"]) == 0
+        capsys.readouterr()
+        text = _apply_and_recheck(tmp_path, capsys, functor, str(path), "R0")
+        subsets = json.loads(text)["sets"]["2^M"]
+        assert quoted in subsets and len(subsets) == 1 << len(models)
+        assert workspace.dumps(workspace.loads(text)) == text
 
 
 def _apply_and_recheck(tmp_path, capsys, functor, src_file, name):

@@ -18,10 +18,10 @@ from promrep import (
     left_residual,
     leq,
     prom_to_rep,
+    pullback,
     reflection_is_identity,
     rep_to_prom,
 )
-from promrep.harness import _pullback
 
 
 def rel(src, dst, *pairs):
@@ -57,7 +57,7 @@ def test_full_order_is_always_exact():
 
 def test_order_reflection_pullback_construction():
     p = gen_prom(1, 3, 3)
-    reflecting = Prom(Preorder(_pullback(p.y, p.f), check=False), p.y, p.f)
+    reflecting = Prom(Preorder(pullback(p.y.rel, p.f), check=False), p.y, p.f)
     assert is_order_reflecting(reflecting)
     assert reflection_is_identity(reflecting)
 

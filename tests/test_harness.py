@@ -342,14 +342,14 @@ def test_seeded_stream_matches_golden(law):
     spec = CATALOG[law]
     digest = hashlib.sha256()
     for i in range(20):
-        inst = spec.generate(random.Random(mix_seed(0, i)), spec.default_bounds, 12)
+        inst = spec.generate(random.Random(mix_seed(0, i)), spec.default_bounds)
         digest.update(_instance_repr(inst).encode())
     assert digest.hexdigest() == GOLDEN_STREAMS[law]
 
 
 @pytest.mark.parametrize("law, bounds", list(GOLDEN_SETS))
 def test_enumerated_set_matches_golden(law, bounds):
-    reprs = sorted(_instance_repr(inst) for inst in CATALOG[law].enumerate(bounds, 12))
+    reprs = sorted(_instance_repr(inst) for inst in CATALOG[law].enumerate(bounds))
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert (len(reprs), digest) == GOLDEN_SETS[law, bounds]
 
@@ -363,9 +363,189 @@ def test_generated_instances_at_the_limit_are_enumerated(law):
     def key(inst):
         return tuple(sorted(inst.items()))
 
-    wanted = {key(spec.generate(random.Random(mix_seed(1, i)), limit, 12)) for i in range(25)}
-    for inst in spec.enumerate(limit, 12):
+    wanted = {key(spec.generate(random.Random(mix_seed(1, i)), limit)) for i in range(25)}
+    for inst in spec.enumerate(limit):
         wanted.discard(key(inst))
         if not wanted:
             break
     assert not wanted
+
+
+# --- seeded verdicts --------------------------------------------------------
+#
+# The full summary of every law at 40 seeded trials, seed 7: a refactor of the
+# kernel or of the constructions must keep each checked count and note.
+
+GOLDEN_SUMMARIES = """\
+law: eq1-galois
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: dual-galois
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: modular-tautology
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: preorder-single-axiom
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+note.preorders: 15
+witnesses: 0
+result: pass
+law: mem-residual-subset
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma1
+mode: seeded
+bounds: 4,4
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma2
+mode: seeded
+bounds: 4
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma3
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+note.strict: 23
+witnesses: 0
+result: pass
+law: lemma4
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma5
+mode: seeded
+bounds: 2,2
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma6
+mode: seeded
+bounds: 2,2
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma7
+mode: seeded
+bounds: 2,3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: lemma8
+mode: seeded
+bounds: 2
+seed: 7
+checked: 40
+note.prom_homs: 73
+note.rep_homs: 81
+witnesses: 0
+result: pass
+law: lemma9
+mode: seeded
+bounds: 2
+seed: 7
+checked: 40
+note.prom_homs: 73
+note.rep_homs: 81
+note.strict_t_psi: 8
+witnesses: 0
+result: pass
+law: lemma10
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+note.exact: 21
+note.non_exact: 19
+witnesses: 0
+result: pass
+law: lemma11
+mode: seeded
+bounds: 4,4
+seed: 7
+checked: 40
+note.non_reflecting: 5
+note.reflecting: 35
+witnesses: 0
+result: pass
+law: triangle-repr
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+note.strict: 14
+witnesses: 0
+result: pass
+law: triangle-pom
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: unit-natural
+mode: seeded
+bounds: 3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: counit-natural
+mode: seeded
+bounds: 2
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: psi-characterization
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+law: soundness-residual-equiv
+mode: seeded
+bounds: 3,3
+seed: 7
+checked: 40
+witnesses: 0
+result: pass
+"""
+
+
+def test_seeded_summaries_match_golden():
+    lines = [line for law in CATALOG for line in search(SearchConfig(law, trials=40, seed=7)).lines()]
+    assert "".join(line + "\n" for line in lines) == GOLDEN_SUMMARIES

@@ -2,6 +2,7 @@
 plus hypothesis property tests for the algebraic laws."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,9 +27,12 @@ from promrep import (
     identity_map,
     left_residual,
     leq,
+    power_transpose,
     powerset,
+    pullback,
     right_residual,
     singleton_map,
+    subset_labels,
     union,
 )
 
@@ -312,6 +316,15 @@ def test_powerset_two_elements():
     assert bundle.mem.count() == 4
 
 
+def test_subset_labels_quote_labels_that_could_be_misread():
+    base = FinSet("M", ("", "a,b", "x", '{"}'))
+    labels = subset_labels(base)
+    assert labels[:4] == ("{}", '{""}', '{"a,b"}', '{"","a,b"}')
+    assert labels[4:8] == ("{x}", '{"",x}', '{"a,b",x}', '{"","a,b",x}')
+    assert labels[8] == '{"{\\"}"}'
+    assert len(set(labels)) == 16
+
+
 def test_powerset_cap():
     with pytest.raises(PowersetCapExceeded):
         powerset(finset("M", 5, "m"), cap=4)
@@ -323,6 +336,42 @@ def test_singleton_map_unit():
     eta = singleton_map(M)
     assert eta.of("m0") == "{m0}" and eta.of("m1") == "{m1}"
     assert eq(compose(bundle.mem, graph_upper(eta)), identity(M))
+
+
+def all_relations(src, dst):
+    k = len(dst)
+    for code in range(1 << (len(src) * k)):
+        yield Rel(src, dst, tuple(code >> (i * k) & ((1 << k) - 1) for i in range(len(src))))
+
+
+def test_power_transpose_matches_pointwise_definition():
+    for n, k in product(range(4), repeat=2):
+        bundle = powerset(finset("A", n, "a"))
+        for x in all_relations(bundle.base, finset("B", k, "b")):
+            f = power_transpose(x, bundle.mem)
+            assert (f.src, f.dst) == (x.dst, bundle.carrier)
+            # Λx(b) is column b of x, read as a mask over the source
+            columns = tuple(sum(1 << i for i, a in enumerate(x.src) if x.holds(a, b)) for b in x.dst)
+            assert f.image == columns
+            assert eq(compose(bundle.mem, graph_upper(f)), x)
+
+
+def test_power_transpose_rejects_foreign_membership():
+    x = rel(A2, B2, ("a0", "b1"))
+    with pytest.raises(CarrierMismatch):
+        power_transpose(x, powerset(B2).mem)
+    with pytest.raises(CarrierMismatch):
+        power_transpose(x, powerset(finset("A", 2, "z")).mem)
+
+
+def test_pullback_matches_pointwise_definition():
+    for k, n in product(range(3), range(4)):
+        B, A = finset("B", k, "b"), finset("A", n, "a")
+        for y in all_relations(B, B):
+            for image in product(range(k), repeat=n):
+                f = FnMap(A, B, image)
+                expected = {(a, a2) for a in A for a2 in A if y.holds(f.of(a), f.of(a2))}
+                assert set(pullback(y, f).pairs()) == expected
 
 
 def test_fn_eq_into_powerset_basic():
