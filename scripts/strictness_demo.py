@@ -20,8 +20,7 @@ from promrep import (
     identity,
     identity_prom_morphism,
     identity_rep_morphism,
-    lift,
-    lower,
+    hom_pair,
     prom_to_rep,
     prommor_to_repmor,
     repmor_leq,
@@ -55,10 +54,10 @@ def main():
     print(f"   equals (id, y): {tri.equals_expected}, dominates id: "
           f"{tri.dominates_identity}{_strict(tri.strict)}\n")
 
-    rp = prom_to_rep(p)
+    h = hom_pair(p, prom_to_rep(p))
     print("3. lower-after-lift saturation:")
-    for m in enumerate_rep_morphisms(rp, rp):
-        around = lower(lift(m, p), rp)
+    for m in enumerate_rep_morphisms(h.rp, h.r):
+        around = h.lower(h.lift(m))
         if not eq(around.tau, m.tau):
             print(f"   tau          = {m.tau.pairs()}")
             print(f"   after TΨ     = {around.tau.pairs()}")

@@ -1,9 +1,12 @@
 """Unit, counit, triangle laws, and the hom-set Galois connection.
 
-The unit sends a prom into the prom of its own representation image; its
-second component maps each point to its down-set.  The counit is the
-membership relation out of the representation rebuilt from a prom image.
-lift/lower form the Galois connection between the two hom-sets.
+A `HomPair` fixes a prom p and a representation r, and holds R(p), M(r)
+and the membership relation ∈ on r.M, all built from one powerset of r.M.
+Its `lift` (Ψ) and `lower` (T) are the Galois maps between the hom-sets
+R(p) → r and p → M(r); the public `lift`/`lower` build the context for a
+single morphism.  The unit and counit are the transposes of identities:
+η = Ψ(1_{R p}) sends each point of B to its down-set, and ε = T(1_{M r})
+is the membership relation out of the representation rebuilt from M(r).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 from .rel import (
     DEFAULT_POWERSET_CAP,
-    FinSet,
     FnMap,
     Rel,
     compose,
@@ -33,28 +35,64 @@ from .structures import (
     RepMorphism,
     compose_prom_morphisms,
     compose_rep_morphisms,
+    identity_prom_morphism,
     identity_rep_morphism,
     repmor_leq,
 )
 from .functors import (
+    _rep_to_prom,
     prom_to_rep,
     prommor_to_repmor,
-    rep_to_prom,
     repmor_to_prommor,
 )
 
 
+@dataclass(frozen=True)
+class HomPair:
+    """The hom-sets R(p) → r and p → M(r), and the Galois maps between them.
+
+    `rp` is R(p), `mr` is M(r) and `mem` is ∈ on r.M; M(r) and `mem` come
+    from one powerset.  Morphisms built from `rp` and `mr` carry these very
+    objects, so the endpoint checks of `lift` and `lower` are cheap.
+    """
+
+    p: Prom
+    r: Representation
+    rp: Representation
+    mr: Prom
+    mem: Rel
+
+    def lift(self, m: RepMorphism) -> PromMorphism:
+        """Ψ: (φ, τ): R(p) → r ↦ (φ, Λ(τ⨾y)): p → M(r)."""
+        if m.src != self.rp or m.dst != self.r:
+            raise ValueError("morphism is not in the hom-set R(p) → r")
+        return PromMorphism(self.p, self.mr, m.phi, rel_to_map(m.tau, self.p.y, self.mem), check=False)
+
+    def lower(self, m: PromMorphism) -> RepMorphism:
+        """T: (φ, ψ): p → M(r) ↦ (φ, ∈⨾ψ^*): R(p) → r."""
+        if m.src != self.p or m.dst != self.mr:
+            raise ValueError("morphism is not in the hom-set p → M(r)")
+        return RepMorphism(self.rp, self.r, m.phi, map_to_rel(m.psi, self.mem), check=False)
+
+
+def hom_pair(p: Prom, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> HomPair:
+    """The context of the hom-sets R(p) → r and p → M(r), from one powerset of r.M."""
+    bundle = powerset(r.M, cap)
+    return HomPair(p, r, prom_to_rep(p), _rep_to_prom(r, bundle), bundle.mem)
+
+
 def unit(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
-    """The identity on A paired with the down-set map b ↦ {b' | (b',b)∈y}: Λ(y)."""
-    target = rep_to_prom(prom_to_rep(p), cap)
-    psi = power_transpose(p.y.rel, powerset(p.B, cap).mem)
-    return PromMorphism(p, target, identity_map(p.A), psi, check=False)
+    """η = Ψ(1_{R p}): the identity on A and the down-set map b ↦ {b' | (b',b)∈y}."""
+    h = hom_pair(p, prom_to_rep(p), cap)
+    return h.lift(identity_rep_morphism(h.r))
 
 
 def counit(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
-    """The identity on S paired with the membership relation M ⇸ 2^M."""
-    source = prom_to_rep(rep_to_prom(r, cap))
-    return RepMorphism(source, r, identity_map(r.S), powerset(r.M, cap).mem, check=False)
+    """ε = T(1_{M r}): the identity on S and the membership relation M ⇸ 2^M."""
+    bundle = powerset(r.M, cap)
+    mr = _rep_to_prom(r, bundle)
+    h = HomPair(mr, r, prom_to_rep(mr), mr, bundle.mem)
+    return h.lower(identity_prom_morphism(mr))
 
 
 def recover_by_membership(x: Rel, cap: int = DEFAULT_POWERSET_CAP) -> Rel:
@@ -133,33 +171,27 @@ def _triangle_prom_composite(mem: Rel) -> FnMap:
     return power_transpose(compose(mem, left_residual(mem, mem)), mem)
 
 
-def rel_to_map(tau: Rel, y: Preorder, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
+def rel_to_map(tau: Rel, y: Preorder, mem: Rel) -> FnMap:
     """Ψ: saturate tau along y and read it as a set-valued map B → 2^M.
 
     b ↦ {m | ∃b': (m,b')∈tau and (b',b)∈y}, that is Λ(τ⨾y), characterized
-    by ∈⨾(result)^* = tau⨾y.
+    by ∈⨾(result)^* = tau⨾y.  `mem` is ∈ on tau's source M.
     """
     if tau.dst != y.carrier:
         raise ValueError("tau must target the preordered carrier")
-    return power_transpose(compose(tau, y.rel), powerset(tau.src, cap).mem)
+    return power_transpose(compose(tau, y.rel), mem)
 
 
-def map_to_rel(psi: FnMap, base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> Rel:
+def map_to_rel(psi: FnMap, mem: Rel) -> Rel:
     """T: flatten a set-valued map B → 2^M to the relation ∈⨾ψ^*: M ⇸ B."""
-    return compose(powerset(base, cap).mem, graph_upper(psi))
+    return compose(mem, graph_upper(psi))
 
 
 def lift(m: RepMorphism, p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
-    """Galois lift of a morphism out of the image of p into a prom morphism."""
-    if m.src != prom_to_rep(p):
-        raise ValueError("morphism source is not the representation image of p")
-    return PromMorphism(
-        p, rep_to_prom(m.dst, cap), m.phi, rel_to_map(m.tau, p.y, cap), check=False
-    )
+    """Ψ of one morphism R(p) → r into the prom morphism p → M(r)."""
+    return hom_pair(p, m.dst, cap).lift(m)
 
 
 def lower(m: PromMorphism, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
-    """Galois lower of a prom morphism into the image of r."""
-    if m.dst != rep_to_prom(r, cap):
-        raise ValueError("morphism destination is not the prom image of r")
-    return RepMorphism(prom_to_rep(m.src), r, m.phi, map_to_rel(m.psi, r.M, cap), check=False)
+    """T of one prom morphism p → M(r) into the morphism R(p) → r."""
+    return hom_pair(m.src, r, cap).lower(m)

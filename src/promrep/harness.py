@@ -74,8 +74,7 @@ from .functors import (
 from .adjunction import (
     counit,
     counit_natural,
-    lift,
-    lower,
+    hom_pair,
     recover_by_membership,
     rel_to_map,
     triangle_prom,
@@ -328,21 +327,33 @@ def enumerate_representations(
 
 
 def enumerate_rep_morphisms(r1: Representation, r2: Representation) -> Iterator[RepMorphism]:
-    """All morphisms r1 → r2, by brute force over phi and tau.
+    """All morphisms r1 → r2, in (φ, τ) order with τ by ascending code.
 
     The defining square is an equality, which rejection sampling essentially
     never hits, so exhaustive enumeration is the honest way to get at these
-    hom-sets."""
+    hom-sets.  The square τ⨾⊨₁ = ⊨₂⨾φ^* holds row by row: row m of τ, a
+    mask t ⊆ M₁, must select ⊨₁ rows whose union is row m of the right-hand
+    side.  So each order-preserving φ admits exactly the product of the
+    per-row candidate lists, taken with the last row outermost to keep the
+    order of codes.  MAX_TAU_CELLS still bounds |M₂|·|M₁|, and with it the
+    size of the output.
+    """
     cells = len(r2.M) * len(r1.M)
     if cells > MAX_TAU_CELLS:
         raise ConfigError(f"tau enumeration over {cells} cells exceeds limit {MAX_TAU_CELLS}")
+    unions = [0]  # unions[t]: the union of the ⊨₁ rows selected by t
+    for row in r1.sat.rows if len(r2.M) else ():  # a τ without rows needs none
+        unions += [u | row for u in unions]
+    by_union: dict[int, list[int]] = {}
+    for t, u in enumerate(unions):
+        by_union.setdefault(u, []).append(t)
     for phi in enumerate_fnmaps(r1.S, r2.S):
         if order_violation(phi, r1.ord.rel, r2.ord.rel) is not None:
             continue
         rhs = compose(r2.sat, graph_upper(phi))
-        for tau in enumerate_relations(r2.M, r1.M):
-            if eq(compose(tau, r1.sat), rhs):
-                yield RepMorphism(r1, r2, phi, tau, check=False)
+        choices = [by_union.get(row, ()) for row in reversed(rhs.rows)]
+        for rows in product(*choices):
+            yield RepMorphism(r1, r2, phi, Rel(r2.M, r1.M, rows[::-1]), check=False)
 
 
 def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
@@ -602,7 +613,7 @@ def _check_psi_char(inst, cap):
     tau, y = inst["tau"], inst["y"]
     _require(check_preorder(y.rel), "preorder")
     mem = powerset(tau.src, cap).mem
-    if not eq(compose(mem, graph_upper(rel_to_map(tau, y, cap))), compose(tau, y.rel)):
+    if not eq(compose(mem, graph_upper(rel_to_map(tau, y, mem))), compose(tau, y.rel)):
         return "characterization ∈⨾(Ψτ)^* = τ⨾y broken", {}
     return _ok()
 
@@ -848,24 +859,19 @@ def _check_counit_natural(inst, cap):
     return _ok()
 
 
-def _hom_pair_instances(p: Prom, r: Representation, cap: int):
-    """The hom-sets R(p) → r and p → M(r) that Ψ and T map between."""
-    rep_homs = list(enumerate_rep_morphisms(prom_to_rep(p), r))
-    prom_homs = list(enumerate_prom_morphisms(p, rep_to_prom(r, cap)))
-    return rep_homs, prom_homs
-
-
 def _check_lemma8(inst, cap):
     p, r = inst["p"], inst["R"]
     _require(check_prom(p), "prom")
     _require(check_representation(r), "representation")
-    rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
+    h = hom_pair(p, r, cap)
+    rep_homs = list(enumerate_rep_morphisms(h.rp, r))
+    prom_homs = list(enumerate_prom_morphisms(p, h.mr))
     for m in rep_homs:
-        res = check_prom_morphism(lift(m, p, cap))
+        res = check_prom_morphism(h.lift(m))
         if not res:
             return "Ψ image is not a prom morphism: " + _fmt(res), {}
     for m in prom_homs:
-        res = check_rep_morphism(lower(m, r, cap))
+        res = check_rep_morphism(h.lower(m))
         if not res:
             return "T image is not a representation morphism: " + _fmt(res), {}
     return None, {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs)}
@@ -875,14 +881,16 @@ def _check_lemma9(inst, cap):
     p, r = inst["p"], inst["R"]
     _require(check_prom(p), "prom")
     _require(check_representation(r), "representation")
-    rep_homs, prom_homs = _hom_pair_instances(p, r, cap)
+    h = hom_pair(p, r, cap)
+    rep_homs = list(enumerate_rep_morphisms(h.rp, r))
+    prom_homs = list(enumerate_prom_morphisms(p, h.mr))
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
-        back = lift(lower(m, r, cap), p, cap)
-        if back.phi.image != m.phi.image or not _psi_eq(back.psi, m.psi, r.M, cap):
+        back = h.lift(h.lower(m))
+        if back.phi.image != m.phi.image or not fn_eq_into_powerset(back.psi, m.psi, h.mem):
             return "ΨT is not the identity on prom morphisms", notes
     for m in rep_homs:
-        around = lower(lift(m, p, cap), r, cap)
+        around = h.lower(h.lift(m))
         if not repmor_leq(m, around):
             return "TΨ does not dominate the identity", notes
         if not eq(around.tau, compose(m.tau, p.y.rel)):

@@ -5,9 +5,12 @@ only tolerances are wall-clock budgets; those are pinned next to each
 assertion.  Each test emits a single PASS line (shown with `pytest -v -s`).
 """
 
+import json
 import time
+from pathlib import Path
 
 from promrep import (
+    CATALOG,
     FnMap,
     Preorder,
     Prom,
@@ -37,6 +40,22 @@ from promrep.harness import direct_image_functorial, enumerate_representations
 
 def _report(number: int, text: str):
     print(f"ACCEPTANCE {number}: PASS — {text}")
+
+
+#: `checked` and `note.*` of every enumerable law at its exhaustive limit, as
+#: recorded in the benchmark's verdict table (read here, never written).
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)["exhaustive"]
+
+
+def _verdict(summary) -> dict:
+    """A summary's counts, keyed as in the golden verdict table."""
+    return {"checked": summary.checked, **{f"note.{k}": v for k, v in summary.notes.items()}}
+
+
+def _golden(law, bounds) -> dict:
+    return GOLDEN[f"{law}@{','.join(map(str, bounds))}"]
 
 
 def _run(law, mode="seeded", bounds=None, trials=200, seed=0):
@@ -107,9 +126,9 @@ def test_criterion_06_lemmas_4_6_enumerated():
     s5 = _run("lemma5", mode="exhaustive", bounds=(2, 2))
     s6 = _run("lemma6", mode="exhaustive", bounds=(2, 1))
     assert s4.passed and s5.passed and s6.passed
-    assert s4.checked == 64
-    assert s5.checked == 17419  # every enumerated morphism at |M|,|M'|,|S|,|S'| ≤ 2
-    assert s6.checked == 5772
+    assert _verdict(s4) == _golden("lemma4", (2, 2))
+    assert _verdict(s5) == _golden("lemma5", (2, 2))  # every enumerated morphism at |M|,|M'|,|S|,|S'| ≤ 2
+    assert _verdict(s6) == _golden("lemma6", (2, 1))
     # strict functoriality at the full (2,2) bound: identity images for every
     # representation, and composition via tau multiplicativity (the only data
     # M transforms)
@@ -152,11 +171,21 @@ def test_criterion_09_lemmas_8_9_hom_sets():
     s8 = _run("lemma8", mode="exhaustive", bounds=(2,))
     s9 = _run("lemma9", mode="exhaustive", bounds=(2,))
     assert s8.passed and s9.passed
-    assert s8.checked == s9.checked == 4416
-    hom_sets = {"prom_homs": 17313, "rep_homs": 29263}
-    assert s8.notes == hom_sets
-    assert s9.notes == {**hom_sets, "strict_t_psi": 11950}  # strict TΨ instances included
+    assert _verdict(s8) == _golden("lemma8", (2,))
+    assert _verdict(s9) == _golden("lemma9", (2,))  # strict TΨ instances included
     _report(9, f"ΨT=id on {s9.notes['prom_homs']} prom homs, TΨ⩾id on {s9.notes['rep_homs']} rep homs, {s9.notes['strict_t_psi']} strict")
+
+
+def test_enumerable_laws_match_golden_verdicts():
+    # the five laws pinned by criteria 6 and 9 are left out here
+    pinned = {"lemma4", "lemma5", "lemma6", "lemma8", "lemma9"}
+    laws = [law for law, spec in CATALOG.items() if spec.enumerate is not None and law not in pinned]
+    assert len(laws) == 13
+    for law in laws:
+        limit = CATALOG[law].exhaustive_limit
+        summary = _run(law, mode="exhaustive", bounds=limit)
+        assert summary.passed, law
+        assert _verdict(summary) == _golden(law, limit), law
 
 
 def test_criterion_10_lemmas_10_11_exhaustive_with_coverage():

@@ -22,7 +22,10 @@ from promrep import (
     gen_rep_morphism,
     gen_representation,
     graph_upper,
+    hom_pair,
     identity,
+    identity_prom_morphism,
+    identity_rep_morphism,
     left_residual,
     leq,
     lift,
@@ -46,6 +49,8 @@ from promrep.harness import (
     check_law,
     enumerate_prom_morphisms,
     enumerate_rep_morphisms,
+    enumerate_proms,
+    enumerate_representations,
     random_rel,
     replay,
     search,
@@ -115,6 +120,22 @@ def test_counit_is_valid_morphism_seeded():
 def test_counit_naturality_seeded():
     for seed in range(100):
         assert counit_natural(gen_rep_morphism(seed, 2))
+
+
+def test_unit_and_counit_are_transposes_of_identities():
+    # η = Ψ(1_{R p}) and ε = T(1_{M r}), as whole morphisms
+    proms = [
+        *enumerate_proms(2, 2),
+        *(gen_prom(seed, 4 + seed % 2, 4 + seed % 2) for seed in range(20)),
+    ]
+    reps = [
+        *enumerate_representations(2, 2),
+        *(gen_representation(seed, 4 + seed % 2, 4 + seed % 2) for seed in range(20)),
+    ]
+    for p in proms:
+        assert unit(p) == lift(identity_rep_morphism(prom_to_rep(p)), p)
+    for r in reps:
+        assert counit(r) == lower(identity_prom_morphism(rep_to_prom(r)), r)
 
 
 # --- membership recovery ----------------------------------------------------
@@ -246,19 +267,47 @@ def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
     assert replay(summary.witness)
 
 
+def _zero_last_image_entry(f):
+    return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
+
+
+def _zero_last_row(x):
+    return Rel(x.src, x.dst, x.rows[:-1] + (0,) * bool(x.rows))
+
+
+@pytest.mark.parametrize(
+    "law, name, bug, violation",
+    [
+        ("lemma8", "rel_to_map", _zero_last_image_entry, "Ψ image is not a prom morphism: "),
+        ("lemma8", "map_to_rel", _zero_last_row, "T image is not a representation morphism: "),
+        ("lemma9", "rel_to_map", _zero_last_image_entry, "ΨT is not the identity on prom morphisms"),
+        ("lemma9", "map_to_rel", _zero_last_row, "ΨT is not the identity on prom morphisms"),
+    ],
+    ids=["lemma8-psi", "lemma8-tee", "lemma9-psi", "lemma9-tee"],
+)
+def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, name, bug, violation):
+    # Ψ and T have one body each; breaking it must show in both hom-set laws
+    correct = getattr(adjunction_module, name)
+    monkeypatch.setattr(adjunction_module, name, lambda *args: bug(correct(*args)))
+    summary = search(SearchConfig(law))
+    assert not summary.passed
+    assert summary.witness.violation.startswith(violation)
+    assert replay(summary.witness)
+
+
 # --- psi / tee --------------------------------------------------------------
 
 def test_psi_discrete_order_reads_tau_columns():
     M, B = finset("M", 1, "m"), finset("B", 2, "b")
     tau = rel(M, B, ("m0", "b0"))
-    psi = rel_to_map(tau, Preorder(identity(B)))
+    psi = rel_to_map(tau, Preorder(identity(B)), powerset(M).mem)
     assert psi.of("b0") == "{m0}" and psi.of("b1") == "{}"
 
 
 def test_psi_saturates_along_chain():
     M, B = finset("M", 1, "m"), finset("B", 2, "b")
     tau = rel(M, B, ("m0", "b0"))
-    psi = rel_to_map(tau, chain2(B))
+    psi = rel_to_map(tau, chain2(B), powerset(M).mem)
     assert psi.of("b0") == "{m0}" and psi.of("b1") == "{m0}"
 
 
@@ -266,7 +315,7 @@ def test_tee_inverts_membership():
     M = finset("M", 2, "m")
     bundle = powerset(M)
     psi = FnMap(finset("B", 1, "b"), bundle.carrier, (3,))
-    t = map_to_rel(psi, M)
+    t = map_to_rel(psi, bundle.mem)
     assert set(t.pairs()) == {("m0", "b0"), ("m1", "b0")}
 
 
@@ -277,7 +326,8 @@ def test_tee_of_psi_is_tau_saturated():
         B = finset("B", rng.randint(0, 3), "b")
         tau = random_rel(rng, M, B, 0.4)
         y = gen_preorder(rng.randrange(1 << 30), len(B), "B", "b")
-        assert eq(map_to_rel(rel_to_map(tau, y), M), compose(tau, y.rel))
+        mem = powerset(M).mem
+        assert eq(map_to_rel(rel_to_map(tau, y, mem), mem), compose(tau, y.rel))
 
 
 def test_psi_characterization_equation():
@@ -287,16 +337,16 @@ def test_psi_characterization_equation():
         B = finset("B", rng.randint(0, 3), "b")
         tau = random_rel(rng, M, B, 0.4)
         y = gen_preorder(rng.randrange(1 << 30), len(B), "B", "b")
-        lhs = compose(powerset(M).mem, graph_upper(rel_to_map(tau, y)))
+        mem = powerset(M).mem
+        lhs = compose(mem, graph_upper(rel_to_map(tau, y, mem)))
         assert eq(lhs, compose(tau, y.rel))
 
 
 # --- galois lift / lower ----------------------------------------------------
 
 def _hom_sets(p, r):
-    rep_homs = list(enumerate_rep_morphisms(prom_to_rep(p), r))
-    prom_homs = list(enumerate_prom_morphisms(p, rep_to_prom(r)))
-    return rep_homs, prom_homs
+    h = hom_pair(p, r)
+    return list(enumerate_rep_morphisms(h.rp, r)), list(enumerate_prom_morphisms(p, h.mr))
 
 
 def test_lift_lower_roundtrips():

@@ -14,6 +14,7 @@ from promrep import (
     Prom,
     PromMorphism,
     Rel,
+    RepMorphism,
     SearchConfig,
     Witness,
     check_law,
@@ -148,6 +149,24 @@ def test_enumerate_prom_morphisms_matches_brute_force():
         assert homs == brute
         found += len(homs)
     assert found == 1812
+
+
+def test_enumerate_rep_morphisms_matches_brute_force():
+    """Every φ×τ candidate filtered by check_rep_morphism, in the same order."""
+    small = list(enumerate_representations(2, 1))
+    large = list(enumerate_representations(2, 2, ("M2", "n"), ("S2", "t")))
+    found = 0
+    for r1, r2 in [*product(small, large), *product(large, small)]:
+        brute = [
+            (phi.image, tau.rows)
+            for phi in enumerate_fnmaps(r1.S, r2.S)
+            for tau in enumerate_relations(r2.M, r1.M)
+            if check_rep_morphism(RepMorphism(r1, r2, phi, tau, check=False))
+        ]
+        homs = [(m.phi.image, m.tau.rows) for m in enumerate_rep_morphisms(r1, r2)]
+        assert homs == brute
+        found += len(homs)
+    assert found == 3682
 
 
 def test_enumerate_rep_morphisms_bound_guard():
