@@ -20,19 +20,34 @@ into the set-valued map it denotes, so the constructions convert between
 relations and maps into a powerset only through these two and
 `singleton_map` = Λ(id).  (The harness's reference for ∈\\∈ builds its
 masks apart from this module on purpose.)
+
+Checking a law builds many tiny relations over few carriers, so kernel
+objects are made cheap to build and compare.  `Rel` and `FnMap` validate
+their rows or image with one `min`/`max` and keep a tuple argument as is.
+`FinSet` equality tests identity first and then compares labels, so equal
+carriers built apart stay interchangeable.  Two bounded caches hold
+immutable values: `finset` interns its carriers by (name, size, prefix),
+and `powerset` memoizes the bundle per base carrier, checking the cap on
+every call.  `clear_caches` empties both, so that a test that patches a
+kernel builder sees the patched result instead of a cached one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 #: Largest base carrier for which a powerset may be materialized (2^12 = 4096
 #: subsets).  The M and R∘M constructions square the powerset carrier, so this
 #: guard prevents accidental blowup; callers may override it per call.
 DEFAULT_POWERSET_CAP = 12
+
+#: Entries kept by the `finset` and `powerset` caches.  A law search meets a
+#: few dozen carriers; a powerset bundle at the cap holds about 1 MB.
+_FINSET_CACHE_SIZE = 256
+_POWERSET_CACHE_SIZE = 64
 
 
 class CarrierMismatch(ValueError):
@@ -43,9 +58,13 @@ class PowersetCapExceeded(ValueError):
     """A powerset construction would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinSet:
-    """A named finite carrier with a canonical element order."""
+    """A named finite carrier with a canonical element order.
+
+    Equal by name and labels; the identity test comes first because most
+    comparisons are of a carrier with itself.
+    """
 
     name: str
     elements: tuple[str, ...]
@@ -54,6 +73,16 @@ class FinSet:
         object.__setattr__(self, "elements", tuple(self.elements))
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"duplicate labels in carrier {self.name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FinSet:
+            return NotImplemented
+        return self.name == other.name and self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.name, self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -73,9 +102,13 @@ class FinSet:
 
 
 def finset(name: str, size: int, prefix: str | None = None) -> FinSet:
-    """Carrier of `size` fresh elements labelled prefix0, prefix1, ..."""
-    p = prefix if prefix is not None else name
-    return FinSet(name, tuple(f"{p}{i}" for i in range(size)))
+    """Carrier of `size` elements labelled prefix0, prefix1, ...; interned."""
+    return _interned_finset(name, size, name if prefix is None else prefix)
+
+
+@lru_cache(maxsize=_FINSET_CACHE_SIZE)
+def _interned_finset(name: str, size: int, prefix: str) -> FinSet:
+    return FinSet(name, tuple(f"{prefix}{i}" for i in range(size)))
 
 
 @dataclass(frozen=True)
@@ -87,11 +120,13 @@ class Rel:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != len(self.src):
+        rows = self.rows
+        if rows.__class__ is not tuple:
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        if len(rows) != len(self.src.elements):
             raise ValueError("row count does not match source carrier")
-        limit = 1 << len(self.dst)
-        if any(r < 0 or r >= limit for r in self.rows):
+        if rows and (min(rows) < 0 or max(rows) >= 1 << len(self.dst.elements)):
             raise ValueError("row mask exceeds destination carrier")
 
     @classmethod
@@ -247,10 +282,13 @@ class FnMap:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != len(self.src):
+        image = self.image
+        if image.__class__ is not tuple:
+            image = tuple(image)
+            object.__setattr__(self, "image", image)
+        if len(image) != len(self.src.elements):
             raise ValueError("function is not total on its source")
-        if any(i < 0 or i >= len(self.dst) for i in self.image):
+        if image and (min(image) < 0 or max(image) >= len(self.dst.elements)):
             raise ValueError("image index outside destination carrier")
 
     @classmethod
@@ -320,17 +358,34 @@ def subset_labels(base: FinSet) -> tuple[str, ...]:
 def powerset(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> PowersetBundle:
     """All subsets of `base`, ordered by ascending bitmask over the base order.
 
-    The index of a subset in the carrier equals its bitmask.
+    The index of a subset in the carrier equals its bitmask.  The cap is
+    checked on every call; the bundle is built once per base carrier.
     """
-    n = len(base)
+    n = len(base.elements)
     if n > cap:
         raise PowersetCapExceeded(f"|{base.name}| = {n} exceeds powerset cap {cap}")
+    return _cached_powerset(base)
+
+
+@lru_cache(maxsize=_POWERSET_CACHE_SIZE)
+def _cached_powerset(base: FinSet) -> PowersetBundle:
+    return _build_powerset(base)
+
+
+def _build_powerset(base: FinSet) -> PowersetBundle:
+    n = len(base.elements)
     carrier = FinSet(f"2^{base.name}", subset_labels(base))
     rows = [0] * n
     for m in range(1 << n):
         for i in _bits(m):
             rows[i] |= 1 << m
     return PowersetBundle(base, carrier, Rel(base, carrier, tuple(rows)))
+
+
+def clear_caches() -> None:
+    """Empty the `finset` and `powerset` caches."""
+    _interned_finset.cache_clear()
+    _cached_powerset.cache_clear()
 
 
 def power_transpose(x: Rel, mem: Rel) -> FnMap:

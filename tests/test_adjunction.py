@@ -5,10 +5,12 @@ import pytest
 from promrep import (
     FnMap,
     Preorder,
+    PowersetBundle,
     Prom,
     Rel,
     check_prom_morphism,
     check_rep_morphism,
+    clear_caches,
     compose,
     counit,
     counit_natural,
@@ -262,6 +264,25 @@ def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "promrep" and getattr(module, "power_transpose", None) is transpose:
             monkeypatch.setattr(module, "power_transpose", drop_last_column)
+    summary = search(SearchConfig(law))
+    assert not summary.passed
+    assert replay(summary.witness)
+
+
+@pytest.mark.parametrize("law", ["lemma4", "mem-residual-subset", "triangle-pom"])
+def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
+    build = rel_module._build_powerset
+
+    def swap_first_two_subsets(base):
+        """Subsets 0 and 1 ({} and {first}) trade membership columns."""
+        b = build(base)
+        rows = tuple(row & ~3 | (row & 1) << 1 | (row & 2) >> 1 for row in b.mem.rows)
+        return PowersetBundle(b.base, b.carrier, Rel(b.base, b.carrier, rows))
+
+    assert search(SearchConfig(law)).passed  # fills the cache with correct bundles
+    monkeypatch.setattr(rel_module, "_build_powerset", swap_first_two_subsets)
+    assert search(SearchConfig(law)).passed  # the cache hides the mutant
+    clear_caches()
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert replay(summary.witness)

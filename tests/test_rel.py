@@ -2,6 +2,8 @@
 plus hypothesis property tests for the algebraic laws."""
 
 import random
+import sys
+import threading
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from promrep import (
     FnMap,
     PowersetCapExceeded,
     Rel,
+    clear_caches,
     compose,
     converse,
     empty,
@@ -95,9 +98,70 @@ def test_finset_index_non_member_is_key_error(label):
 
 
 def test_finset_positions_stay_out_of_equality():
-    a, b = finset("A", 2, "a"), finset("A", 2, "a")
+    a, b = FinSet("A", ("a0", "a1")), FinSet("A", ("a0", "a1"))
     a.index("a1")
     assert a == b and hash(a) == hash(b)
+
+
+def test_equal_carriers_built_apart_are_interchangeable():
+    a, b = FinSet("A", ("a0", "a1")), FinSet("A", ["a0", "a1"])
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
+    assert compose(identity(a), identity(b)).rows == (1, 2)
+    assert FinSet("A", ("a0",)) != FinSet("B", ("a0",)) != FinSet("B", ("b0",))
+
+
+def test_finset_is_not_equal_to_other_types():
+    assert (FinSet("x", ()) == "x") is False
+    assert (A1 == ("A", ("a0",))) is False
+
+
+def test_finset_is_interned():
+    assert finset("A", 3, "a") is finset("A", 3, "a")
+    assert finset("A", 3) is finset("A", 3, "A")
+    assert finset("A", 3, "a") is not finset("A", 2, "a")
+
+
+# --- validation --------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "src, dst, rows, message",
+    [
+        (A2, B2, (1,), "row count does not match source carrier"),
+        (A2, B2, (1, 2, 3), "row count does not match source carrier"),
+        (A2, B2, (1, -1), "row mask exceeds destination carrier"),
+        (A2, B2, (4, 1), "row mask exceeds destination carrier"),
+        (A1, finset("E", 0), (1,), "row mask exceeds destination carrier"),
+    ],
+    ids=["short", "long", "negative", "bit-at-width", "empty-destination"],
+)
+def test_rel_rejects_malformed_rows(src, dst, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Rel(src, dst, rows)
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        ((0,), "function is not total on its source"),
+        ((0, -1), "image index outside destination carrier"),
+        ((2, 0), "image index outside destination carrier"),
+    ],
+    ids=["short", "negative", "index-at-size"],
+)
+def test_fnmap_rejects_malformed_image(image, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FnMap(A2, B2, image)
+
+
+def test_rows_and_images_are_stored_as_tuples():
+    rows = (1, 3)
+    assert Rel(A2, B2, rows).rows is rows
+    assert Rel(A2, B2, [1, 3]).rows == rows and Rel(A2, B2, (r for r in rows)).rows == rows
+    assert type(Rel(A2, B2, [1, 3]).rows) is tuple
+    assert FnMap(A2, B2, [1, 0]).image == (1, 0) and FnMap(A2, B2, iter((1, 0))).image == (1, 0)
+    assert type(FnMap(A2, B2, [1, 0]).image) is tuple
+    assert Rel(A1, finset("E", 0), [0]).rows == (0,)
 
 
 def test_empty_carrier_is_legal():
@@ -328,6 +392,55 @@ def test_subset_labels_quote_labels_that_could_be_misread():
 def test_powerset_cap():
     with pytest.raises(PowersetCapExceeded):
         powerset(finset("M", 5, "m"), cap=4)
+
+
+def test_cached_powerset_equals_fresh_build():
+    base = FinSet("M", ("m0", "m1", "m2"))
+    cached = powerset(base)
+    assert powerset(FinSet("M", ("m0", "m1", "m2"))) is cached
+    clear_caches()
+    fresh = powerset(base)
+    assert fresh is not cached and fresh == cached
+    assert fresh.carrier.elements == cached.carrier.elements and fresh.mem.rows == cached.mem.rows
+
+
+def test_powerset_cap_is_checked_on_cache_hits():
+    base = finset("M", 3, "m")
+    powerset(base)
+    with pytest.raises(PowersetCapExceeded):
+        powerset(base, cap=len(base) - 1)
+    assert powerset(base, cap=len(base)).carrier.elements[-1] == "{m0,m1,m2}"
+
+
+def test_kernel_caches_under_concurrent_use():
+    # more threads than cores, frequent switches, caches emptied mid-run
+    expected = {n: rel_module._build_powerset(finset("M", n, "m")) for n in range(6)}
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(300):
+                n = (i + k) % 6
+                b = powerset(finset("M", n, "m"))
+                if b != expected[n] or b.mem.rows != expected[n].mem.rows:
+                    errors.append((k, i, n))
+                if i % 50 == k:
+                    clear_caches()
+        except Exception as e:  # noqa: BLE001 - reported by the assert below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_singleton_map_unit():
