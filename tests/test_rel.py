@@ -155,12 +155,10 @@ def test_fnmap_rejects_malformed_image(image, message):
 
 
 def test_rows_and_images_are_stored_as_tuples():
-    rows = (1, 3)
+    rows = (1, 3)  # a list never equals a tuple, so == checks the type too
     assert Rel(A2, B2, rows).rows is rows
     assert Rel(A2, B2, [1, 3]).rows == rows and Rel(A2, B2, (r for r in rows)).rows == rows
-    assert type(Rel(A2, B2, [1, 3]).rows) is tuple
     assert FnMap(A2, B2, [1, 0]).image == (1, 0) and FnMap(A2, B2, iter((1, 0))).image == (1, 0)
-    assert type(FnMap(A2, B2, [1, 0]).image) is tuple
     assert Rel(A1, finset("E", 0), [0]).rows == (0,)
 
 
@@ -400,8 +398,7 @@ def test_cached_powerset_equals_fresh_build():
     assert powerset(FinSet("M", ("m0", "m1", "m2"))) is cached
     clear_caches()
     fresh = powerset(base)
-    assert fresh is not cached and fresh == cached
-    assert fresh.carrier.elements == cached.carrier.elements and fresh.mem.rows == cached.mem.rows
+    assert fresh is not cached and fresh == cached  # same labels and membership rows
 
 
 def test_powerset_cap_is_checked_on_cache_hits():
@@ -422,11 +419,11 @@ def test_kernel_caches_under_concurrent_use():
             for i in range(300):
                 n = (i + k) % 6
                 b = powerset(finset("M", n, "m"))
-                if b != expected[n] or b.mem.rows != expected[n].mem.rows:
+                if b != expected[n]:
                     errors.append((k, i, n))
                 if i % 50 == k:
                     clear_caches()
-        except Exception as e:  # noqa: BLE001 - reported by the assert below
+        except Exception as e:  # reported by the assert below
             errors.append(e)
 
     interval = sys.getswitchinterval()
