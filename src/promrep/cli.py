@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     config = SearchConfig(
         law=args.law,
         mode=args.mode,
-        bounds=_parse_sizes(args.max_size) if args.max_size else None,
+        bounds=None if args.max_size is None else _parse_sizes(args.max_size),
         trials=args.trials,
         seed=args.seed,
         parallelism=args.jobs,

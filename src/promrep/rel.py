@@ -132,8 +132,14 @@ class Rel:
     @classmethod
     def from_pairs(cls, src: FinSet, dst: FinSet, pairs) -> "Rel":
         rows = [0] * len(src)
+        at, bit = src._positions, dst._positions
         for a, b in pairs:
-            rows[src.index(a)] |= 1 << dst.index(b)
+            try:
+                rows[at[a]] |= 1 << bit[b]
+            except (KeyError, TypeError):  # let index raise its KeyError
+                src.index(a)
+                dst.index(b)
+                raise
         return cls(src, dst, tuple(rows))
 
     def pairs(self) -> list[tuple[str, str]]:

@@ -9,12 +9,19 @@ null section, `pairs` or `map` means empty; anything else malformed
 raises WorkspaceError.  Serialization is canonical — fixed section
 order, sorted names, pairs in row-major carrier order — so output files
 are byte-stable.
+
+`to_doc` gives the canonical document and `dumps` its text, byte-identical
+to `json.dumps(to_doc(ws), indent=2) + "\n"`.  `dumps` does not build the
+document's list of pairs: it writes each relation from its bit rows, as
+one shared fragment per source label and one per destination label, each
+escaped once by the same C escaper `json.dumps` uses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 
 from .rel import FinSet, FnMap, Rel
 from .structures import (
@@ -164,17 +171,14 @@ def loads(text: str) -> Workspace:
     return parse(doc)
 
 
-def to_doc(ws: Workspace) -> dict:
+def _layout(ws: Workspace) -> dict:
+    """The canonical document, with each relation's `pairs` left as the Rel."""
     doc = {"sets": {}, "relations": {}, "functions": {}, "structures": {}}
     for name in sorted(ws.sets):
         doc["sets"][name] = list(ws.sets[name].elements)
     for name in sorted(ws.relations):
         r = ws.relations[name]
-        doc["relations"][name] = {
-            "from": r.src.name,
-            "to": r.dst.name,
-            "pairs": [list(p) for p in r.pairs()],
-        }
+        doc["relations"][name] = {"from": r.src.name, "to": r.dst.name, "pairs": r}
     for name in sorted(ws.functions):
         f = ws.functions[name]
         doc["functions"][name] = {"from": f.src.name, "to": f.dst.name, "map": f.as_dict()}
@@ -184,8 +188,71 @@ def to_doc(ws: Workspace) -> dict:
     return doc
 
 
+def to_doc(ws: Workspace) -> dict:
+    doc = _layout(ws)
+    for rec in doc["relations"].values():
+        rec["pairs"] = [list(p) for p in rec["pairs"].pairs()]
+    return doc
+
+
 def dumps(ws: Workspace) -> str:
-    return json.dumps(to_doc(ws), indent=2) + "\n"
+    """json.dumps(to_doc(ws), indent=2) + "\n", byte for byte, written from the bit rows."""
+    out: list[str] = []
+    _encode(_layout(ws), "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, indent: str, out: list) -> None:
+    """Append `value` as json.dumps(..., indent=2) lays it out `indent` deep."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif isinstance(value, Rel):
+        _encode_pairs(value, indent, out)
+    elif not isinstance(value, (dict, list)):
+        raise TypeError(f"cannot encode {type(value).__name__} in a workspace")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    else:
+        inner = indent + "  "
+        sep = "\n" + inner
+        if isinstance(value, dict):
+            out.append("{")
+            for key, item in value.items():
+                out.append(sep + _string(key) + ": ")
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for item in value:
+                out.append(sep)
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+
+
+def _encode_pairs(rel: Rel, indent: str, out: list) -> None:
+    """Append rel's pairs as the list of [a, b] lists to_doc would give.
+
+    Each pair is two shared fragments: a head for its source label, which
+    opens the pair, and a tail for its destination label, which closes it.
+    """
+    if not any(rel.rows):
+        out.append("[]")
+        return
+    pair, label = indent + "  ", indent + "    "
+    heads = [f",\n{pair}[\n{label}{_string(a)},\n{label}" for a in rel.src.elements]
+    tails = [f"{_string(b)}\n{pair}]" for b in rel.dst.elements]
+    out.append("[")
+    first = len(out)
+    for head, row in zip(heads, rel.rows):
+        while row:
+            low = row & -row
+            out += (head, tails[low.bit_length() - 1])
+            row ^= low
+    out[first] = out[first][1:]  # no separator before the first pair
+    out.append("\n" + indent + "]")
 
 
 def _name_of(table: dict, obj, what: str) -> str:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, report shapes, re-checkable apply output,
 summary determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -277,6 +278,25 @@ def test_apply_powerset_cap_guard(tmp_path, capsys):
     assert main(["apply", "M", str(path), "R", "--powerset-cap", "2"]) == 2
 
 
+#: sha256 of `promrep apply FUNCTOR FILE NAME` stdout on the |M| = 8 workspace
+#: of test_apply_output_bytes_are_pinned, as written by json.dumps(indent=2).
+APPLY_DIGESTS = {
+    ("M", "r"): "853b68ff3543bf97c2d017063e2df685997da4bd5576eeb39985c84093a8318e",
+    ("counit", "r"): "9237c94237bea177c88f3c4eca1d7fe415a36780a757aa1bc22a6ce97ff125ab",
+    ("unit", "p"): "d91051239de977a7f461bd3af4d70f8ea40de48c9e0535b04874a35cefd19457",
+}
+
+
+@pytest.mark.parametrize("functor, name", list(APPLY_DIGESTS))
+def test_apply_output_bytes_are_pinned(tmp_path, capsys, functor, name):
+    ws = workspace.build({"r": gen_representation(8, 8, 4), "p": gen_prom(8, 4, 8)})
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(workspace.to_doc(ws), indent=2) + "\n")
+    assert main(["apply", functor, str(path), name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == APPLY_DIGESTS[functor, name]
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_pass_summary(capsys):
@@ -297,6 +317,13 @@ def test_verify_infeasible_bounds(capsys):
 
 def test_verify_bad_max_size():
     assert main(["verify", "lemma7", "--max-size", "two"]) == 2
+
+
+def test_verify_empty_max_size_is_input_error():
+    proc = run_cli("verify", "lemma7", "--max-size", "")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --max-size wants comma-separated integers")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

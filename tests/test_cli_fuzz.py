@@ -1,12 +1,14 @@
-"""Fuzzing the workspace reader and the CLI with mutated documents.
+"""Fuzzing the workspace reader and the CLI with mutated documents and
+options.
 
-Each example starts from a valid workspace, changes a few of its values
-(a label renamed throughout, a reference, a value of any JSON type, a
-deleted entry) and runs `check` or
-`apply` in-process.  Whatever the input: the exit code is 0, 1 or 2, no
-exception escapes, exit 1 comes only with a last line `result: fail`,
-exit 2 only with an `error:` message on stderr, and a successful `apply`
-prints a workspace that loads and serializes back byte for byte.
+Each workspace example starts from a valid workspace, changes a few of its
+values (a label renamed throughout, a reference, a value of any JSON type,
+a deleted entry) and runs `check` or `apply` in-process.  Each `verify`
+example draws the law, mode and options, malformed ones included.
+Whatever the input: the exit code is 0, 1 or 2, no exception escapes,
+exit 1 comes only with a last line `result: fail`, exit 2 only with an
+`error:` message on stderr, and a successful `apply` prints a workspace
+that loads and serializes back byte for byte.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from promrep import (
+    CATALOG,
     gen_prom,
     gen_prom_morphism,
     gen_rep_morphism,
@@ -149,3 +152,46 @@ def test_mutated_workspaces_exit_cleanly(scratch_file, case):
         assert err.startswith("error:")
     if code == 0 and command != "check":
         assert workspace.dumps(workspace.loads(out)) == out
+
+
+#: Laws whose exhaustive search takes seconds at bound 2; the verify fuzz
+#: keeps their exhaustive bounds at 1 or below.
+SLOW_EXHAUSTIVE = frozenset({"modular-tautology", "lemma5", "lemma6", "lemma8", "lemma9"})
+
+
+@st.composite
+def verify_argv(draw):
+    law = draw(st.sampled_from(sorted(CATALOG)))
+    mode = draw(st.sampled_from(("seeded", "exhaustive")))
+    argv = ["verify", law, f"--mode={mode}"]
+    # bound 3 runs in milliseconds or exceeds the law's exhaustive limit
+    largest = 1 if mode == "exhaustive" and law in SLOW_EXHAUSTIVE else 3
+    shape = draw(st.sampled_from(("sizes", "sizes", "sizes", "negative", "malformed", "default")))
+    if shape == "default" and mode == "exhaustive" and law in SLOW_EXHAUSTIVE:
+        shape = "sizes"
+    if shape in ("sizes", "negative"):
+        sizes = draw(st.lists(st.integers(0, largest), min_size=1, max_size=4))
+        if shape == "negative":
+            sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(-2, -1))
+        argv.append(f"--max-size={','.join(map(str, sizes))}")
+    elif shape == "malformed":
+        argv.append(f"--max-size={draw(st.sampled_from(('', ',', '1,', 'x', '1.5')))}")
+    argv.append(f"--trials={draw(st.integers(-1, 5))}")
+    for option, values in (("powerset-cap", st.integers(-1, 4)), ("jobs", st.integers(0, 3))):
+        value = draw(values | st.none())
+        if value is not None:
+            argv.append(f"--{option}={value}")
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(argv=verify_argv())
+def test_verify_options_exit_cleanly(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert out.splitlines()[-1] == "result: pass"
+    if code == 1:
+        assert "result: fail" in out.splitlines()
+    if code == 2:
+        assert err.startswith("error:") and out == ""

@@ -97,6 +97,23 @@ def test_finset_index_non_member_is_key_error(label):
         A2.index(label)
 
 
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("z", "b0"), "'z' is not an element of 'A'"),
+        (("a1", "z"), "'z' is not an element of 'B'"),
+        (("z", "y"), "'z' is not an element of 'A'"),
+        ((["a0"], "b0"), "['a0'] is not an element of 'A'"),
+        (("a0", {}), "{} is not an element of 'B'"),
+    ],
+    ids=["source", "destination", "both", "unhashable-source", "unhashable-destination"],
+)
+def test_from_pairs_names_the_first_non_member(pair, message):
+    with pytest.raises(KeyError) as exc:
+        Rel.from_pairs(A2, B2, [("a0", "b1"), pair])
+    assert exc.value.args == (message,)
+
+
 def test_finset_positions_stay_out_of_equality():
     a, b = FinSet("A", ("a0", "a1")), FinSet("A", ("a0", "a1"))
     a.index("a1")

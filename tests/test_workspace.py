@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from promrep import (
+    FinSet,
+    FnMap,
     Preorder,
     Prom,
     PromMorphism,
     Representation,
+    Rel,
     RepMorphism,
     Workspace,
     WorkspaceError,
@@ -138,3 +142,52 @@ def test_build_dedupes_shared_subobjects():
     p = gen_prom(4, 2, 2)
     ws = workspace.build({"p": p, "q": p})
     assert list(ws.structures) == ["p"] or len(ws.structures) == 1
+
+
+# --- the writer against the json.dumps oracle ---------------------------------
+
+#: Labels and names that need escaping or are easy to get wrong: empty,
+#: non-ASCII, a quote, a backslash, a newline, subset-like braces and commas,
+#: and a lone surrogate.
+AWKWARD = ("", "a", "é", "日本", '"', "\\", "\n", "{a,b}", "\ud800")
+awkward = st.sampled_from(AWKWARD) | st.text(max_size=2)
+
+
+@st.composite
+def workspaces(draw):
+    """A workspace holding every structure kind, plus a loose relation and
+    function, over carriers with awkward names and labels; any carrier may
+    be empty, and B has an element whenever A does so that f: A → B exists."""
+    names = draw(st.lists(awkward, min_size=6, max_size=6, unique=True))
+    carrier = lambda name, least=0: FinSet(
+        name, tuple(draw(st.lists(awkward, min_size=least, max_size=3, unique=True)))
+    )
+    A = carrier(names[0])
+    B, M, S, E = carrier(names[1], least=min(len(A), 1)), carrier(names[2]), carrier(names[3]), carrier(names[4])
+
+    def rel(src, dst):
+        return Rel(src, dst, tuple(draw(st.integers(0, (1 << len(dst)) - 1)) for _ in src))
+
+    def fn(src, dst):
+        return FnMap(src, dst, tuple(draw(st.integers(0, len(dst) - 1)) for _ in src))
+
+    p = Prom(Preorder(rel(A, A), check=False), Preorder(rel(B, B), check=False), fn(A, B), check=False)
+    r = Representation(rel(M, S), Preorder(rel(S, S), check=False), check=False)
+    objects = {
+        "p": p,
+        "r": r,
+        "o": Preorder(rel(S, S), check=False),
+        "pm": PromMorphism(p, p, fn(A, A), fn(B, B), check=False),
+        "rm": RepMorphism(r, r, fn(S, S), rel(M, M), check=False),
+        "loose": rel(E, M),
+        "on-empty": fn(FinSet(names[5], ()), E),
+    }
+    keys = draw(st.lists(awkward, min_size=len(objects), max_size=len(objects), unique=True))
+    return workspace.build(dict(zip(keys, objects.values())))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(ws=workspaces())
+@example(ws=Workspace())
+def test_dumps_matches_json_dumps(ws):
+    assert workspace.dumps(ws) == json.dumps(workspace.to_doc(ws), indent=2) + "\n"
