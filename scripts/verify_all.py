@@ -18,6 +18,8 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.trials < 0:
+        parser.error(f"--trials must be nonnegative, got {args.trials}")
 
     failures = 0
     for law, spec in CATALOG.items():

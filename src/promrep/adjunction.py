@@ -37,12 +37,13 @@ from .structures import (
     compose_rep_morphisms,
     identity_prom_morphism,
     identity_rep_morphism,
+    prommor_eq,
     repmor_leq,
 )
 from .functors import (
-    _rep_to_prom,
     prom_to_rep,
     prommor_to_repmor,
+    rep_to_prom,
     repmor_to_prommor,
 )
 
@@ -77,8 +78,7 @@ class HomPair:
 
 def hom_pair(p: Prom, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> HomPair:
     """The context of the hom-sets R(p) → r and p → M(r), from one powerset of r.M."""
-    bundle = powerset(r.M, cap)
-    return HomPair(p, r, prom_to_rep(p), _rep_to_prom(r, bundle), bundle.mem)
+    return HomPair(p, r, prom_to_rep(p), rep_to_prom(r, cap), powerset(r.M, cap).mem)
 
 
 def unit(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
@@ -89,9 +89,8 @@ def unit(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
 
 def counit(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
     """ε = T(1_{M r}): the identity on S and the membership relation M ⇸ 2^M."""
-    bundle = powerset(r.M, cap)
-    mr = _rep_to_prom(r, bundle)
-    h = HomPair(mr, r, prom_to_rep(mr), mr, bundle.mem)
+    mr = rep_to_prom(r, cap)
+    h = HomPair(mr, r, prom_to_rep(mr), mr, powerset(r.M, cap).mem)
     return h.lower(identity_prom_morphism(mr))
 
 
@@ -105,9 +104,8 @@ def unit_natural(m: PromMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """unit(dst)∘m = image-of-m∘unit(src), with map equality via the powerset."""
     lhs = compose_prom_morphisms(unit(m.dst, cap), m)
     rhs = compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m), cap), unit(m.src, cap))
-    if lhs.src != rhs.src or lhs.dst != rhs.dst or lhs.phi.image != rhs.phi.image:
-        return False
-    return fn_eq_into_powerset(lhs.psi, rhs.psi, powerset(m.dst.B, cap).mem)
+    same_ends = lhs.src == rhs.src and lhs.dst == rhs.dst
+    return same_ends and prommor_eq(lhs, rhs, powerset(m.dst.B, cap).mem)
 
 
 def counit_natural(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:

@@ -21,28 +21,21 @@ from .functors import prom_to_rep, rep_to_prom
 from .harness import CATALOG, ConfigError, SearchConfig, search
 from .rel import DEFAULT_POWERSET_CAP, PowersetCapExceeded
 from .structures import (
-    CheckResult,
+    InvalidStructure,
     Prom,
     PromMorphism,
     Representation,
     RepMorphism,
-    check_preorder,
-    check_prom,
-    check_prom_morphism,
-    check_rep_morphism,
-    check_representation,
+    validate,
 )
 
-#: Structure kind → (axioms in check order, checker).
+#: Structure kind → its axioms in check order.
 _CHECKS = {
-    "preorder": (("reflexivity", "transitivity"), lambda s: check_preorder(s.rel)),
-    "prom": (("x preorder", "y preorder", "order preservation"), check_prom),
-    "representation": (("ord preorder", "soundness"), check_representation),
-    "prom_morphism": (
-        ("phi order preservation", "psi order preservation", "commuting square"),
-        check_prom_morphism,
-    ),
-    "rep_morphism": (("phi order preservation", "commuting square"), check_rep_morphism),
+    "preorder": ("reflexivity", "transitivity"),
+    "prom": ("x preorder", "y preorder", "order preservation"),
+    "representation": ("ord preorder", "soundness"),
+    "prom_morphism": ("phi order preservation", "psi order preservation", "commuting square"),
+    "rep_morphism": ("phi order preservation", "commuting square"),
 }
 
 
@@ -73,19 +66,19 @@ def cmd_check(args) -> int:
     ws = _load(args.file)
     obj = _named(ws, args.name)
     kind = workspace.KIND_OF[type(obj)]
-    axioms, checker = _CHECKS[kind]
-    res: CheckResult = checker(obj)
     print(f"structure: {args.name}")
     print(f"kind: {kind}")
-    if res.ok:
-        for axiom in axioms:
-            print(f"{axiom}: ok")
-        print("result: ok")
-        return 0
-    print(f"axiom: {res.axiom}")
-    print(f"witness: {res.witness}")
-    print("result: fail")
-    return 1
+    try:
+        validate(obj)
+    except InvalidStructure as e:
+        print(f"axiom: {e.result.axiom}")
+        print(f"witness: {e.result.witness}")
+        print("result: fail")
+        return 1
+    for axiom in _CHECKS[kind]:
+        print(f"{axiom}: ok")
+    print("result: ok")
+    return 0
 
 
 def _find_prom_preimage(ws: workspace.Workspace, rep: Representation) -> Prom:
@@ -99,7 +92,10 @@ def _find_prom_preimage(ws: workspace.Workspace, rep: Representation) -> Prom:
 
 def _find_rep_preimage(ws: workspace.Workspace, prom: Prom, cap: int) -> Representation:
     for obj in ws.structures.values():
-        if isinstance(obj, Representation) and rep_to_prom(obj, cap) == prom:
+        # M(r) has r's order and 2^|M| points: build it only for an r that can match
+        if not isinstance(obj, Representation) or obj.ord != prom.x or 1 << len(obj.M) != len(prom.B):
+            continue
+        if rep_to_prom(obj, cap) == prom:
             return obj
     raise InputError(
         "tee needs a representation in the file whose prom image is the morphism destination"
@@ -130,6 +126,8 @@ def _apply(functor: str, ws: workspace.Workspace, obj, cap: int):
 
 
 def cmd_apply(args) -> int:
+    if args.powerset_cap < 0:
+        raise InputError(f"powerset cap must be nonnegative, got {args.powerset_cap}")
     ws = _load(args.file)
     obj = _named(ws, args.name)
     try:

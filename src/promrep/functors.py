@@ -11,7 +11,6 @@ from __future__ import annotations
 from .rel import (
     DEFAULT_POWERSET_CAP,
     FnMap,
-    PowersetBundle,
     Rel,
     compose,
     graph_upper,
@@ -52,11 +51,7 @@ def theory_map(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
 
 def rep_to_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> Prom:
     """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩."""
-    return _rep_to_prom(r, powerset(r.M, cap))
-
-
-def _rep_to_prom(r: Representation, bundle: PowersetBundle) -> Prom:
-    """rep_to_prom over an already built powerset of r.M, for callers that share it."""
+    bundle = powerset(r.M, cap)
     return Prom(r.ord, subset_order(bundle), power_transpose(r.sat, bundle.mem), check=False)
 
 

@@ -43,14 +43,13 @@ from .rel import (
     right_residual,
 )
 from .structures import (
+    VALIDATION,
     CheckResult,
-    InvalidStructure,
     Preorder,
     Prom,
     PromMorphism,
     Representation,
     RepMorphism,
-    check_preorder,
     check_prom,
     check_prom_morphism,
     check_rep_morphism,
@@ -62,7 +61,9 @@ from .structures import (
     is_preorder,
     order_violation,
     preorder_closure,
+    prommor_eq,
     repmor_leq,
+    validate,
 )
 from .functors import (
     direct_image,
@@ -414,60 +415,41 @@ class Schema:
         for i, (_, _, bound) in enumerate(self.carriers):
             into_empty = any(src == i and sizes[dst] == 0 for src, dst in fns)
             sizes.append(0 if into_empty else rng.randint(0, bounds[bound]))
-        sets = self._carriers(sizes)
-        return {f[0]: _draw(rng, f, sets, bounds) for f in self.fields}
+        return {key: draw(rng, *args) for key, (draw, _), args in self._fields(sizes, bounds)}
 
     def enumerate(self, bounds) -> Iterator[dict]:
         fns = self._fn_positions()
         keys = [key for key, *_ in self.fields]
-        first, rest = self.fields[0], self.fields[1:]
         for sizes in product(*(range(bounds[bound] + 1) for _, _, bound in self.carriers)):
             if any(sizes[src] and not sizes[dst] for src, dst in fns):
                 continue
-            sets = self._carriers(sizes)
-            pools = [tuple(_series(f, sets, bounds)) for f in rest]
-            for value in _series(first, sets, bounds):
+            first, *rest = [series(*args) for _, (_, series), args in self._fields(sizes, bounds)]
+            pools = [tuple(values) for values in rest]
+            for value in first:
                 for others in product(*pools):
                     yield dict(zip(keys, (value, *others)))
 
-    def _carriers(self, sizes) -> dict[str, FinSet]:
-        return {name: finset(name, size, prefix) for (name, prefix, _), size in zip(self.carriers, sizes)}
+    def _fields(self, sizes, bounds):
+        """(key, _FIELD_KINDS entry, resolved arguments) of each field, at these carrier sizes."""
+        sets = {name: finset(name, size, prefix) for (name, prefix, _), size in zip(self.carriers, sizes)}
+        for key, kind, *args in self.fields:
+            yield key, _FIELD_KINDS[kind], [sets[a] if isinstance(a, str) else bounds[a] for a in args]
 
 
-def _draw(rng: random.Random, field: tuple, sets: dict, bounds):
-    """One random value of a schema field."""
-    _, kind, *args = field
-    if kind == "rel":
-        return random_rel(rng, sets[args[0]], sets[args[1]], SCHEMA_EDGE_PROBABILITY)
-    if kind == "preorder":
-        return _gen_preorder(rng, sets[args[0]])
-    if kind == "fn":
-        return random_fnmap(rng, sets[args[0]], sets[args[1]])
-    if kind == "carrier":
-        return sets[args[0]]
-    if kind == "prom":
-        return _gen_prom(rng, rng.randint(0, bounds[args[0]]), rng.randint(0, bounds[args[1]]))
-    if kind == "rep":
-        return _gen_representation(rng, rng.randint(0, bounds[args[0]]), rng.randint(0, bounds[args[1]]))
-    raise ValueError(f"unknown schema field kind {kind!r}")
-
-
-def _series(field: tuple, sets: dict, bounds):
-    """Every value of a schema field, lazily."""
-    _, kind, *args = field
-    if kind == "rel":
-        return enumerate_relations(sets[args[0]], sets[args[1]])
-    if kind == "preorder":
-        return enumerate_preorders(sets[args[0]])
-    if kind == "fn":
-        return enumerate_fnmaps(sets[args[0]], sets[args[1]])
-    if kind == "carrier":
-        return (sets[args[0]],)
-    if kind == "prom":
-        return enumerate_proms(bounds[args[0]], bounds[args[1]])
-    if kind == "rep":
-        return enumerate_representations(bounds[args[0]], bounds[args[1]])
-    raise ValueError(f"unknown schema field kind {kind!r}")
+#: Schema field kind → (one random value given an RNG, every value, lazily).
+#: Both take the field's arguments with carrier names resolved to carriers
+#: and bound indices to bounds.
+_FIELD_KINDS = {
+    "rel": (lambda rng, a, b: random_rel(rng, a, b, SCHEMA_EDGE_PROBABILITY), enumerate_relations),
+    "preorder": (_gen_preorder, enumerate_preorders),
+    "fn": (random_fnmap, enumerate_fnmaps),
+    "carrier": (lambda rng, c: c, lambda c: (c,)),
+    "prom": (lambda rng, i, j: _gen_prom(rng, rng.randint(0, i), rng.randint(0, j)), enumerate_proms),
+    "rep": (
+        lambda rng, i, j: _gen_representation(rng, rng.randint(0, i), rng.randint(0, j)),
+        enumerate_representations,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +484,6 @@ class LawSpec:
 
 def _ok() -> tuple[None, dict]:
     return None, {}
-
-
-def _require(result: CheckResult, kind: str):
-    if not result:
-        raise InvalidStructure(kind, result)
 
 
 def _fmt(res: CheckResult) -> str:
@@ -611,7 +588,6 @@ _LEMMA7 = Schema((("A", "a", 0), ("B", "b", 1)), (("x", "rel", "A", "B"),))
 
 def _check_psi_char(inst, cap):
     tau, y = inst["tau"], inst["y"]
-    _require(check_preorder(y.rel), "preorder")
     mem = powerset(tau.src, cap).mem
     if not eq(compose(mem, graph_upper(rel_to_map(tau, y, mem))), compose(tau, y.rel)):
         return "characterization ∈⨾(Ψτ)^* = τ⨾y broken", {}
@@ -640,7 +616,6 @@ _SOUNDNESS = Schema(
 
 def _check_lemma1(inst, cap):
     p = inst["p"]
-    _require(check_prom(p), "prom")
     res = check_representation(prom_to_rep(p))
     if not res:
         return "image is not a representation: " + _fmt(res), {}
@@ -652,7 +627,6 @@ _PROM = Schema((), (("p", "prom", 0, 1),))
 
 def _check_lemma2(inst, cap):
     m = inst["m"]
-    _require(check_prom_morphism(m), "prom morphism")
     res = check_rep_morphism(prommor_to_repmor(m))
     if not res:
         return "image is not a representation morphism: " + _fmt(res), {}
@@ -665,8 +639,6 @@ def _gen_prommor_inst(rng, bounds):
 
 def _check_lemma3(inst, cap):
     m1, m2 = inst["m1"], inst["m2"]
-    _require(check_prom_morphism(m1), "prom morphism")
-    _require(check_prom_morphism(m2), "prom morphism")
     if m1.dst != m2.src:
         raise ValueError("lemma3 instance needs a composable pair")
     notes = {}
@@ -693,7 +665,6 @@ def _gen_lemma3(rng, bounds):
 
 def _check_lemma4(inst, cap):
     r = inst["R"]
-    _require(check_representation(r), "representation")
     mp = rep_to_prom(r, cap)
     res = check_prom(mp)
     if not res:
@@ -708,7 +679,6 @@ _REP = Schema((), (("R", "rep", 0, 1),))
 
 def _check_lemma5(inst, cap):
     m = inst["m"]
-    _require(check_rep_morphism(m), "representation morphism")
     res = check_prom_morphism(repmor_to_prommor(m, cap))
     if not res:
         return "image is not a prom morphism: " + _fmt(res), {}
@@ -728,26 +698,18 @@ def _enum_repmor_inst(bounds):
                 yield {"m": m}
 
 
-def _psi_eq(a: FnMap, b: FnMap, base: FinSet, cap: int) -> bool:
-    return fn_eq_into_powerset(a, b, powerset(base, cap).mem)
-
-
 def _check_lemma6(inst, cap):
     m1, m2 = inst["m1"], inst["m2"]
-    _require(check_rep_morphism(m1), "representation morphism")
-    _require(check_rep_morphism(m2), "representation morphism")
     if m1.dst != m2.src:
         raise ValueError("lemma6 instance needs a composable pair")
     r = m1.src
     ident_img = repmor_to_prommor(identity_rep_morphism(r), cap)
     ident = identity_prom_morphism(rep_to_prom(r, cap))
-    if ident_img.phi.image != ident.phi.image or not _psi_eq(ident_img.psi, ident.psi, r.M, cap):
+    if not prommor_eq(ident_img, ident, powerset(r.M, cap).mem):
         return "M(id) differs from id", {}
     composite = repmor_to_prommor(compose_rep_morphisms(m2, m1), cap)
     pieces = compose_prom_morphisms(repmor_to_prommor(m2, cap), repmor_to_prommor(m1, cap))
-    if composite.phi.image != pieces.phi.image or not _psi_eq(
-        composite.psi, pieces.psi, m2.dst.M, cap
-    ):
+    if not prommor_eq(composite, pieces, powerset(m2.dst.M, cap).mem):
         return "M(m2∘m1) differs from M(m2)∘M(m1)", {}
     return _ok()
 
@@ -818,7 +780,6 @@ def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
 
 def _check_triangle_repr(inst, cap):
     p = inst["p"]
-    _require(check_prom(p), "prom")
     res = triangle_rep(p, cap)
     if not res.equals_expected:
         return "ε∘R(η) differs from (id, y)", {}
@@ -829,7 +790,6 @@ def _check_triangle_repr(inst, cap):
 
 def _check_triangle_pom(inst, cap):
     r = inst["R"]
-    _require(check_representation(r), "representation")
     if not triangle_prom(r, cap):
         return "M(ε)∘η is not the identity", {}
     return _ok()
@@ -837,7 +797,6 @@ def _check_triangle_pom(inst, cap):
 
 def _check_unit_natural(inst, cap):
     m = inst["m"]
-    _require(check_prom_morphism(m), "prom morphism")
     for q in (m.src, m.dst):
         res = check_prom_morphism(unit(q, cap))
         if not res:
@@ -849,7 +808,6 @@ def _check_unit_natural(inst, cap):
 
 def _check_counit_natural(inst, cap):
     m = inst["m"]
-    _require(check_rep_morphism(m), "representation morphism")
     for r in (m.src, m.dst):
         res = check_rep_morphism(counit(r, cap))
         if not res:
@@ -859,13 +817,14 @@ def _check_counit_natural(inst, cap):
     return _ok()
 
 
+def _hom_sets(inst, cap):
+    """A lemma 8/9 instance's hom-pair context and its hom-sets R(p) → r and p → M(r)."""
+    h = hom_pair(inst["p"], inst["R"], cap)
+    return h, list(enumerate_rep_morphisms(h.rp, h.r)), list(enumerate_prom_morphisms(h.p, h.mr))
+
+
 def _check_lemma8(inst, cap):
-    p, r = inst["p"], inst["R"]
-    _require(check_prom(p), "prom")
-    _require(check_representation(r), "representation")
-    h = hom_pair(p, r, cap)
-    rep_homs = list(enumerate_rep_morphisms(h.rp, r))
-    prom_homs = list(enumerate_prom_morphisms(p, h.mr))
+    h, rep_homs, prom_homs = _hom_sets(inst, cap)
     for m in rep_homs:
         res = check_prom_morphism(h.lift(m))
         if not res:
@@ -878,22 +837,17 @@ def _check_lemma8(inst, cap):
 
 
 def _check_lemma9(inst, cap):
-    p, r = inst["p"], inst["R"]
-    _require(check_prom(p), "prom")
-    _require(check_representation(r), "representation")
-    h = hom_pair(p, r, cap)
-    rep_homs = list(enumerate_rep_morphisms(h.rp, r))
-    prom_homs = list(enumerate_prom_morphisms(p, h.mr))
+    h, rep_homs, prom_homs = _hom_sets(inst, cap)
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
         back = h.lift(h.lower(m))
-        if back.phi.image != m.phi.image or not fn_eq_into_powerset(back.psi, m.psi, h.mem):
+        if not prommor_eq(back, m, h.mem):
             return "ΨT is not the identity on prom morphisms", notes
     for m in rep_homs:
         around = h.lower(h.lift(m))
         if not repmor_leq(m, around):
             return "TΨ does not dominate the identity", notes
-        if not eq(around.tau, compose(m.tau, p.y.rel)):
+        if not eq(around.tau, compose(m.tau, h.p.y.rel)):
             return "TΨ(τ) differs from τ⨾y", notes
         if not repmor_leq(around, m):
             notes["strict_t_psi"] += 1
@@ -907,7 +861,6 @@ _HOM_PAIR = Schema((), (("p", "prom", 0, 0), ("R", "rep", 0, 0)))
 
 def _check_lemma10(inst, cap):
     r = inst["R"]
-    _require(check_representation(r), "representation")
     exact = is_exact(r)
     reflecting = is_order_reflecting(rep_to_prom(r, cap))
     if exact != reflecting:
@@ -919,7 +872,6 @@ def _check_lemma10(inst, cap):
 
 def _check_lemma11(inst, cap):
     p = inst["p"]
-    _require(check_prom(p), "prom")
     reflecting = is_order_reflecting(p)
     exact = is_exact(prom_to_rep(p))
     if reflecting != exact:
@@ -935,10 +887,20 @@ CATALOG: dict[str, LawSpec] = {}
 
 
 def _law(law, summary, check, instances, default_bounds=(3,), limit=None):
-    """Register a law; `instances` is a Schema or a (generate, enumerate) pair."""
+    """Register a law; `instances` is a Schema or a (generate, enumerate) pair.
+
+    The registered check first validates every structure-valued field, so
+    invalid input raises InvalidStructure instead of yielding a witness."""
     if isinstance(instances, Schema):
         instances = (instances.generate, instances.enumerate)
-    CATALOG[law] = LawSpec(law, summary, check, *instances, default_bounds, limit)
+
+    def validated(inst, cap):
+        for value in inst.values():
+            if type(value) in VALIDATION:
+                validate(value)
+        return check(inst, cap)
+
+    CATALOG[law] = LawSpec(law, summary, validated, *instances, default_bounds, limit)
 
 
 _law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _TRIPLE, (3,), (2,))
@@ -1069,6 +1031,8 @@ def search(config: SearchConfig) -> SearchSummary:
         raise ConfigError(f"unknown law {config.law!r}")
     if config.parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got {config.parallelism}")
+    if config.powerset_cap < 0:
+        raise ConfigError(f"powerset cap must be nonnegative, got {config.powerset_cap}")
     bounds = _normalize_bounds(spec, config.bounds)
     if config.mode == "exhaustive":
         return _search_exhaustive(spec, bounds, config)

@@ -6,7 +6,7 @@ two carriers, and so on) and raises CarrierMismatch otherwise; check=False
 skips only the axioms, not these carrier checks (the harness uses it for
 negative tests and for structures already known valid).  Every axiom has
 a check_* function that reports the first violated axiom together with a
-concrete witness.
+concrete witness, which `validate` raises as InvalidStructure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .rel import (
     compose,
     compose_maps,
     eq,
+    fn_eq_into_powerset,
     graph_upper,
     identity,
     identity_map,
@@ -78,9 +79,7 @@ class Preorder:
         if self.rel.src != self.rel.dst:
             raise CarrierMismatch("a preorder must be a square relation")
         if check:
-            res = check_preorder(self.rel)
-            if not res:
-                raise InvalidStructure("preorder", res)
+            validate(self)
 
     @property
     def carrier(self) -> FinSet:
@@ -112,9 +111,7 @@ class Prom:
         if self.f.src != self.x.carrier or self.f.dst != self.y.carrier:
             raise CarrierMismatch("prom map does not connect the two preordered carriers")
         if check:
-            res = check_prom(self)
-            if not res:
-                raise InvalidStructure("prom", res)
+            validate(self)
 
     @property
     def A(self) -> FinSet:
@@ -171,9 +168,7 @@ class PromMorphism:
         if self.psi.src != self.src.B or self.psi.dst != self.dst.B:
             raise CarrierMismatch("psi does not connect the target carriers")
         if check:
-            res = check_prom_morphism(self)
-            if not res:
-                raise InvalidStructure("prom morphism", res)
+            validate(self)
 
 
 def check_prom_morphism(m: PromMorphism) -> CheckResult:
@@ -209,9 +204,7 @@ class Representation:
         if self.sat.dst != self.ord.carrier:
             raise CarrierMismatch("preorder carrier does not match the statement carrier")
         if check:
-            res = check_representation(self)
-            if not res:
-                raise InvalidStructure("representation", res)
+            validate(self)
 
     @property
     def M(self) -> FinSet:
@@ -254,9 +247,7 @@ class RepMorphism:
         if self.tau.src != self.dst.M or self.tau.dst != self.src.M:
             raise CarrierMismatch("tau does not connect the model carriers")
         if check:
-            res = check_rep_morphism(self)
-            if not res:
-                raise InvalidStructure("representation morphism", res)
+            validate(self)
 
 
 def check_rep_morphism(m: RepMorphism) -> CheckResult:
@@ -275,11 +266,34 @@ def check_rep_morphism(m: RepMorphism) -> CheckResult:
     return OK
 
 
+#: Structure class → (the kind InvalidStructure names, its axiom check).
+VALIDATION = {
+    Preorder: ("preorder", lambda s: check_preorder(s.rel)),
+    Prom: ("prom", check_prom),
+    PromMorphism: ("prom morphism", check_prom_morphism),
+    Representation: ("representation", check_representation),
+    RepMorphism: ("representation morphism", check_rep_morphism),
+}
+
+
+def validate(obj) -> None:
+    """Raise InvalidStructure if obj, one of the five structures, violates an axiom."""
+    kind, check = VALIDATION[type(obj)]
+    res = check(obj)
+    if not res:
+        raise InvalidStructure(kind, res)
+
+
 def repmor_leq(m1: RepMorphism, m2: RepMorphism) -> bool:
     """2-cell order: equal statement maps and tau inclusion."""
     if m1.src != m2.src or m1.dst != m2.dst:
         raise CarrierMismatch("2-cells only compare morphisms with equal endpoints")
     return m1.phi.image == m2.phi.image and leq(m1.tau, m2.tau)
+
+
+def prommor_eq(m1: PromMorphism, m2: PromMorphism, mem: Rel) -> bool:
+    """Equal φ images, and ψ maps equal into the powerset whose membership is `mem`."""
+    return m1.phi.image == m2.phi.image and fn_eq_into_powerset(m1.psi, m2.psi, mem)
 
 
 def identity_prom_morphism(p: Prom) -> PromMorphism:

@@ -264,6 +264,19 @@ def test_apply_psi_and_tee(tmp_path, capsys):
     assert main(["check", str(out2), "tee(m)"]) == 0
 
 
+def test_apply_tee_skips_representations_that_cannot_be_the_preimage(tmp_path, capsys):
+    # |M| = 13 is over the powerset cap, so building M(big) would fail the run
+    p = gen_prom(5, 2, 2)
+    outs = []
+    for big in ("Big", "Zbig"):
+        path = tmp_path / f"{big}.json"
+        ws = {big: gen_representation(1, 13, 1), "R": prom_to_rep(p), "m": unit(p)}
+        path.write_text(workspace.dumps(workspace.build(ws)))
+        assert main(["apply", "tee", str(path), "m"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_apply_psi_without_context_prom(tmp_path):
     p = gen_prom(5, 2, 2)
     path = tmp_path / "nopsi.json"
@@ -323,6 +336,21 @@ def test_verify_empty_max_size_is_input_error():
     proc = run_cli("verify", "lemma7", "--max-size", "")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: --max-size wants comma-separated integers")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eq1-galois", "--trials", "5", "--powerset-cap=-1"],
+        ["verify", "lemma7", "--powerset-cap=-1"],
+        ["apply", "R", "FILE", "p", "--powerset-cap", "-1"],
+    ],
+)
+def test_negative_powerset_cap_is_input_error(sample_file, argv):
+    proc = run_cli(*(sample_file if arg == "FILE" else arg for arg in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: powerset cap must be nonnegative, got -1")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

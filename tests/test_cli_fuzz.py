@@ -189,6 +189,8 @@ def verify_argv(draw):
 def test_verify_options_exit_cleanly(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
+    if any(arg.startswith("--powerset-cap=-") for arg in argv):
+        assert code == 2
     if code == 0:
         assert out.splitlines()[-1] == "result: pass"
     if code == 1:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from promrep import (
     PromMorphism,
     Rel,
     RepMorphism,
+    Representation,
     SearchConfig,
     Witness,
     check_law,
@@ -22,6 +24,7 @@ from promrep import (
     check_prom_morphism,
     check_rep_morphism,
     check_representation,
+    empty,
     eq,
     finset,
     gen_preorder,
@@ -194,6 +197,27 @@ def test_check_law_unknown_law():
         check_law("no-such-law", {})
 
 
+#: Structure class → the kind an InvalidStructure for it names.
+STRUCTURE_KINDS = {
+    Preorder: "preorder",
+    Prom: "prom",
+    PromMorphism: "prom morphism",
+    Representation: "representation",
+    RepMorphism: "representation morphism",
+}
+
+
+def _unreflexive(obj):
+    """obj with its first preorder emptied, which breaks reflexivity; None
+    when that preorder's carrier is empty, as the empty relation is then a
+    preorder."""
+    if isinstance(obj, Preorder):
+        return Preorder(empty(obj.carrier, obj.carrier), check=False) if len(obj.carrier) else None
+    key = {Prom: "x", Representation: "ord", PromMorphism: "src", RepMorphism: "src"}[type(obj)]
+    inner = _unreflexive(getattr(obj, key))
+    return None if inner is None else replace(obj, **{key: inner}, check=False)
+
+
 def test_check_law_rejects_invalid_input_instead_of_witnessing():
     A = finset("A", 2, "a")
     bad_x = Preorder(Rel.from_pairs(A, A, [("a0", "a1")]), check=False)
@@ -202,6 +226,20 @@ def test_check_law_rejects_invalid_input_instead_of_witnessing():
     assert corrupted is not None
     with pytest.raises(InvalidStructure):
         check_law("lemma1", {"p": corrupted})
+    # every structure-valued field of every law, corrupted in turn
+    laws = 0
+    for law, spec in CATALOG.items():
+        instances = [spec.generate(random.Random(mix_seed(0, i)), spec.default_bounds) for i in range(50)]
+        keys = [key for key, value in instances[0].items() if type(value) in STRUCTURE_KINDS]
+        laws += bool(keys)
+        for key in keys:
+            inst, bad = next(
+                (inst, bad) for inst in instances if (bad := _unreflexive(inst[key])) is not None
+            )
+            with pytest.raises(InvalidStructure) as exc:
+                check_law(law, {**inst, key: bad})
+            assert exc.value.kind == STRUCTURE_KINDS[type(bad)], (law, key)
+    assert laws == 15
 
 
 def test_witness_pipeline_via_injected_law():

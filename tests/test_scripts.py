@@ -22,3 +22,10 @@ def test_strictness_demo_shows_all_three_strict_phenomena():
     proc = run_script("strictness_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert sum("(strict)" in line for line in proc.stdout.splitlines()) == 3
+
+
+def test_verify_all_rejects_negative_trials_before_any_sweep():
+    proc = run_script("verify_all.py", "--trials", "-1")
+    assert proc.returncode == 2
+    assert "error: --trials must be nonnegative, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
