@@ -1033,6 +1033,8 @@ def search(config: SearchConfig) -> SearchSummary:
         raise ConfigError(f"parallelism must be at least 1, got {config.parallelism}")
     if config.powerset_cap < 0:
         raise ConfigError(f"powerset cap must be nonnegative, got {config.powerset_cap}")
+    if config.trials < 0:
+        raise ConfigError("trials must be nonnegative")
     bounds = _normalize_bounds(spec, config.bounds)
     if config.mode == "exhaustive":
         return _search_exhaustive(spec, bounds, config)
@@ -1063,8 +1065,6 @@ def _search_exhaustive(spec: LawSpec, bounds, config: SearchConfig) -> SearchSum
 def _search_seeded(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary:
     if spec.generate is None:
         raise ConfigError(f"law {spec.law!r} has no seeded generator")
-    if config.trials < 0:
-        raise ConfigError("trials must be nonnegative")
     summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
     for i in range(config.trials):
         child = mix_seed(config.seed, i)

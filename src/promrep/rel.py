@@ -13,6 +13,12 @@ wins for tall, narrow products such as the 2^M ⊆ order into a small
 carrier.  `compose` picks the cheaper one from these operand counts,
 considering columns only when x has more than 64 rows.
 
+Transitivity is decided without composing.  `is_transitive` visits rows
+from the last to the first and tests row b ⊆ row a for the rows b that
+row a reaches; once that holds for a row b already known closed, the bits
+of row b need no test of their own.  On ⊆ over 2^n this tests only the
+n·2^(n-1) covers, where x⨾x costs 3^n row ORs.
+
 The powerset encoding lives here: a subset's index in its powerset
 carrier is its bitmask over the base order.  `powerset` builds the carrier
 and the membership relation ∈, and `power_transpose` (Λ) turns a relation
@@ -243,6 +249,34 @@ def leq(x: Rel, y: Rel) -> bool:
     """Set inclusion x ≤ y.  Comparing across carriers is an error, not False."""
     _require_same_shape(x, y)
     return all(rx & ~ry == 0 for rx, ry in zip(x.rows, y.rows))
+
+
+def is_transitive(x: Rel) -> bool:
+    """x⨾x ≤ x for a square x, without building x⨾x.
+
+    Rows are visited in descending index order, so every row b > a is
+    already known closed when row a is tested.  Row a tests the rows b it
+    reaches, lowest first, with rows[b] ⊆ rows[a]; when that holds for a
+    closed row b, every bit of row b is closed inside row a as well and is
+    dropped untested.  Row a's own bit needs no test.  On ⊆ over 2^n only
+    the covers are tested, n·2^(n-1) tests against 3^n ORs for x⨾x.
+    """
+    if x.src != x.dst:
+        raise CarrierMismatch("transitivity needs a square relation")
+    rows = x.rows
+    for a in range(len(rows) - 1, -1, -1):
+        row = rows[a]
+        todo = row & ~(1 << a)
+        while todo:
+            low = todo & -todo
+            b = low.bit_length() - 1
+            rb = rows[b]
+            if rb | row != row:
+                return False
+            todo ^= low
+            if b > a:
+                todo &= ~rb
+    return True
 
 
 def eq(x: Rel, y: Rel) -> bool:

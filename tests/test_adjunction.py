@@ -288,6 +288,44 @@ def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
     assert replay(summary.witness)
 
 
+def absorb_untested_closed_rows(x):
+    """is_transitive that drops a closed row b > a's bits without testing
+    row b ⊆ row a first."""
+    rows = x.rows
+    for a in range(len(rows) - 1, -1, -1):
+        row = rows[a]
+        todo = row & ~(1 << a)
+        while todo:
+            low = todo & -todo
+            b = low.bit_length() - 1
+            todo ^= low
+            if b > a:
+                todo &= ~rows[b]
+            elif rows[b] | row != row:
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig("preorder-single-axiom"),
+        SearchConfig("preorder-single-axiom", mode="exhaustive", bounds=(3,)),
+    ],
+    ids=["seeded", "exhaustive-3"],
+)
+def test_untested_row_absorption_is_caught_by_single_axiom_law(monkeypatch, config):
+    assert search(config).passed
+    is_transitive = rel_module.is_transitive
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "promrep" and getattr(module, "is_transitive", None) is is_transitive:
+            monkeypatch.setattr(module, "is_transitive", absorb_untested_closed_rows)
+    summary = search(config)
+    assert not summary.passed
+    assert summary.witness.violation == "preorder axioms give True but r = r\\r gives False"
+    assert replay(summary.witness)
+
+
 def _zero_last_image_entry(f):
     return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
 

@@ -13,10 +13,14 @@ import pytest
 import promrep
 
 from promrep import (
+    Preorder,
+    Prom,
+    Rel,
     gen_prom,
     gen_representation,
     prom_to_rep,
     prommor_to_repmor,
+    rep_to_prom,
     unit,
     workspace,
 )
@@ -66,6 +70,22 @@ def test_check_invalid_structure(sample_file, capsys):
     out = capsys.readouterr().out
     assert "axiom: reflexivity" in out
     assert "result: fail" in out
+
+
+def test_check_names_transitivity_witness_on_subset_order(tmp_path, capsys):
+    """M(r) at |M| = 8 with the pair (∅, M) taken out of ⊆ on 2^M."""
+    p = rep_to_prom(gen_representation(3, 8, 3))
+    y = p.y.rel
+    rows = (y.rows[0] & ~(1 << 255),) + y.rows[1:]
+    bad = Prom(p.x, Preorder(Rel(y.src, y.dst, rows), check=False), p.f, check=False)
+    path = tmp_path / "ws.json"
+    path.write_text(workspace.dumps(workspace.build({"p": bad})))
+    assert main(["check", str(path), "p"]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "axiom: y transitivity",
+        "witness: ('{}', '{m0,m1,m2,m3,m4,m5,m6,m7}')",
+        "result: fail",
+    ]
 
 
 def test_check_missing_name(sample_file):
@@ -351,6 +371,14 @@ def test_negative_powerset_cap_is_input_error(sample_file, argv):
     proc = run_cli(*(sample_file if arg == "FILE" else arg for arg in argv))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: powerset cap must be nonnegative, got -1")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+def test_negative_trials_is_input_error_in_every_mode(mode):
+    proc = run_cli("verify", "lemma7", "--mode", mode, "--max-size", "1", "--trials", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: trials must be nonnegative")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

@@ -189,7 +189,7 @@ def verify_argv(draw):
 def test_verify_options_exit_cleanly(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
-    if any(arg.startswith("--powerset-cap=-") for arg in argv):
+    if any(arg.startswith(("--powerset-cap=-", "--trials=-")) for arg in argv):
         assert code == 2
     if code == 0:
         assert out.splitlines()[-1] == "result: pass"

@@ -28,6 +28,7 @@ from promrep import (
     graph_upper,
     identity,
     identity_map,
+    is_transitive,
     left_residual,
     leq,
     power_transpose,
@@ -315,6 +316,38 @@ def test_leq_missing_pair():
 def test_leq_cross_carrier_is_error():
     with pytest.raises(CarrierMismatch):
         leq(rel(A2, B2), rel(B2, A2))
+
+
+# --- transitivity -----------------------------------------------------------
+
+def test_is_transitive_matches_composition_on_every_small_relation(small_square_relations):
+    verdicts = set()
+    for x in small_square_relations:
+        want = leq(compose(x, x), x)
+        assert is_transitive(x) == want, x.rows
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_is_transitive_matches_composition_on_near_preorders(near_preorders):
+    verdicts = [leq(compose(x, x), x) for x in near_preorders]
+    assert [is_transitive(x) for x in near_preorders] == verdicts
+    assert 0 < verdicts.count(False) < len(verdicts) // 2
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9])
+def test_is_transitive_on_subset_order(n):
+    bundle = powerset(finset("M", n, "m"))
+    subset = left_residual(bundle.mem, bundle.mem)
+    assert is_transitive(subset)
+    # without ({}, M), transitivity fails once a subset lies strictly between
+    rows = (subset.rows[0] & ~(1 << (1 << n) - 1),) + subset.rows[1:]
+    assert is_transitive(Rel(subset.src, subset.dst, rows)) == (n < 2)
+
+
+def test_is_transitive_needs_a_square_relation():
+    with pytest.raises(CarrierMismatch):
+        is_transitive(rel(A2, B2))
 
 
 # --- residuals --------------------------------------------------------------

@@ -12,11 +12,13 @@ from promrep import (
     Rel,
     Representation,
     RepMorphism,
+    check_preorder,
     check_prom,
     check_prom_morphism,
     check_rep_morphism,
     check_representation,
     compose_prom_morphisms,
+    compose,
     compose_rep_morphisms,
     eq,
     finset,
@@ -32,6 +34,7 @@ from promrep import (
     is_preorder,
     left_residual,
     preorder_closure,
+    rep_to_prom,
     repmor_leq,
 )
 
@@ -119,6 +122,53 @@ def test_eager_validation_raises():
         Preorder(rel(A2, A2, ("a0", "a1")))
     # transient unchecked construction is allowed
     Preorder(rel(A2, A2, ("a0", "a1")), check=False)
+
+
+def reference_check_preorder(r):
+    """(ok, axiom, witness) by the definition: the first irreflexive element,
+    else the first pair of r⨾r missing from r, both in row-major order."""
+    for i, row in enumerate(r.rows):
+        if not row >> i & 1:
+            return False, "reflexivity", (r.src.elements[i],) * 2
+    for i, (sq, row) in enumerate(zip(compose(r, r).rows, r.rows)):
+        for j in range(len(r.src)):
+            if sq >> j & 1 and not row >> j & 1:
+                return False, "transitivity", (r.src.elements[i], r.src.elements[j])
+    return True, None, None
+
+
+def outcome(res):
+    return res.ok, res.axiom, res.witness
+
+
+def test_check_preorder_matches_reference_on_every_small_relation(small_square_relations):
+    axioms = set()
+    for r in small_square_relations:
+        want = reference_check_preorder(r)
+        assert outcome(check_preorder(r)) == want, r.rows
+        axioms.add(want[1])
+    assert axioms == {None, "reflexivity", "transitivity"}
+
+
+def test_check_preorder_matches_reference_on_near_preorders(near_preorders):
+    got = [outcome(check_preorder(r)) for r in near_preorders]
+    assert got == [reference_check_preorder(r) for r in near_preorders]
+    assert {axiom for _, axiom, _ in got} == {None, "transitivity"}
+
+
+def without_empty_below_top(p):
+    """p with the pair (∅, M) taken out of ⊆ on its subset carrier 2^M."""
+    y = p.y.rel
+    rows = (y.rows[0] & ~(1 << len(p.B) - 1),) + y.rows[1:]
+    return Prom(p.x, Preorder(Rel(y.src, y.dst, rows), check=False), p.f, check=False)
+
+
+def test_transitivity_witness_at_the_powerset_cap():
+    bad = without_empty_below_top(rep_to_prom(gen_representation(3, 12, 3)))
+    res = check_prom(bad)
+    ok, axiom, witness = reference_check_preorder(bad.y.rel)
+    assert outcome(res) == (ok, "y " + axiom, witness)
+    assert witness == ("{}", "{m0,m1,m2,m3,m4,m5,m6,m7,m8,m9,m10,m11}")
 
 
 # --- proms ------------------------------------------------------------------
