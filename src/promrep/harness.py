@@ -247,21 +247,40 @@ def gen_prom_morphism(seed: int, max_size: int) -> PromMorphism:
     return _gen_prom_morphism(random.Random(seed), max_size)
 
 
-def _gen_rep_morphism(rng: random.Random, max_size: int) -> RepMorphism:
+def _gen_prom_chain(rng: random.Random, max_size: int) -> tuple[PromMorphism, PromMorphism]:
+    """A random composable pair m1: p → p2, m2: p2 → p3, drawn from p3 back."""
+    dst2 = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), ("A3", "u"), ("B3", "v"))
+    m2 = _gen_prom_morphism_into(rng, dst2, max_size, ("A2", "c"), ("B2", "d"))
+    m1 = _gen_prom_morphism_into(rng, m2.src, max_size)
+    return m1, m2
+
+
+def _gen_rep_morphism(rng: random.Random, max_m: int, max_s: int) -> RepMorphism:
     """A random representation morphism, by enumerating the hom-set between
     two random representations; falls back to an identity when it is empty."""
-    r1 = _gen_representation(rng, rng.randint(0, max_size), rng.randint(0, max_size))
-    r2 = _gen_representation(
-        rng, rng.randint(0, max_size), rng.randint(0, max_size), ("M2", "n"), ("S2", "t")
-    )
+    r1 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s))
+    r2 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
     homs = list(enumerate_rep_morphisms(r1, r2))
-    if homs:
-        return rng.choice(homs)
-    return identity_rep_morphism(r1)
+    return rng.choice(homs) if homs else identity_rep_morphism(r1)
 
 
 def gen_rep_morphism(seed: int, max_size: int) -> RepMorphism:
-    return _gen_rep_morphism(random.Random(seed), max_size)
+    return _gen_rep_morphism(random.Random(seed), max_size, max_size)
+
+
+def _gen_rep_chain(rng: random.Random, max_m: int, max_s: int) -> tuple[RepMorphism, RepMorphism]:
+    """A random composable pair m1: r1 → r2, m2: r2 → r3; an empty hom-set
+    falls back to an identity on r2, and two empty ones to identities on r1."""
+    r1 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s))
+    r2 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
+    r3 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M3", "o"), ("S3", "u"))
+    homs1 = list(enumerate_rep_morphisms(r1, r2))
+    homs2 = list(enumerate_rep_morphisms(r2, r3))
+    if not (homs1 or homs2):
+        return identity_rep_morphism(r1), identity_rep_morphism(r1)
+    m1 = rng.choice(homs1) if homs1 else identity_rep_morphism(r2)
+    m2 = rng.choice(homs2) if homs2 else identity_rep_morphism(r2)
+    return m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +392,25 @@ def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
                 yield PromMorphism(p1, p2, phi, psi, check=False)
 
 
+def _enumerate_rep_morphisms_within(max_m: int, max_s: int) -> Iterator[RepMorphism]:
+    """Every morphism r1 → r2 between representations within the bounds, r1 outermost."""
+    reps = list(enumerate_representations(max_m, max_s))
+    reps2 = list(enumerate_representations(max_m, max_s, ("M2", "n"), ("S2", "t")))
+    for r1, r2 in product(reps, reps2):
+        yield from enumerate_rep_morphisms(r1, r2)
+
+
+def _enumerate_rep_chains(max_m: int, max_s: int) -> Iterator[tuple[RepMorphism, RepMorphism]]:
+    """Every composable pair r1 → r2 → r3 within the bounds, r2 outermost."""
+    reps = list(enumerate_representations(max_m, max_s))
+    reps2 = list(enumerate_representations(max_m, max_s, ("M2", "n"), ("S2", "t")))
+    reps3 = list(enumerate_representations(max_m, max_s, ("M3", "o"), ("S3", "u")))
+    for r2 in reps2:
+        incoming = [m for r1 in reps for m in enumerate_rep_morphisms(r1, r2)]
+        outgoing = [m for r3 in reps3 for m in enumerate_rep_morphisms(r2, r3)]
+        yield from product(incoming, outgoing)
+
+
 # ---------------------------------------------------------------------------
 # instance schemas
 
@@ -392,14 +430,18 @@ class Schema:
     - ("fn", src, dst): a function between two carriers;
     - ("carrier", c): the carrier itself;
     - ("prom", i, j): a prom with |A| ≤ bounds[i] and |B| ≤ bounds[j];
-    - ("rep", i, j): a representation with |M| ≤ bounds[i], |S| ≤ bounds[j].
+    - ("rep", i, j): a representation with |M| ≤ bounds[i], |S| ≤ bounds[j];
+    - ("prommor", i): a prom morphism with no carrier above bounds[i];
+    - ("repmor", i, j): a representation morphism between two "rep" values;
+    - ("prommor-chain", i), ("repmor-chain", i, j): a composable pair of
+      such morphisms, under a tuple key ("m1", "m2") that names its parts.
 
     `generate` draws the carrier sizes, then the fields, in declaration
     order; `enumerate` ranges over every size and field value, so each
     generated instance is also enumerated.  For each tuple of carrier sizes
     it streams the first field and holds the values of the others, so the
     largest field comes first.  A function's domain is empty when its codomain is, so
-    the codomain carrier must be declared first.
+    the codomain carrier must be declared first.  The prommor kinds are never enumerated.
     """
 
     carriers: tuple[tuple[str, str, int], ...]
@@ -415,30 +457,40 @@ class Schema:
         for i, (_, _, bound) in enumerate(self.carriers):
             into_empty = any(src == i and sizes[dst] == 0 for src, dst in fns)
             sizes.append(0 if into_empty else rng.randint(0, bounds[bound]))
-        return {key: draw(rng, *args) for key, (draw, _), args in self._fields(sizes, bounds)}
+        return self._instance(draw(rng, *args) for (draw, _), args in self._fields(sizes, bounds))
 
     def enumerate(self, bounds) -> Iterator[dict]:
         fns = self._fn_positions()
-        keys = [key for key, *_ in self.fields]
         for sizes in product(*(range(bounds[bound] + 1) for _, _, bound in self.carriers)):
             if any(sizes[src] and not sizes[dst] for src, dst in fns):
                 continue
-            first, *rest = [series(*args) for _, (_, series), args in self._fields(sizes, bounds)]
+            first, *rest = [series(*args) for (_, series), args in self._fields(sizes, bounds)]
             pools = [tuple(values) for values in rest]
             for value in first:
                 for others in product(*pools):
-                    yield dict(zip(keys, (value, *others)))
+                    yield self._instance((value, *others))
 
     def _fields(self, sizes, bounds):
-        """(key, _FIELD_KINDS entry, resolved arguments) of each field, at these carrier sizes."""
+        """(_FIELD_KINDS entry, resolved arguments) of each field, at these carrier sizes."""
         sets = {name: finset(name, size, prefix) for (name, prefix, _), size in zip(self.carriers, sizes)}
-        for key, kind, *args in self.fields:
-            yield key, _FIELD_KINDS[kind], [sets[a] if isinstance(a, str) else bounds[a] for a in args]
+        for _, kind, *args in self.fields:
+            yield _FIELD_KINDS[kind], [sets[a] if isinstance(a, str) else bounds[a] for a in args]
+
+    def _instance(self, values) -> dict:
+        """The instance holding these field values, in declaration order."""
+        inst = {}
+        for field, value in zip(self.fields, values):
+            key = field[0]
+            if isinstance(key, tuple):
+                inst.update(zip(key, value))
+            else:
+                inst[key] = value
+        return inst
 
 
-#: Schema field kind → (one random value given an RNG, every value, lazily).
-#: Both take the field's arguments with carrier names resolved to carriers
-#: and bound indices to bounds.
+#: Schema field kind → (one random value given an RNG, every value lazily or
+#: None for a kind that is drawn only).  Both take the field's arguments
+#: with carrier names resolved to carriers and bound indices to bounds.
 _FIELD_KINDS = {
     "rel": (lambda rng, a, b: random_rel(rng, a, b, SCHEMA_EDGE_PROBABILITY), enumerate_relations),
     "preorder": (_gen_preorder, enumerate_preorders),
@@ -449,6 +501,10 @@ _FIELD_KINDS = {
         lambda rng, i, j: _gen_representation(rng, rng.randint(0, i), rng.randint(0, j)),
         enumerate_representations,
     ),
+    "prommor": (_gen_prom_morphism, None),
+    "repmor": (_gen_rep_morphism, _enumerate_rep_morphisms_within),
+    "prommor-chain": (_gen_prom_chain, None),
+    "repmor-chain": (_gen_rep_chain, _enumerate_rep_chains),
 }
 
 
@@ -476,8 +532,8 @@ class LawSpec:
     law: str
     summary: str
     check: Callable  # (instance: dict, cap: int) -> (violation | None, notes)
-    generate: Callable | None  # (rng, bounds) -> instance
-    enumerate: Callable | None  # bounds -> iterator of instances
+    generate: Callable  # (rng, bounds) -> instance
+    enumerate: Callable | None  # bounds -> iterator of instances; None for a seeded-only law
     default_bounds: tuple[int, ...]
     exhaustive_limit: tuple[int, ...] | None
 
@@ -633,8 +689,7 @@ def _check_lemma2(inst, cap):
     return _ok()
 
 
-def _gen_prommor_inst(rng, bounds):
-    return {"m": _gen_prom_morphism(rng, bounds[0])}
+_PROMMOR = Schema((), (("m", "prommor", 0),))
 
 
 def _check_lemma3(inst, cap):
@@ -655,12 +710,7 @@ def _check_lemma3(inst, cap):
     return None, notes
 
 
-def _gen_lemma3(rng, bounds):
-    n = bounds[0]
-    dst2 = _gen_prom(rng, rng.randint(0, n), rng.randint(0, n), ("A3", "u"), ("B3", "v"))
-    m2 = _gen_prom_morphism_into(rng, dst2, n, ("A2", "c"), ("B2", "d"))
-    m1 = _gen_prom_morphism_into(rng, m2.src, n, ("A", "a"), ("B", "b"))
-    return {"m1": m1, "m2": m2}
+_PROMMOR_CHAIN = Schema((), ((("m1", "m2"), "prommor-chain", 0),))
 
 
 def _check_lemma4(inst, cap):
@@ -685,17 +735,8 @@ def _check_lemma5(inst, cap):
     return _ok()
 
 
-def _gen_repmor_inst(rng, bounds):
-    return {"m": _gen_rep_morphism(rng, bounds[0])}
-
-
-def _enum_repmor_inst(bounds):
-    reps = list(enumerate_representations(bounds[0], bounds[1]))
-    reps2 = list(enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t")))
-    for r1 in reps:
-        for r2 in reps2:
-            for m in enumerate_rep_morphisms(r1, r2):
-                yield {"m": m}
+_REPMOR = Schema((), (("m", "repmor", 0, 1),))
+_REPMOR_ONE_BOUND = Schema((), (("m", "repmor", 0, 0),))  # counit-natural's one bound caps |M| and |S|
 
 
 def _check_lemma6(inst, cap):
@@ -714,30 +755,13 @@ def _check_lemma6(inst, cap):
     return _ok()
 
 
-def _gen_lemma6(rng, bounds):
-    n = bounds[0]
-    r1 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n))
-    r2 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n), ("M2", "n"), ("S2", "t"))
-    r3 = _gen_representation(rng, rng.randint(0, n), rng.randint(0, n), ("M3", "o"), ("S3", "u"))
-    homs1 = list(enumerate_rep_morphisms(r1, r2))
-    homs2 = list(enumerate_rep_morphisms(r2, r3))
-    if not (homs1 or homs2):
-        return {"m1": identity_rep_morphism(r1), "m2": identity_rep_morphism(r1)}
-    m1 = rng.choice(homs1) if homs1 else identity_rep_morphism(r2)
-    m2 = rng.choice(homs2) if homs2 else identity_rep_morphism(r2)
-    return {"m1": m1, "m2": m2}
+_REPMOR_CHAIN = Schema((), ((("m1", "m2"), "repmor-chain", 0, 1),))
 
 
-def _enum_lemma6(bounds):
-    reps = list(enumerate_representations(bounds[0], bounds[1]))
-    reps2 = list(enumerate_representations(bounds[0], bounds[1], ("M2", "n"), ("S2", "t")))
-    reps3 = list(enumerate_representations(bounds[0], bounds[1], ("M3", "o"), ("S3", "u")))
-    for r2 in reps2:
-        incoming = [m for r1 in reps for m in enumerate_rep_morphisms(r1, r2)]
-        outgoing = [m for r3 in reps3 for m in enumerate_rep_morphisms(r2, r3)]
-        for m1 in incoming:
-            for m2 in outgoing:
-                yield {"m1": m1, "m2": m2}
+_TAU_PAIR = Schema(
+    (("M1", "a", 0), ("M2", "b", 0), ("M3", "c", 0)),
+    (("tau1", "rel", "M2", "M1"), ("tau2", "rel", "M3", "M2")),
+)
 
 
 def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
@@ -750,29 +774,21 @@ def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
     cases checked and the first violation message, if any.
     """
     checked = 0
-    for size in range(max_size + 1):
-        M = finset("M", size, "m")
+    for inst in _POWERSET_BASE.enumerate((max_size,)):
+        M = inst["A"]
         bundle = powerset(M, cap)
         lifted = direct_image(identity(M), cap)
         ident = identity_map(bundle.carrier)
         checked += 1
         if not fn_eq_into_powerset(lifted, ident, bundle.mem):
-            return checked, f"direct image of 1_M is not the identity at |M|={size}"
-    for s1, s2, s3 in product(range(max_size + 1), repeat=3):
-        M1, M2, M3 = finset("M1", s1, "a"), finset("M2", s2, "b"), finset("M3", s3, "c")
-        mem = powerset(M3, cap).mem
-        for tau1 in enumerate_relations(M2, M1):
-            lift1 = direct_image(tau1, cap)
-            for tau2 in enumerate_relations(M3, M2):
-                lift2 = direct_image(tau2, cap)
-                lhs = direct_image(compose(tau2, tau1), cap)
-                rhs = compose_maps(lift2, lift1)
-                checked += 1
-                if not fn_eq_into_powerset(lhs, rhs, mem):
-                    return checked, (
-                        "direct image is not multiplicative at "
-                        f"tau1={tau1.pairs()}, tau2={tau2.pairs()}"
-                    )
+            return checked, f"direct image of 1_M is not the identity at |M|={len(M)}"
+    for inst in _TAU_PAIR.enumerate((max_size,)):
+        tau1, tau2 = inst["tau1"], inst["tau2"]
+        lhs = direct_image(compose(tau2, tau1), cap)
+        rhs = compose_maps(direct_image(tau2, cap), direct_image(tau1, cap))
+        checked += 1
+        if not fn_eq_into_powerset(lhs, rhs, powerset(tau2.src, cap).mem):
+            return checked, f"direct image is not multiplicative at tau1={tau1.pairs()}, tau2={tau2.pairs()}"
     return checked, None
 
 
@@ -886,13 +902,12 @@ def _check_lemma11(inst, cap):
 CATALOG: dict[str, LawSpec] = {}
 
 
-def _law(law, summary, check, instances, default_bounds=(3,), limit=None):
-    """Register a law; `instances` is a Schema or a (generate, enumerate) pair.
+def _law(law, summary, check, schema, default_bounds=(3,), limit=None):
+    """Register a law over `schema`'s instances, seeded-only if it has no exhaustive `limit`.
 
     The registered check first validates every structure-valued field, so
     invalid input raises InvalidStructure instead of yielding a witness."""
-    if isinstance(instances, Schema):
-        instances = (instances.generate, instances.enumerate)
+    enumerate_ = schema.enumerate if limit is not None else None
 
     def validated(inst, cap):
         for value in inst.values():
@@ -900,7 +915,7 @@ def _law(law, summary, check, instances, default_bounds=(3,), limit=None):
                 validate(value)
         return check(inst, cap)
 
-    CATALOG[law] = LawSpec(law, summary, validated, *instances, default_bounds, limit)
+    CATALOG[law] = LawSpec(law, summary, validated, schema.generate, enumerate_, default_bounds, limit)
 
 
 _law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _TRIPLE, (3,), (2,))
@@ -909,30 +924,16 @@ _law("modular-tautology", "f_*⨾(x\\y)⨾g^* = (x⨾f^*)\\(y⨾g^*)", _check_mo
 _law("preorder-single-axiom", "preorder(r) ⇔ r = r\\r", _check_single_axiom, _SQUARE, (3,), (4,))
 _law("mem-residual-subset", "∈\\∈ = ⊆", _check_mem_subset, _POWERSET_BASE, (3,), (8,))
 _law("lemma1", "R sends proms to sound representations", _check_lemma1, _PROM, (4, 4), (2, 2))
-_law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, (_gen_prommor_inst, None), (4,))
-_law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, (_gen_lemma3, None), (3,))
+_law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, _PROMMOR, (4,))
+_law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, _PROMMOR_CHAIN, (3,))
 _law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _REP, (3, 3), (2, 2))
-_law(
-    "lemma5",
-    "M sends representation morphisms to prom morphisms",
-    _check_lemma5,
-    (_gen_repmor_inst, _enum_repmor_inst),
-    (2, 2),
-    (2, 2),
-)
-_law(
-    "lemma6",
-    "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)",
-    _check_lemma6,
-    (_gen_lemma6, _enum_lemma6),
-    (2, 2),
-    # |S| capped at 1 in exhaustive mode: representations with empty sat have
-    # hom-sets of every phi and tau, so the composable-pair space at (2,2)
-    # already exceeds five million instances.  The composition equality
-    # factors through the tau pair alone; direct_image_functorial covers the
-    # larger bound without the cross product.
-    (2, 1),
-)
+_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _REPMOR, (2, 2), (2, 2))
+# lemma6 caps |S| at 1 in exhaustive mode: representations with empty sat have
+# hom-sets of every phi and tau, so the composable-pair space at (2,2)
+# already exceeds five million instances.  The composition equality
+# factors through the tau pair alone; direct_image_functorial covers the
+# larger bound without the cross product.
+_law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1))
 _law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4))
 _law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,))
 _law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,))
@@ -940,8 +941,8 @@ _law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _REP, (3, 3
 _law("lemma11", "p order-reflecting ⇔ R(p) exact", _check_lemma11, _PROM, (4, 4), (2, 2))
 _law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _PROM, (3, 3), (2, 2))
 _law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _REP, (3, 3), (2, 2))
-_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, (_gen_prommor_inst, None), (3,))
-_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, (_gen_repmor_inst, None), (2,))
+_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, _PROMMOR, (3,))
+_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _REPMOR_ONE_BOUND, (2,))
 _law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _PSI, (3, 3), (2, 2))
 _law("soundness-residual-equiv", "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨", _check_soundness_equiv, _SOUNDNESS, (3, 3), (2, 2))
 
@@ -1063,8 +1064,6 @@ def _search_exhaustive(spec: LawSpec, bounds, config: SearchConfig) -> SearchSum
 
 
 def _search_seeded(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary:
-    if spec.generate is None:
-        raise ConfigError(f"law {spec.law!r} has no seeded generator")
     summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
     for i in range(config.trials):
         child = mix_seed(config.seed, i)

@@ -184,7 +184,8 @@ def test_catalog_is_closed_and_documented():
     assert len(CATALOG) == 22
     for law, spec in CATALOG.items():
         assert spec.law == law and spec.summary
-        assert spec.generate is not None or spec.enumerate is not None
+        # a law is seeded-only exactly when it has no exhaustive limit
+        assert (spec.enumerate is None) == (spec.exhaustive_limit is None), law
 
 
 def test_check_law_pass_returns_none():
@@ -309,18 +310,24 @@ def test_search_rejects_parallelism_below_one(mode):
 
 
 def test_all_laws_pass_smoke():
-    for law, spec in CATALOG.items():
-        if spec.generate is not None:
-            assert search(SearchConfig(law=law, trials=25, seed=5)).passed
-        else:
-            assert search(
-                SearchConfig(law=law, mode="exhaustive", bounds=spec.exhaustive_limit)
-            ).passed
+    for law in CATALOG:
+        assert search(SearchConfig(law=law, trials=25, seed=5)).passed
 
 
 def test_direct_image_functorial_small():
-    checked, violation = direct_image_functorial(2)
-    assert violation is None and checked > 0
+    # identity cases for each |M|, then every composable tau pair
+    for max_size, count in ((0, 2), (1, 15), (2, 502)):
+        assert direct_image_functorial(max_size) == (count, None)
+
+
+@pytest.mark.parametrize("law", ["lemma5", "lemma6"])
+def test_seeded_rep_morphisms_respect_both_bounds(law):
+    spec = CATALOG[law]
+    for i in range(200):
+        inst = spec.generate(random.Random(mix_seed(0, i)), (2, 1))
+        for m in inst.values():
+            for r in (m.src, m.dst):
+                assert len(r.M) <= 2 and len(r.S) <= 1, (law, i)
 
 
 # --- golden instances -------------------------------------------------------
@@ -390,8 +397,12 @@ def test_golden_tables_cover_the_catalog():
     assert set(GOLDEN_STREAMS) == set(CATALOG)
     enumerable = {law for law, spec in CATALOG.items() if spec.enumerate is not None}
     assert {law for law, _ in GOLDEN_SETS} == enumerable and len(enumerable) == 18
-    assert len(SCHEMA_LAWS) == 16
-    assert all(CATALOG[law].enumerate.__self__ is CATALOG[law].generate.__self__ for law in SCHEMA_LAWS)
+    assert len(SCHEMA_LAWS) == 22
+    assert all(
+        CATALOG[law].enumerate.__self__ is CATALOG[law].generate.__self__
+        for law in SCHEMA_LAWS
+        if law in enumerable
+    )
 
 
 @pytest.mark.parametrize("law", list(GOLDEN_STREAMS))
@@ -411,7 +422,7 @@ def test_enumerated_set_matches_golden(law, bounds):
     assert (len(reprs), digest) == GOLDEN_SETS[law, bounds]
 
 
-@pytest.mark.parametrize("law", SCHEMA_LAWS)
+@pytest.mark.parametrize("law", [law for law, spec in CATALOG.items() if spec.enumerate is not None])
 def test_generated_instances_at_the_limit_are_enumerated(law):
     # drift guard: both search modes must range over the same instance space
     spec = CATALOG[law]
@@ -420,7 +431,15 @@ def test_generated_instances_at_the_limit_are_enumerated(law):
     def key(inst):
         return tuple(sorted(inst.items()))
 
-    wanted = {key(spec.generate(random.Random(mix_seed(1, i)), limit)) for i in range(25)}
+    def identity_fallback(inst):
+        # a draw whose hom-set is empty falls back to an identity, and no
+        # enumerated morphism has equal endpoints: its ends are
+        # representations over differently named carriers
+        return any(isinstance(v, RepMorphism) and v.src == v.dst for v in inst.values())
+
+    drawn = [spec.generate(random.Random(mix_seed(1, i)), limit) for i in range(25)]
+    wanted = {key(inst) for inst in drawn if not identity_fallback(inst)}
+    assert wanted
     for inst in spec.enumerate(limit):
         wanted.discard(key(inst))
         if not wanted:
