@@ -5,6 +5,16 @@ element, bit j set iff the pair (i, j) is in the relation.  Composition,
 residuals and inclusion then reduce to word-parallel row operations,
 which is plenty fast for the carrier sizes this package works with.
 
+Composition, the left residual and the transpose behind `converse` and
+`power_transpose` visit each row's set bits.  Peeling the lowest bit off
+an int is an O(width) step, so a dense row costs O(width²) that way, and
+∈ at the powerset cap has 12 rows of 2048 bits in 4096 columns.  On a
+relation wider than 64 columns, `row_bits` lets each row, from its
+popcount and width, either peel or scan its binary text once in C, so a
+dense row costs O(width).  Relations of 64 or fewer columns, all that the
+default law bounds build, keep the inline peel.  `Rel.pairs` and the
+workspace writer list bits through `row_bits` as well.
+
 Composition has two exact strategies.  The row strategy ORs together the
 rows of y selected by each row of x, one operation per pair of x.  The
 column strategy transposes y once and tests each row of x against each
@@ -43,6 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress, count
 from typing import Iterator
 
 #: Largest base carrier for which a powerset may be materialized (2^12 = 4096
@@ -150,8 +161,9 @@ class Rel:
 
     def pairs(self) -> list[tuple[str, str]]:
         out = []
+        width = len(self.dst.elements)
         for i, row in enumerate(self.rows):
-            for j in _bits(row):
+            for j in row_bits(row, width):
                 out.append((self.src.elements[i], self.dst.elements[j]))
         return out
 
@@ -163,10 +175,39 @@ class Rel:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The indices of mask's set bits, ascending, peeled off lowest first.
+
+    Each peel is an O(width) step on the whole mask.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+#: Turns a row's binary digits into the 0/1 selectors `compress` reads.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _scan(row: int) -> Iterator[int]:
+    """The indices of row's set bits, ascending, from one C-level pass over
+    its binary text, lowest digit first: O(width) for the whole row."""
+    return compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT_FLAGS))
+
+
+def row_bits(row: int, width: int) -> Iterator[int]:
+    """The indices of the set bits of a row `width` columns wide, ascending.
+
+    Peeling costs O(width) per set bit and the scan O(width) per row, with
+    a larger constant.  A row of 64 or fewer columns is always peeled;
+    a wider one is scanned once it has more than width / (8 + width/512)
+    set bits: 8 of 65 columns, 30 of 256, 102 of 1024 and 256 of 4096,
+    close to where `scripts/bitscan_crossover.py` measures the two methods
+    break even.
+    """
+    if width > 64 and row.bit_count() * (width + 4096) > width << 9:
+        return _scan(row)
+    return _bits(row)
 
 
 def identity(a: FinSet) -> Rel:
@@ -184,6 +225,12 @@ def full(src: FinSet, dst: FinSet) -> Rel:
 
 def _transpose(rows, width: int) -> list[int]:
     out = [0] * width
+    if width > 64:
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            for j in row_bits(row, width):
+                out[j] |= bit
+        return out
     for i, row in enumerate(rows):
         bit = 1 << i
         while row:
@@ -201,7 +248,8 @@ def compose(x: Rel, y: Rel) -> Rel:
     """Sequential composition x⨾y: (a,c) iff some b with (a,b)∈x, (b,c)∈y.
 
     Row strategy: row a is the OR of y's rows at the bits of x's row a,
-    costing popcount(x) operations.  Column strategy: (a,c) holds iff
+    costing popcount(x) operations; listing those bits is linear in the
+    width of a dense row (see `row_bits`).  Column strategy: (a,c) holds iff
     x's row a meets column c of y, costing popcount(y) for the transpose
     plus |A|·|C| tests.  The column strategy runs only when x has more
     than 64 rows and its cost is strictly lower.  Both give the same bits.
@@ -214,7 +262,15 @@ def compose(x: Rel, y: Rel) -> Rel:
         by_cols = sum(row.bit_count() for row in yrows) + len(xrows) * len(y.dst)
         if by_cols < by_rows:
             return Rel(x.src, y.dst, _compose_by_columns(xrows, yrows, len(y.dst)))
+    width = len(x.dst)
     rows = []
+    if width > 64:
+        for row in xrows:
+            acc = 0
+            for j in row_bits(row, width):
+                acc |= yrows[j]
+            rows.append(acc)
+        return Rel(x.src, y.dst, tuple(rows))
     for row in xrows:
         acc = 0
         while row:
@@ -292,12 +348,21 @@ def union(x: Rel, y: Rel) -> Rel:
 def left_residual(x: Rel, z: Rel) -> Rel:
     """x\\z over B⇸C: (b,c) iff for all a, (a,b)∈x implies (a,c)∈z.
 
-    An empty source carrier makes the universal vacuous: the result is full.
+    Row b is the AND of z's rows at the a with (a,b)∈x, one operation per
+    pair of x; listing x's bits is linear in the width of a dense row (see
+    `row_bits`).  An empty source carrier makes the universal vacuous: the
+    result is full.
     """
     if x.src != z.src:
         raise CarrierMismatch(f"residual sources differ: {x.src.name} vs {z.src.name}")
     full_c = (1 << len(z.dst)) - 1
-    rows = [full_c] * len(x.dst)
+    width = len(x.dst)
+    rows = [full_c] * width
+    if width > 64:
+        for xr, zr in zip(x.rows, z.rows):
+            for j in row_bits(xr, width):
+                rows[j] &= zr
+        return Rel(x.dst, z.dst, tuple(rows))
     for xr, zr in zip(x.rows, z.rows):
         while xr:
             low = xr & -xr

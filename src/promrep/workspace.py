@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 
-from .rel import FinSet, FnMap, Rel
+from .rel import FinSet, FnMap, Rel, row_bits
 from .structures import (
     Preorder,
     Prom,
@@ -246,11 +246,10 @@ def _encode_pairs(rel: Rel, indent: str, out: list) -> None:
     tails = [f"{_string(b)}\n{pair}]" for b in rel.dst.elements]
     out.append("[")
     first = len(out)
+    width = len(tails)
     for head, row in zip(heads, rel.rows):
-        while row:
-            low = row & -row
-            out += (head, tails[low.bit_length() - 1])
-            row ^= low
+        for j in row_bits(row, width):
+            out += (head, tails[j])
     out[first] = out[first][1:]  # no separator before the first pair
     out.append("\n" + indent + "]")
 

@@ -288,6 +288,24 @@ def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
     assert replay(summary.witness)
 
 
+def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
+    """∈ on 2^8 is 256 columns wide with 128 bits a row, so its rows are
+    scanned, not peeled; no default seeded bound builds a row that wide.
+
+    The law's reference for ∈\\∈ lists no bits through the kernel.
+    (triangle_prom does not catch this mutant: it compares maps through
+    compositions with ∈ that drop the same bit on both sides.)
+    """
+    scan = rel_module._scan
+    config = SearchConfig("mem-residual-subset", mode="exhaustive", bounds=(8,))
+    assert search(config).passed
+    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ 1 << row.bit_length() >> 1))
+    summary = search(config)
+    assert not summary.passed
+    assert summary.witness.violation == "∈\\∈ differs from the subset order"
+    assert replay(summary.witness)
+
+
 def absorb_untested_closed_rows(x):
     """is_transitive that drops a closed row b > a's bits without testing
     row b ⊆ row a first."""

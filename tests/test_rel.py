@@ -297,6 +297,92 @@ def test_compose_carrier_mismatch():
         compose(rel(A2, B2), rel(A2, B2))
 
 
+# --- wide rows: peeled or scanned -------------------------------------------
+#
+# The oracles below work on sets of index pairs, and the relations are built
+# from those sets by shifts alone, so no part of the check lists a row's bits
+# through rel.py.
+
+def rel_of(src, dst, pairs) -> Rel:
+    rows = [0] * len(src)
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return Rel(src, dst, tuple(rows))
+
+
+def wide_pairs(rng, n, width) -> set:
+    """n rows `width` wide: empty, full, top bit only, then dense and sparse
+    random rows in turn."""
+    rows = [(), range(width), (width - 1,)]
+    while len(rows) < n:
+        density = 0.5 if len(rows) % 2 else 0.02
+        rows.append([j for j in range(width) if rng.random() < density])
+    return {(i, j) for i, row in enumerate(rows) for j in row}
+
+
+def random_pairs(rng, n, width, density=0.3) -> set:
+    return {(i, j) for i in range(n) for j in range(width) if rng.random() < density}
+
+
+def index_compose(xs: set, ys: set) -> set:
+    after = {}
+    for b, c in ys:
+        after.setdefault(b, []).append(c)
+    return {(a, c) for a, b in xs for c in after.get(b, ())}
+
+
+def bit_paths_recording(monkeypatch) -> set:
+    """Record in the returned set which of row_bits' two methods run."""
+    used = set()
+    for name, path in (("_bits", "peel"), ("_scan", "scan")):
+        def spy(row, real=getattr(rel_module, name), path=path):
+            used.add(path)
+            return real(row)
+
+        monkeypatch.setattr(rel_module, name, spy)
+    return used
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 4096])
+def test_wide_rows_match_pair_oracles(monkeypatch, width):
+    """Every kernel loop over rows `width` wide against an index-pair oracle.
+
+    Rows of more than 64 columns must run both sides of the per-row choice
+    (the empty, top-bit and sparse rows peel; the full and dense rows
+    scan); narrower rows are peeled inline and never reach either.
+    """
+    rng = random.Random(width)
+    A, D, C = finset("A", 6, "a"), finset("D", 6, "d"), finset("C", 5, "c")
+    W = finset("W", width, "w")
+    X, V = wide_pairs(rng, 6, width), wide_pairs(rng, 6, width)
+    Y, Z, Q = random_pairs(rng, width, 5), random_pairs(rng, 6, 5), random_pairs(rng, 6, 6)
+    x, v, y, z, q = rel_of(A, W, X), rel_of(D, W, V), rel_of(W, C, Y), rel_of(A, C, Z), rel_of(D, A, Q)
+    mem = powerset(A).mem  # built before the spies, as it peels its own masks
+    wide = {"peel", "scan"} if width > 64 else set()
+    used = bit_paths_recording(monkeypatch)
+
+    def check(run, expected, paths=wide):
+        used.clear()
+        assert run() == expected
+        assert used == paths
+
+    check(lambda: compose_recording_path(monkeypatch, x, y), (rel_of(A, C, index_compose(X, Y)), "rows"))
+    check(lambda: rel_module._compose_by_columns(q.rows, x.rows, width),
+          rel_of(D, W, index_compose(Q, X)).rows)
+    check(lambda: left_residual(x, z).rows, rel_of(W, C, {
+        (b, c) for b in range(width) for c in range(5)
+        if all((a, c) in Z for a in range(6) if (a, b) in X)
+    }).rows)
+    check(lambda: right_residual(x, v).rows, rel_of(A, D, {
+        (a, d) for a in range(6) for d in range(6)
+        if all((a, c) in X for c in range(width) if (d, c) in V)
+    }).rows)
+    check(lambda: converse(x).rows, rel_of(W, A, {(b, a) for a, b in X}).rows)
+    check(lambda: power_transpose(x, mem).image,
+          tuple(sum(1 << a for a in range(6) if (a, b) in X) for b in range(width)))
+    check(lambda: x.pairs(), [(f"a{a}", f"w{b}") for a, b in sorted(X)], wide or {"peel"})
+
+
 # --- inclusion --------------------------------------------------------------
 
 def test_empty_below_everything():

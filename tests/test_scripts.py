@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end against the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,12 @@ def test_verify_all_rejects_negative_trials_before_any_sweep():
     assert proc.returncode == 2
     assert "error: --trials must be nonnegative, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_bitscan_crossover_reports_both_methods_per_cell():
+    proc = run_script("bitscan_crossover.py", "--widths", "65", "--rows", "2", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    cells = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [c["popcount"] for c in cells] == [1, 2, 4, 8, 12, 16, 24, 32, 48, 64]
+    assert {c["row_bits_picks"] for c in cells} == {"peel", "scan"}
+    assert all(c["peel_us"] > 0 and c["scan_us"] > 0 for c in cells)

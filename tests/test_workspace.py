@@ -186,8 +186,15 @@ def workspaces(draw):
     return workspace.build(dict(zip(keys, objects.values())))
 
 
+#: Rows 300 wide, so that both ways of listing a row's bits run: empty, full,
+#: top bit and bit 0, and two bits in every three.
+WIDE = Rel(FinSet("A", ("a0", "a1", "a2", "a3")), FinSet("W", tuple(f"w{j}" for j in range(300))),
+           (0, (1 << 300) - 1, 1 << 299 | 1, int("110" * 100, 2)))
+
+
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(ws=workspaces())
 @example(ws=Workspace())
+@example(ws=workspace.build({"wide": WIDE}))
 def test_dumps_matches_json_dumps(ws):
     assert workspace.dumps(ws) == json.dumps(workspace.to_doc(ws), indent=2) + "\n"
