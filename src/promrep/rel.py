@@ -262,7 +262,7 @@ def compose(x: Rel, y: Rel) -> Rel:
         by_cols = sum(row.bit_count() for row in yrows) + len(xrows) * len(y.dst)
         if by_cols < by_rows:
             return Rel(x.src, y.dst, _compose_by_columns(xrows, yrows, len(y.dst)))
-    width = len(x.dst)
+    width = len(yrows)  # x.dst is y.src
     rows = []
     if width > 64:
         for row in xrows:

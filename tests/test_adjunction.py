@@ -299,7 +299,7 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     scan = rel_module._scan
     config = SearchConfig("mem-residual-subset", mode="exhaustive", bounds=(8,))
     assert search(config).passed
-    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ 1 << row.bit_length() >> 1))
+    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ (1 << row.bit_length() >> 1)))
     summary = search(config)
     assert not summary.passed
     assert summary.witness.violation == "∈\\∈ differs from the subset order"
