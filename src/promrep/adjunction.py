@@ -19,7 +19,6 @@ from .rel import (
     Rel,
     compose,
     eq,
-    fn_eq_into_powerset,
     graph_upper,
     identity,
     identity_map,
@@ -37,7 +36,6 @@ from .structures import (
     compose_rep_morphisms,
     identity_prom_morphism,
     identity_rep_morphism,
-    prommor_eq,
     repmor_leq,
 )
 from .functors import (
@@ -101,23 +99,15 @@ def recover_by_membership(x: Rel, cap: int = DEFAULT_POWERSET_CAP) -> Rel:
 
 
 def unit_natural(m: PromMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
-    """unit(dst)∘m = image-of-m∘unit(src), with map equality via the powerset."""
+    """unit(dst)∘m = image-of-m∘unit(src), as equal prom morphisms."""
     lhs = compose_prom_morphisms(unit(m.dst, cap), m)
-    rhs = compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m), cap), unit(m.src, cap))
-    same_ends = lhs.src == rhs.src and lhs.dst == rhs.dst
-    return same_ends and prommor_eq(lhs, rhs, powerset(m.dst.B, cap).mem)
+    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m), cap), unit(m.src, cap))
 
 
 def counit_natural(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """counit(dst)∘image-of-m = m∘counit(src)."""
     lhs = compose_rep_morphisms(counit(m.dst, cap), prommor_to_repmor(repmor_to_prommor(m, cap)))
-    rhs = compose_rep_morphisms(m, counit(m.src, cap))
-    return (
-        lhs.src == rhs.src
-        and lhs.dst == rhs.dst
-        and lhs.phi.image == rhs.phi.image
-        and eq(lhs.tau, rhs.tau)
-    )
+    return lhs == compose_rep_morphisms(m, counit(m.src, cap))
 
 
 @dataclass(frozen=True)
@@ -136,17 +126,10 @@ def triangle_rep(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> TriangleRepResult:
     """
     rp = prom_to_rep(p)
     composite = compose_rep_morphisms(counit(rp, cap), prommor_to_repmor(unit(p, cap)))
-    ident = identity_rep_morphism(rp)
-    equals_expected = (
-        composite.src == rp
-        and composite.dst == rp
-        and composite.phi.image == identity_map(p.A).image
-        and eq(composite.tau, p.y.rel)
-    )
     return TriangleRepResult(
         composite,
-        equals_expected,
-        repmor_leq(ident, composite),
+        composite == RepMorphism(rp, rp, identity_map(p.A), p.y.rel, check=False),
+        repmor_leq(identity_rep_morphism(rp), composite),
         not eq(p.y.rel, identity(p.B)),
     )
 
@@ -161,7 +144,7 @@ def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     powerset 2^(2^M) is ever enumerated.
     """
     mem = powerset(r.M, cap).mem
-    return fn_eq_into_powerset(_triangle_prom_composite(mem), identity_map(mem.dst), mem)
+    return _triangle_prom_composite(mem) == identity_map(mem.dst)
 
 
 def _triangle_prom_composite(mem: Rel) -> FnMap:

@@ -31,7 +31,6 @@ from .rel import (
     compose_maps,
     eq,
     finset,
-    fn_eq_into_powerset,
     graph_lower,
     graph_upper,
     identity,
@@ -61,7 +60,6 @@ from .structures import (
     is_preorder,
     order_violation,
     preorder_closure,
-    prommor_eq,
     repmor_leq,
     validate,
 )
@@ -151,6 +149,15 @@ def _thin(rng: random.Random, r: Rel) -> Rel:
     return Rel(r.src, r.dst, tuple(rows))
 
 
+def _gen_sub_pullback(rng: random.Random, y: Rel, f: FnMap) -> Preorder:
+    """Half the time the full pullback of y along f (hence order-reflecting);
+    otherwise the closure of a thinned-out part of it.  f carries either into y."""
+    pull = pullback(y, f)
+    if rng.random() < 0.5:
+        return Preorder(pull, check=False)
+    return preorder_closure(_thin(rng, pull))
+
+
 def _gen_prom(
     rng: random.Random,
     size_a: int,
@@ -158,21 +165,14 @@ def _gen_prom(
     a: tuple[str, str] = ("A", "a"),
     b: tuple[str, str] = ("B", "b"),
 ) -> Prom:
-    """A random prom.  Half the time x is the full pullback of y along f
-    (hence order-reflecting); otherwise a thinned-out sub-preorder of it,
-    which still makes f order-preserving by construction."""
+    """A random prom; x is a sub-pullback of y along f, so f is order-preserving."""
     if size_b == 0:
         size_a = 0  # no map into an empty carrier
     A = finset(a[0], size_a, a[1])
     B = finset(b[0], size_b, b[1])
     y = _gen_preorder(rng, B)
     f = random_fnmap(rng, A, B)
-    pull = pullback(y.rel, f)
-    if rng.random() < 0.5:
-        x = Preorder(pull, check=False)
-    else:
-        x = preorder_closure(_thin(rng, pull))
-    return Prom(x, y, f, check=False)
+    return Prom(_gen_sub_pullback(rng, y.rel, f), y, f, check=False)
 
 
 def gen_prom(seed: int, size_a: int, size_b: int) -> Prom:
@@ -229,12 +229,7 @@ def _gen_prom_morphism_into(
         f_image.append(rng.choice(fiber))
     f = FnMap(A, B, tuple(f_image))
     y = Preorder(pullback(dst.y.rel, psi), check=False)
-    x_pull = pullback(dst.x.rel, phi)
-    if rng.random() < 0.5:
-        x = Preorder(x_pull, check=False)
-    else:
-        x = preorder_closure(_thin(rng, x_pull))
-    src = Prom(x, y, f, check=False)
+    src = Prom(_gen_sub_pullback(rng, dst.x.rel, phi), y, f, check=False)
     return PromMorphism(src, dst, phi, psi, check=False)
 
 
@@ -746,11 +741,11 @@ def _check_lemma6(inst, cap):
     r = m1.src
     ident_img = repmor_to_prommor(identity_rep_morphism(r), cap)
     ident = identity_prom_morphism(rep_to_prom(r, cap))
-    if not prommor_eq(ident_img, ident, powerset(r.M, cap).mem):
+    if ident_img != ident:
         return "M(id) differs from id", {}
     composite = repmor_to_prommor(compose_rep_morphisms(m2, m1), cap)
     pieces = compose_prom_morphisms(repmor_to_prommor(m2, cap), repmor_to_prommor(m1, cap))
-    if not prommor_eq(composite, pieces, powerset(m2.dst.M, cap).mem):
+    if composite != pieces:
         return "M(m2∘m1) differs from M(m2)∘M(m1)", {}
     return _ok()
 
@@ -776,18 +771,15 @@ def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
     checked = 0
     for inst in _POWERSET_BASE.enumerate((max_size,)):
         M = inst["A"]
-        bundle = powerset(M, cap)
-        lifted = direct_image(identity(M), cap)
-        ident = identity_map(bundle.carrier)
         checked += 1
-        if not fn_eq_into_powerset(lifted, ident, bundle.mem):
+        if direct_image(identity(M), cap) != identity_map(powerset(M, cap).carrier):
             return checked, f"direct image of 1_M is not the identity at |M|={len(M)}"
     for inst in _TAU_PAIR.enumerate((max_size,)):
         tau1, tau2 = inst["tau1"], inst["tau2"]
         lhs = direct_image(compose(tau2, tau1), cap)
         rhs = compose_maps(direct_image(tau2, cap), direct_image(tau1, cap))
         checked += 1
-        if not fn_eq_into_powerset(lhs, rhs, powerset(tau2.src, cap).mem):
+        if lhs != rhs:
             return checked, f"direct image is not multiplicative at tau1={tau1.pairs()}, tau2={tau2.pairs()}"
     return checked, None
 
@@ -857,7 +849,7 @@ def _check_lemma9(inst, cap):
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
         back = h.lift(h.lower(m))
-        if not prommor_eq(back, m, h.mem):
+        if back != m:
             return "ΨT is not the identity on prom morphisms", notes
     for m in rep_homs:
         around = h.lower(h.lift(m))

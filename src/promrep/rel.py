@@ -515,9 +515,10 @@ def pullback(y: Rel, f: FnMap) -> Rel:
 
 
 def fn_eq_into_powerset(f: FnMap, g: FnMap, mem: Rel) -> bool:
-    """Equality of maps into a powerset, decided relationally as ∈⨾f^* = ∈⨾g^*."""
+    """∈⨾f^* = ∈⨾g^* for maps into the powerset whose membership is `mem`:
+    a carrier index names its subset, so this is equality of the images."""
     if f.src != g.src or f.dst != g.dst:
         raise CarrierMismatch("functions into a powerset over different carriers")
     if mem.dst != f.dst:
         raise CarrierMismatch("membership relation does not match the codomain")
-    return eq(compose(mem, graph_upper(f)), compose(mem, graph_upper(g)))
+    return f.image == g.image

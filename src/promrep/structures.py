@@ -20,8 +20,6 @@ from .rel import (
     Rel,
     compose,
     compose_maps,
-    eq,
-    fn_eq_into_powerset,
     graph_upper,
     identity,
     identity_map,
@@ -297,11 +295,6 @@ def repmor_leq(m1: RepMorphism, m2: RepMorphism) -> bool:
     if m1.src != m2.src or m1.dst != m2.dst:
         raise CarrierMismatch("2-cells only compare morphisms with equal endpoints")
     return m1.phi.image == m2.phi.image and leq(m1.tau, m2.tau)
-
-
-def prommor_eq(m1: PromMorphism, m2: PromMorphism, mem: Rel) -> bool:
-    """Equal φ images, and ψ maps equal into the powerset whose membership is `mem`."""
-    return m1.phi.image == m2.phi.image and fn_eq_into_powerset(m1.psi, m2.psi, mem)
 
 
 def identity_prom_morphism(p: Prom) -> PromMorphism:

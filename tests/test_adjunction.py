@@ -292,18 +292,19 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     """∈ on 2^8 is 256 columns wide with 128 bits a row, so its rows are
     scanned, not peeled; no default seeded bound builds a row that wide.
 
-    The law's reference for ∈\\∈ lists no bits through the kernel.
-    (triangle_prom does not catch this mutant: it compares maps through
-    compositions with ∈ that drop the same bit on both sides.)
+    The law's reference for ∈\\∈ lists no bits through the kernel, and
+    triangle_prom compares the composite's images with the identity's.
     """
     scan = rel_module._scan
     config = SearchConfig("mem-residual-subset", mode="exhaustive", bounds=(8,))
-    assert search(config).passed
+    r = gen_representation(0, 8, 1)
+    assert search(config).passed and triangle_prom(r)
     monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ (1 << row.bit_length() >> 1)))
     summary = search(config)
     assert not summary.passed
     assert summary.witness.violation == "∈\\∈ differs from the subset order"
     assert replay(summary.witness)
+    assert not triangle_prom(r)
 
 
 def absorb_untested_closed_rows(x):
@@ -369,6 +370,28 @@ def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, name, bug, vio
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert summary.witness.violation.startswith(violation)
+    assert replay(summary.witness)
+
+
+@pytest.mark.parametrize(
+    "law, violation",
+    [
+        ("lemma6", "M(id) differs from id"),
+        ("unit-natural", "unit naturality square does not commute"),
+        ("counit-natural", "counit naturality square does not commute"),
+    ],
+    ids=["lemma6", "unit-natural", "counit-natural"],
+)
+def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
+    # the laws compare whole morphisms, so one wrong entry of ψ must show
+    correct = harness_module.direct_image
+    assert search(SearchConfig(law)).passed
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "promrep" and getattr(module, "direct_image", None) is correct:
+            monkeypatch.setattr(module, "direct_image", lambda *args: _zero_last_image_entry(correct(*args)))
+    summary = search(SearchConfig(law))
+    assert not summary.passed
+    assert summary.witness.violation == violation
     assert replay(summary.witness)
 
 

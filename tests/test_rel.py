@@ -635,7 +635,17 @@ def test_fn_eq_into_powerset_matches_pointwise_exhaustively():
     maps = [FnMap(A, bundle.carrier, (i, j)) for i in range(4) for j in range(4)]
     for f in maps:
         for g in maps:
-            assert fn_eq_into_powerset(f, g, bundle.mem) == (f.image == g.image)
+            relational = eq(compose(bundle.mem, graph_upper(f)), compose(bundle.mem, graph_upper(g)))
+            assert fn_eq_into_powerset(f, g, bundle.mem) == (f.image == g.image) == relational
+
+
+def test_fn_eq_into_powerset_rejects_other_carriers():
+    bundle = powerset(finset("B", 2, "b"))
+    f = FnMap(finset("A", 2, "a"), bundle.carrier, (0, 3))
+    with pytest.raises(CarrierMismatch, match="different carriers"):
+        fn_eq_into_powerset(f, FnMap(finset("C", 2, "c"), bundle.carrier, (0, 3)), bundle.mem)
+    with pytest.raises(CarrierMismatch, match="does not match the codomain"):
+        fn_eq_into_powerset(f, f, powerset(finset("D", 2, "d")).mem)
 
 
 # --- hypothesis property tests ---------------------------------------------
