@@ -3,9 +3,11 @@
 For each width and popcount, builds random rows with exactly that many set
 bits and reports the best time per row, over several repeats, to drain
 `_bits` (peel the lowest bit, O(width) per bit) and `_scan` (one pass over
-the binary text, O(width) per row), and which of the two `row_bits` picks.
-The table shows where the two break even, which is what `row_bits`' rule
-approximates.  Prints one JSON object per line.
+the binary text, O(width) per row), and what `row_bits` picks for the
+cell's first row: "peel", "scan", or "table" for a row below 2^8, whose
+bits it reads from a table instead.  The output shows where peel and scan
+break even, which is what `row_bits`' rule approximates.  Prints one JSON
+object per line.
 
     PYTHONPATH=src python3 scripts/bitscan_crossover.py [--widths 65 256 4096]
 """
@@ -47,7 +49,8 @@ def main(argv=None):
             rows = [sum(1 << j for j in rng.sample(range(width), popcount)) for _ in range(args.rows)]
             peel = best_us_per_row(_bits, rows, args.repeat)
             scan = best_us_per_row(_scan, rows, args.repeat)
-            picks = "scan" if isinstance(row_bits(rows[0], width), compress) else "peel"
+            picked = row_bits(rows[0], width)
+            picks = "table" if isinstance(picked, tuple) else "scan" if isinstance(picked, compress) else "peel"
             print(json.dumps({
                 "width": width,
                 "popcount": popcount,

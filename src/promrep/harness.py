@@ -1028,6 +1028,8 @@ def search(config: SearchConfig) -> SearchSummary:
         raise ConfigError(f"powerset cap must be nonnegative, got {config.powerset_cap}")
     if config.trials < 0:
         raise ConfigError("trials must be nonnegative")
+    if config.bounds is not None and (len(config.bounds) == 0 or min(config.bounds) < 0):
+        raise ConfigError(f"bounds must be one or more nonnegative sizes, got {config.bounds!r}")
     bounds = _normalize_bounds(spec, config.bounds)
     if config.mode == "exhaustive":
         return _search_exhaustive(spec, bounds, config)

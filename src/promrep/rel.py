@@ -5,15 +5,15 @@ element, bit j set iff the pair (i, j) is in the relation.  Composition,
 residuals and inclusion then reduce to word-parallel row operations,
 which is plenty fast for the carrier sizes this package works with.
 
-Composition, the left residual and the transpose behind `converse` and
-`power_transpose` visit each row's set bits.  Peeling the lowest bit off
-an int is an O(width) step, so a dense row costs O(width²) that way, and
-∈ at the powerset cap has 12 rows of 2048 bits in 4096 columns.  On a
-relation wider than 64 columns, `row_bits` lets each row, from its
-popcount and width, either peel or scan its binary text once in C, so a
-dense row costs O(width).  Relations of 64 or fewer columns, all that the
-default law bounds build, keep the inline peel.  `Rel.pairs` and the
-workspace writer list bits through `row_bits` as well.
+Composition, the left residual, the transpose behind `converse` and
+`power_transpose`, `Rel.pairs`, the workspace writer and the structure
+checks' order test visit each row's set bits, and `row_bits` alone
+decides how.  A row below 2^8, which is most rows the law bounds build,
+reads its bits from a table made once at import.  Peeling the lowest bit
+off an int is an O(width) step, so a dense row costs O(width²) that way,
+and ∈ at the powerset cap has 12 rows of 2048 bits in 4096 columns.  A
+row wider than 64 columns with many set bits is therefore scanned once
+as binary text in C, in O(width).  Every other row is peeled.
 
 Composition has two exact strategies.  The row strategy ORs together the
 rows of y selected by each row of x, one operation per pair of x.  The
@@ -54,7 +54,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Largest base carrier for which a powerset may be materialized (2^12 = 4096
 #: subsets).  The M and R∘M constructions square the powerset carrier, so this
@@ -195,16 +195,27 @@ def _scan(row: int) -> Iterator[int]:
     return compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT_FLAGS))
 
 
-def row_bits(row: int, width: int) -> Iterator[int]:
+#: The set-bit indices of every byte value, ascending, from `_bits`.
+_BYTE_BITS = tuple(tuple(_bits(byte)) for byte in range(256))
+
+
+def row_bits(row: int, width: int) -> Iterable[int]:
     """The indices of the set bits of a row `width` columns wide, ascending.
 
-    Peeling costs O(width) per set bit and the scan O(width) per row, with
-    a larger constant.  A row of 64 or fewer columns is always peeled;
-    a wider one is scanned once it has more than width / (8 + width/512)
-    set bits: 8 of 65 columns, 30 of 256, 102 of 1024 and 256 of 4096,
-    close to where `scripts/bitscan_crossover.py` measures the two methods
-    break even.
+    One of three outcomes, picked from the row's value:
+
+    - a row below 2^8 returns its entry in `_BYTE_BITS`, with no work
+      per bit;
+    - a row wider than 64 columns with more than width / (8 + width/512)
+      set bits (8 of 65 columns, 30 of 256, 102 of 1024 and 256 of 4096)
+      is scanned (`_scan`), O(width) per row;
+    - every other row is peeled (`_bits`), O(width) per set bit.
+
+    The scan has the larger constant; its threshold is close to where
+    `scripts/bitscan_crossover.py` measures the two methods break even.
     """
+    if row < 256:
+        return _BYTE_BITS[row]
     if width > 64 and row.bit_count() * (width + 4096) > width << 9:
         return _scan(row)
     return _bits(row)
@@ -225,18 +236,10 @@ def full(src: FinSet, dst: FinSet) -> Rel:
 
 def _transpose(rows, width: int) -> list[int]:
     out = [0] * width
-    if width > 64:
-        for i, row in enumerate(rows):
-            bit = 1 << i
-            for j in row_bits(row, width):
-                out[j] |= bit
-        return out
     for i, row in enumerate(rows):
         bit = 1 << i
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
+        for j in row_bits(row, width):
+            out[j] |= bit
     return out
 
 
@@ -264,19 +267,10 @@ def compose(x: Rel, y: Rel) -> Rel:
             return Rel(x.src, y.dst, _compose_by_columns(xrows, yrows, len(y.dst)))
     width = len(yrows)  # x.dst is y.src
     rows = []
-    if width > 64:
-        for row in xrows:
-            acc = 0
-            for j in row_bits(row, width):
-                acc |= yrows[j]
-            rows.append(acc)
-        return Rel(x.src, y.dst, tuple(rows))
     for row in xrows:
         acc = 0
-        while row:
-            low = row & -row
-            acc |= yrows[low.bit_length() - 1]
-            row ^= low
+        for j in row_bits(row, width):
+            acc |= yrows[j]
         rows.append(acc)
     return Rel(x.src, y.dst, tuple(rows))
 
@@ -358,16 +352,9 @@ def left_residual(x: Rel, z: Rel) -> Rel:
     full_c = (1 << len(z.dst)) - 1
     width = len(x.dst)
     rows = [full_c] * width
-    if width > 64:
-        for xr, zr in zip(x.rows, z.rows):
-            for j in row_bits(xr, width):
-                rows[j] &= zr
-        return Rel(x.dst, z.dst, tuple(rows))
     for xr, zr in zip(x.rows, z.rows):
-        while xr:
-            low = xr & -xr
-            rows[low.bit_length() - 1] &= zr
-            xr ^= low
+        for j in row_bits(xr, width):
+            rows[j] &= zr
     return Rel(x.dst, z.dst, tuple(rows))
 
 

@@ -25,6 +25,7 @@ from .rel import (
     identity_map,
     is_transitive,
     leq,
+    row_bits,
     union,
 )
 
@@ -148,15 +149,12 @@ def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
     None means f carries x into y, that is f^*⨾x ≤ y⨾f^*.  Checked
     pointwise, so a failure comes with a readable witness.
     """
-    img, yrows = f.image, y.rows
+    img, yrows, width = f.image, y.rows, len(x.dst)
     for i, row in enumerate(x.rows):
         target = yrows[img[i]]
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
+        for j in row_bits(row, width):
             if not target >> img[j] & 1:
                 return i, j
-            row ^= low
     return None
 
 

@@ -307,6 +307,19 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     assert not triangle_prom(r)
 
 
+def test_byte_table_dropping_top_bit_is_caught_by_default_runs(monkeypatch):
+    """Rows below 2^8 list their bits from `rel._BYTE_BITS`, so default
+    seeded runs reach it; an entry for 0b11 that lost its top bit must
+    give a replaying witness."""
+    table = list(rel_module._BYTE_BITS)
+    table[0b11] = (0,)
+    monkeypatch.setattr(rel_module, "_BYTE_BITS", tuple(table))
+    for law in ("dual-galois", "psi-characterization"):
+        summary = search(SearchConfig(law))
+        assert not summary.passed, law
+        assert replay(summary.witness), law
+
+
 def absorb_untested_closed_rows(x):
     """is_transitive that drops a closed row b > a's bits without testing
     row b ⊆ row a first."""

@@ -309,6 +309,13 @@ def test_search_rejects_parallelism_below_one(mode):
             search(SearchConfig(law="lemma1", mode=mode, parallelism=jobs))
 
 
+@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+def test_search_rejects_empty_or_negative_bounds(mode):
+    for bounds in ((), (-1,), (2, -1)):
+        with pytest.raises(ConfigError, match="bounds must be one or more nonnegative sizes"):
+            search(SearchConfig(law="lemma4", mode=mode, bounds=bounds))
+
+
 def test_all_laws_pass_smoke():
     for law in CATALOG:
         assert search(SearchConfig(law=law, trials=25, seed=5)).passed

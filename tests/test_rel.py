@@ -332,7 +332,8 @@ def index_compose(xs: set, ys: set) -> set:
 
 
 def bit_paths_recording(monkeypatch) -> set:
-    """Record in the returned set which of row_bits' two methods run."""
+    """Record in the returned set which of row_bits' two methods run;
+    a row read from the byte table records neither."""
     used = set()
     for name, path in (("_bits", "peel"), ("_scan", "scan")):
         def spy(row, real=getattr(rel_module, name), path=path):
@@ -343,13 +344,14 @@ def bit_paths_recording(monkeypatch) -> set:
     return used
 
 
-@pytest.mark.parametrize("width", [63, 64, 65, 128, 4096])
+@pytest.mark.parametrize("width", [8, 63, 64, 65, 128, 4096])
 def test_wide_rows_match_pair_oracles(monkeypatch, width):
     """Every kernel loop over rows `width` wide against an index-pair oracle.
 
     Rows of more than 64 columns must run both sides of the per-row choice
-    (the empty, top-bit and sparse rows peel; the full and dense rows
-    scan); narrower rows are peeled inline and never reach either.
+    (the top-bit and sparse rows peel; the full and dense rows scan).
+    Rows of 63 and 64 columns that reach 2^8 are peeled and never scanned,
+    and rows 8 columns wide all read the byte table, so neither method runs.
     """
     rng = random.Random(width)
     A, D, C = finset("A", 6, "a"), finset("D", 6, "d"), finset("C", 5, "c")
@@ -358,10 +360,10 @@ def test_wide_rows_match_pair_oracles(monkeypatch, width):
     Y, Z, Q = random_pairs(rng, width, 5), random_pairs(rng, 6, 5), random_pairs(rng, 6, 6)
     x, v, y, z, q = rel_of(A, W, X), rel_of(D, W, V), rel_of(W, C, Y), rel_of(A, C, Z), rel_of(D, A, Q)
     mem = powerset(A).mem  # built before the spies, as it peels its own masks
-    wide = {"peel", "scan"} if width > 64 else set()
+    paths = {"peel", "scan"} if width > 64 else {"peel"} if width > 8 else set()
     used = bit_paths_recording(monkeypatch)
 
-    def check(run, expected, paths=wide):
+    def check(run, expected):
         used.clear()
         assert run() == expected
         assert used == paths
@@ -380,7 +382,13 @@ def test_wide_rows_match_pair_oracles(monkeypatch, width):
     check(lambda: converse(x).rows, rel_of(W, A, {(b, a) for a, b in X}).rows)
     check(lambda: power_transpose(x, mem).image,
           tuple(sum(1 << a for a in range(6) if (a, b) in X) for b in range(width)))
-    check(lambda: x.pairs(), [(f"a{a}", f"w{b}") for a, b in sorted(X)], wide or {"peel"})
+    check(lambda: x.pairs(), [(f"a{a}", f"w{b}") for a, b in sorted(X)])
+
+
+def test_row_bits_table_matches_shift_oracle():
+    for row in range(256):
+        for width in (8, 64, 65, 4096):
+            assert list(rel_module.row_bits(row, width)) == [j for j in range(8) if row >> j & 1]
 
 
 # --- inclusion --------------------------------------------------------------
