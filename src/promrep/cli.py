@@ -45,10 +45,12 @@ class InputError(Exception):
 
 def _load(path: str) -> workspace.Workspace:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise InputError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8: {e}") from None
     try:
         return workspace.loads(text)
     except workspace.WorkspaceError as e:

@@ -11,7 +11,9 @@ so the two search modes range over the same instance space.
 
 Seeded runs are deterministic: trial i derives its own RNG from a 64-bit
 mix of (seed, i), so a run's result depends only on the seed and the trial
-count.  Trials run serially.
+count.  Trials run serially.  Either mode stops at its first witness; a
+generated or enumerated instance that fails validation is one, since only
+a kernel bug builds it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ from .rel import (
     FnMap,
     Rel,
     compose,
-    compose_maps,
     eq,
     finset,
     graph_lower,
     graph_upper,
-    identity,
-    identity_map,
     left_residual,
     leq,
     powerset,
@@ -44,6 +43,7 @@ from .rel import (
 from .structures import (
     VALIDATION,
     CheckResult,
+    InvalidStructure,
     Preorder,
     Prom,
     PromMorphism,
@@ -64,7 +64,6 @@ from .structures import (
     validate,
 )
 from .functors import (
-    direct_image,
     prom_to_rep,
     prommor_to_repmor,
     rep_to_prom,
@@ -753,37 +752,6 @@ def _check_lemma6(inst, cap):
 _REPMOR_CHAIN = Schema((), ((("m1", "m2"), "repmor-chain", 0, 1),))
 
 
-_TAU_PAIR = Schema(
-    (("M1", "a", 0), ("M2", "b", 0), ("M3", "c", 0)),
-    (("tau1", "rel", "M2", "M1"), ("tau2", "rel", "M3", "M2")),
-)
-
-
-def direct_image_functorial(max_size: int, cap: int = DEFAULT_POWERSET_CAP):
-    """Exhaustive functoriality of the direct image on raw tau data.
-
-    M on morphisms only transforms tau, so strict functoriality at a carrier
-    bound reduces to: direct_image(1_M) = id and
-    direct_image(tau2⨾tau1) = direct_image(tau1)⨾direct_image(tau2)
-    for all composable tau pairs within the bound.  Returns the number of
-    cases checked and the first violation message, if any.
-    """
-    checked = 0
-    for inst in _POWERSET_BASE.enumerate((max_size,)):
-        M = inst["A"]
-        checked += 1
-        if direct_image(identity(M), cap) != identity_map(powerset(M, cap).carrier):
-            return checked, f"direct image of 1_M is not the identity at |M|={len(M)}"
-    for inst in _TAU_PAIR.enumerate((max_size,)):
-        tau1, tau2 = inst["tau1"], inst["tau2"]
-        lhs = direct_image(compose(tau2, tau1), cap)
-        rhs = compose_maps(direct_image(tau2, cap), direct_image(tau1, cap))
-        checked += 1
-        if lhs != rhs:
-            return checked, f"direct image is not multiplicative at tau1={tau1.pairs()}, tau2={tau2.pairs()}"
-    return checked, None
-
-
 # --- adjunction laws -------------------------------------------------------
 
 def _check_triangle_repr(inst, cap):
@@ -923,8 +891,8 @@ _law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemm
 # lemma6 caps |S| at 1 in exhaustive mode: representations with empty sat have
 # hom-sets of every phi and tau, so the composable-pair space at (2,2)
 # already exceeds five million instances.  The composition equality
-# factors through the tau pair alone; direct_image_functorial covers the
-# larger bound without the cross product.
+# factors through the tau pair alone; the tests cover the larger bound
+# through direct images of tau pairs, without the cross product.
 _law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1))
 _law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4))
 _law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,))
@@ -941,23 +909,36 @@ _law("soundness-residual-equiv", "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨", _chec
 LAW_IDS = tuple(CATALOG)
 
 
+def _spec(law: str) -> LawSpec:
+    spec = CATALOG.get(law)
+    if spec is None:
+        raise ConfigError(f"unknown law {law!r}")
+    return spec
+
+
 def check_law(
     law: str, instance: dict, cap: int = DEFAULT_POWERSET_CAP, seed: int | str = "manual"
 ) -> Witness | None:
     """Run one law on one instance; None means the law holds there."""
-    spec = CATALOG.get(law)
-    if spec is None:
-        raise ConfigError(f"unknown law {law!r}")
-    violation, _ = spec.check(instance, cap)
+    violation, _ = _spec(law).check(instance, cap)
     if violation is None:
         return None
     return Witness(law, seed, dict(instance), violation)
 
 
+def _violation(spec: LawSpec, instance: dict, cap: int) -> tuple[str | None, dict]:
+    """The law's (violation | None, notes) on a generated or enumerated instance,
+    which is valid unless the kernel is broken: then its invalidity is the violation."""
+    try:
+        return spec.check(instance, cap)
+    except InvalidStructure as e:
+        return f"instance is not valid: {e}", {}
+
+
 def replay(witness: Witness, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     """True iff re-running the law on the witness structures reproduces it."""
-    again = check_law(witness.law, witness.structures, cap, witness.seed)
-    return again is not None and again.violation == witness.violation
+    violation, _ = _violation(_spec(witness.law), witness.structures, cap)
+    return violation == witness.violation
 
 
 # ---------------------------------------------------------------------------
@@ -966,7 +947,7 @@ def replay(witness: Witness, cap: int = DEFAULT_POWERSET_CAP) -> bool:
 @dataclass(frozen=True)
 class SearchConfig:
     law: str
-    mode: str = "seeded"  # "seeded" | "exhaustive"
+    mode: str = "seeded"  # "seeded" | "exhaustive"; either stops at its first witness
     bounds: tuple[int, ...] | None = None
     trials: int = 200
     seed: int = 0
@@ -1013,15 +994,8 @@ def _normalize_bounds(spec: LawSpec, bounds) -> tuple[int, ...]:
     return bounds[:want]
 
 
-def _merge_notes(total: dict, extra: dict):
-    for key, value in extra.items():
-        total[key] = total.get(key, 0) + value
-
-
 def search(config: SearchConfig) -> SearchSummary:
-    spec = CATALOG.get(config.law)
-    if spec is None:
-        raise ConfigError(f"unknown law {config.law!r}")
+    spec = _spec(config.law)
     if config.parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got {config.parallelism}")
     if config.powerset_cap < 0:
@@ -1032,39 +1006,28 @@ def search(config: SearchConfig) -> SearchSummary:
         raise ConfigError(f"bounds must be one or more nonnegative sizes, got {config.bounds!r}")
     bounds = _normalize_bounds(spec, config.bounds)
     if config.mode == "exhaustive":
-        return _search_exhaustive(spec, bounds, config)
-    if config.mode == "seeded":
-        return _search_seeded(spec, bounds, config)
-    raise ConfigError(f"unknown mode {config.mode!r}")
-
-
-def _search_exhaustive(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary:
-    if spec.enumerate is None:
-        raise ConfigError(f"law {spec.law!r} supports seeded mode only")
-    if any(b > lim for b, lim in zip(bounds, spec.exhaustive_limit)):
-        raise ConfigError(
-            f"bounds {bounds} exceed the hard enumeration limit {spec.exhaustive_limit} "
-            f"for law {spec.law!r}"
-        )
-    summary = SearchSummary(spec.law, "exhaustive", bounds, None, 0)
-    for instance in spec.enumerate(bounds):
-        violation, notes = spec.check(instance, config.powerset_cap)
+        if spec.enumerate is None:
+            raise ConfigError(f"law {spec.law!r} supports seeded mode only")
+        if any(b > lim for b, lim in zip(bounds, spec.exhaustive_limit)):
+            raise ConfigError(
+                f"bounds {bounds} exceed the hard enumeration limit {spec.exhaustive_limit} "
+                f"for law {spec.law!r}"
+            )
+        seed = None
+        stream = (("exhaustive", instance) for instance in spec.enumerate(bounds))
+    elif config.mode == "seeded":
+        seed = config.seed
+        children = (mix_seed(seed, i) for i in range(config.trials))
+        stream = ((child, spec.generate(random.Random(child), bounds)) for child in children)
+    else:
+        raise ConfigError(f"unknown mode {config.mode!r}")
+    summary = SearchSummary(spec.law, config.mode, bounds, seed, 0)
+    for label, instance in stream:
+        violation, notes = _violation(spec, instance, config.powerset_cap)
         summary.checked += 1
-        _merge_notes(summary.notes, notes)
+        for key, value in notes.items():
+            summary.notes[key] = summary.notes.get(key, 0) + value
         if violation is not None:
-            summary.witness = Witness(spec.law, "exhaustive", dict(instance), violation)
+            summary.witness = Witness(spec.law, label, dict(instance), violation)
             break
-    return summary
-
-
-def _search_seeded(spec: LawSpec, bounds, config: SearchConfig) -> SearchSummary:
-    summary = SearchSummary(spec.law, "seeded", bounds, config.seed, 0)
-    for i in range(config.trials):
-        child = mix_seed(config.seed, i)
-        instance = spec.generate(random.Random(child), bounds)
-        violation, notes = spec.check(instance, config.powerset_cap)
-        summary.checked += 1
-        _merge_notes(summary.notes, notes)
-        if violation is not None and summary.witness is None:
-            summary.witness = Witness(spec.law, child, dict(instance), violation)
     return summary

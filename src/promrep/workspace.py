@@ -168,6 +168,8 @@ def loads(text: str) -> Workspace:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkspaceError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise WorkspaceError("not valid JSON: nested too deeply to parse") from None
     return parse(doc)
 
 

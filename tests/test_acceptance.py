@@ -35,7 +35,8 @@ from promrep import (
     gen_representation,
 )
 from promrep.cli import main
-from promrep.harness import direct_image_functorial, enumerate_representations
+from promrep.harness import enumerate_representations
+from test_harness import direct_image_functorial
 
 
 def _report(number: int, text: str):

@@ -1,5 +1,7 @@
 """Unit, counit, triangles, membership recovery, and the hom-set Galois maps."""
 
+import json
+
 import pytest
 
 from promrep import (
@@ -14,6 +16,7 @@ from promrep import (
     compose,
     counit,
     counit_natural,
+    direct_image,
     eq,
     finset,
     fn_eq_into_powerset,
@@ -45,6 +48,7 @@ from promrep import (
     unit_natural,
 )
 from promrep.adjunction import _triangle_prom_composite
+from promrep.cli import main
 from promrep.harness import (
     SearchConfig,
     _superset_masks,
@@ -320,6 +324,35 @@ def test_byte_table_dropping_top_bit_is_caught_by_default_runs(monkeypatch):
         assert replay(summary.witness), law
 
 
+def test_byte_table_mutant_makes_invalid_instances_witnesses(monkeypatch, capsys):
+    """The same mutant breaks the structures the generators build: a
+    generated prom fails reflexivity.  Only a kernel bug builds an invalid
+    instance, so each run reports it as a replaying witness, and
+    `promrep verify` exits 1 with it instead of a traceback."""
+    table = list(rel_module._BYTE_BITS)
+    table[0b11] = (0,)
+    monkeypatch.setattr(rel_module, "_BYTE_BITS", tuple(table))
+    summary = search(SearchConfig("lemma1"))
+    assert summary.witness.violation.startswith("instance is not valid: invalid prom: x reflexivity")
+    assert replay(summary.witness)
+    killed = []
+    for law in harness_module.CATALOG:
+        clear_caches()
+        law_summary = search(SearchConfig(law))
+        if not law_summary.passed:
+            assert replay(law_summary.witness), law
+            killed.append(law)
+    assert len(killed) >= 16, killed
+    clear_caches()
+    assert main(["verify", "lemma1"]) == 1
+    captured = capsys.readouterr()
+    report, witness = captured.out.split("\n{", 1)
+    assert report.splitlines()[-1] == "result: fail"
+    doc = json.loads("{" + witness)
+    assert doc["law"] == "lemma1" and doc["violation"] == summary.witness.violation
+    assert "Traceback" not in captured.err
+
+
 def absorb_untested_closed_rows(x):
     """is_transitive that drops a closed row b > a's bits without testing
     row b ⊆ row a first."""
@@ -397,7 +430,7 @@ def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, name, bug, vio
 )
 def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
     # the laws compare whole morphisms, so one wrong entry of ψ must show
-    correct = harness_module.direct_image
+    correct = direct_image
     assert search(SearchConfig(law)).passed
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "promrep" and getattr(module, "direct_image", None) is correct:

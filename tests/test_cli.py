@@ -167,6 +167,20 @@ def test_check_malformed_workspace_is_input_error(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["check"], ["apply", "R"]])
+@pytest.mark.parametrize(
+    "data", [b"\xff\xfe{}", b"[" * 200_000], ids=["not-utf8", "nested-past-recursion-limit"]
+)
+def test_undecodable_workspace_file_is_input_error(tmp_path, data, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    proc = run_cli(*command, str(path), "p")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 # --- apply ------------------------------------------------------------------
 
 # p's x runs from A to B, so it is no preorder; R0's ord lies on A, not on

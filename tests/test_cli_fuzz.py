@@ -5,6 +5,7 @@ Each workspace example starts from a valid workspace, changes a few of its
 values (a label renamed throughout, a reference, a value of any JSON type,
 a deleted entry) and runs `check` or `apply` in-process.  Each `verify`
 example draws the law, mode and options, malformed ones included.
+Byte-level examples corrupt the file below the JSON level.
 Whatever the input: the exit code is 0, 1 or 2, no exception escapes,
 exit 1 comes only with a last line `result: fail`, exit 2 only with an
 `error:` message on stderr, and a successful `apply` prints a workspace
@@ -15,6 +16,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +154,40 @@ def test_mutated_workspaces_exit_cleanly(scratch_file, case):
         assert err.startswith("error:")
     if code == 0 and command != "check":
         assert workspace.dumps(workspace.loads(out)) == out
+
+
+@st.composite
+def corrupted_bytes(draw):
+    """A mutated workspace's file, corrupted below the JSON level: a byte
+    that is not UTF-8, a UTF-8 byte order mark, or nesting past the
+    recursion limit."""
+    doc, command, name = draw(mutated())
+    data = json.dumps(doc).encode()
+    how = draw(st.sampled_from(("not-utf8", "bom", "nesting")))
+    if how == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + data[at:]
+    elif how == "bom":
+        data = b"\xef\xbb\xbf" + data
+    else:
+        depth = sys.getrecursionlimit() * draw(st.integers(1, 20))
+        data = b"[" * depth + data + b"]" * depth
+    return how, data, command, name
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(case=corrupted_bytes())
+def test_corrupted_workspace_bytes_exit_cleanly(scratch_file, case):
+    how, data, command, name = case
+    scratch_file.write_bytes(data)
+    argv = ["check", str(scratch_file), name] if command == "check" else ["apply", command, str(scratch_file), name]
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if how != "bom":
+        assert code == 2
+    if code == 2:
+        assert err.startswith("error:") and out == ""
+    assert "Traceback" not in err
 
 
 #: Laws whose exhaustive search takes seconds at bound 2; the verify fuzz

@@ -24,6 +24,9 @@ from promrep import (
     check_prom_morphism,
     check_rep_morphism,
     check_representation,
+    compose,
+    compose_maps,
+    direct_image,
     empty,
     eq,
     finset,
@@ -33,14 +36,15 @@ from promrep import (
     gen_rep_morphism,
     gen_representation,
     identity,
+    identity_map,
     is_preorder,
+    powerset,
     replay,
     search,
 )
 from promrep.harness import (
     LawSpec,
     Schema,
-    direct_image_functorial,
     enumerate_fnmaps,
     enumerate_preorders,
     enumerate_prom_morphisms,
@@ -270,6 +274,33 @@ def test_witness_pipeline_via_injected_law():
 
 # --- search -----------------------------------------------------------------
 
+@pytest.mark.parametrize("mode", ["seeded", "exhaustive"])
+def test_refuted_run_stops_at_its_first_witness(mode):
+    # a law that fails from its k-th instance on, over lemma7's instances
+    k = 7
+    seen = []
+
+    def check(inst, cap):
+        seen.append(inst)
+        return ("failing from instance k on" if len(seen) >= k else None), {"seen": 1}
+
+    spec = CATALOG["lemma7"]
+    CATALOG["fails-from-k"] = replace(spec, law="fails-from-k", check=check)
+    try:
+        summary = search(SearchConfig(law="fails-from-k", mode=mode, trials=50, seed=11))
+    finally:
+        del CATALOG["fails-from-k"]
+    assert summary.checked == k == len(seen)
+    assert summary.notes == {"seen": k}
+    if mode == "seeded":
+        label = mix_seed(11, k - 1)
+        kth = spec.generate(random.Random(label), spec.default_bounds)
+    else:
+        label = "exhaustive"
+        kth = list(spec.enumerate(spec.default_bounds))[k - 1]
+    assert summary.witness == Witness("fails-from-k", label, kth, "failing from instance k on")
+
+
 def test_search_seeded_deterministic_across_parallelism():
     base = SearchConfig(law="triangle-repr", trials=120, seed=17)
     serial = search(base)
@@ -319,6 +350,39 @@ def test_search_rejects_empty_or_negative_bounds(mode):
 def test_all_laws_pass_smoke():
     for law in CATALOG:
         assert search(SearchConfig(law=law, trials=25, seed=5)).passed
+
+
+_TAU_PAIR = Schema(
+    (("M1", "a", 0), ("M2", "b", 0), ("M3", "c", 0)),
+    (("tau1", "rel", "M2", "M1"), ("tau2", "rel", "M3", "M2")),
+)
+
+
+def direct_image_functorial(max_size: int):
+    """Exhaustive functoriality of the direct image on raw tau data.
+
+    M on morphisms only transforms tau, so strict functoriality at a carrier
+    bound reduces to: direct_image(1_M) = id and
+    direct_image(tau2⨾tau1) = direct_image(tau1)⨾direct_image(tau2)
+    for all composable tau pairs within the bound.  Lemma 6's exhaustive
+    limit stops at |S| ≤ 1; this covers its composition equality at the
+    larger bound without the cross product of hom-sets.  Returns the number
+    of cases checked and the first violation message, if any.
+    """
+    checked = 0
+    for size in range(max_size + 1):
+        M = finset("M", size, "m")
+        checked += 1
+        if direct_image(identity(M)) != identity_map(powerset(M).carrier):
+            return checked, f"direct image of 1_M is not the identity at |M|={size}"
+    for inst in _TAU_PAIR.enumerate((max_size,)):
+        tau1, tau2 = inst["tau1"], inst["tau2"]
+        lhs = direct_image(compose(tau2, tau1))
+        rhs = compose_maps(direct_image(tau2), direct_image(tau1))
+        checked += 1
+        if lhs != rhs:
+            return checked, f"direct image is not multiplicative at tau1={tau1.pairs()}, tau2={tau2.pairs()}"
+    return checked, None
 
 
 def test_direct_image_functorial_small():
