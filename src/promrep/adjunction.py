@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rel import (
-    DEFAULT_POWERSET_CAP,
     FnMap,
     Rel,
     compose,
@@ -74,40 +73,40 @@ class HomPair:
         return RepMorphism(self.rp, self.r, m.phi, map_to_rel(m.psi, self.mem), check=False)
 
 
-def hom_pair(p: Prom, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> HomPair:
+def hom_pair(p: Prom, r: Representation) -> HomPair:
     """The context of the hom-sets R(p) → r and p → M(r), from one powerset of r.M."""
-    return HomPair(p, r, prom_to_rep(p), rep_to_prom(r, cap), powerset(r.M, cap).mem)
+    return HomPair(p, r, prom_to_rep(p), rep_to_prom(r), powerset(r.M).mem)
 
 
-def unit(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
+def unit(p: Prom) -> PromMorphism:
     """η = Ψ(1_{R p}): the identity on A and the down-set map b ↦ {b' | (b',b)∈y}."""
-    h = hom_pair(p, prom_to_rep(p), cap)
+    h = hom_pair(p, prom_to_rep(p))
     return h.lift(identity_rep_morphism(h.r))
 
 
-def counit(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
+def counit(r: Representation) -> RepMorphism:
     """ε = T(1_{M r}): the identity on S and the membership relation M ⇸ 2^M."""
-    mr = rep_to_prom(r, cap)
-    h = HomPair(mr, r, prom_to_rep(mr), mr, powerset(r.M, cap).mem)
+    mr = rep_to_prom(r)
+    h = HomPair(mr, r, prom_to_rep(mr), mr, powerset(r.M).mem)
     return h.lower(identity_prom_morphism(mr))
 
 
-def recover_by_membership(x: Rel, cap: int = DEFAULT_POWERSET_CAP) -> Rel:
+def recover_by_membership(x: Rel) -> Rel:
     """∈⨾(∈\\x); equals x for every relation (membership saturation)."""
-    bundle = powerset(x.src, cap)
+    bundle = powerset(x.src)
     return compose(bundle.mem, left_residual(bundle.mem, x))
 
 
-def unit_natural(m: PromMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
+def unit_natural(m: PromMorphism) -> bool:
     """unit(dst)∘m = image-of-m∘unit(src), as equal prom morphisms."""
-    lhs = compose_prom_morphisms(unit(m.dst, cap), m)
-    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m), cap), unit(m.src, cap))
+    lhs = compose_prom_morphisms(unit(m.dst), m)
+    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), unit(m.src))
 
 
-def counit_natural(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> bool:
+def counit_natural(m: RepMorphism) -> bool:
     """counit(dst)∘image-of-m = m∘counit(src)."""
-    lhs = compose_rep_morphisms(counit(m.dst, cap), prommor_to_repmor(repmor_to_prommor(m, cap)))
-    return lhs == compose_rep_morphisms(m, counit(m.src, cap))
+    lhs = compose_rep_morphisms(counit(m.dst), prommor_to_repmor(repmor_to_prommor(m)))
+    return lhs == compose_rep_morphisms(m, counit(m.src))
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,14 @@ class TriangleRepResult:
     strict: bool  # y strictly above the diagonal
 
 
-def triangle_rep(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> TriangleRepResult:
+def triangle_rep(p: Prom) -> TriangleRepResult:
     """counit at the image of p, after the image of the unit.
 
     The composite is (id_A, y); it dominates the identity 1-cell and is
     strictly above it exactly when y is not discrete.
     """
     rp = prom_to_rep(p)
-    composite = compose_rep_morphisms(counit(rp, cap), prommor_to_repmor(unit(p, cap)))
+    composite = compose_rep_morphisms(counit(rp), prommor_to_repmor(unit(p)))
     return TriangleRepResult(
         composite,
         composite == RepMorphism(rp, rp, identity_map(p.A), p.y.rel, check=False),
@@ -134,7 +133,7 @@ def triangle_rep(p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> TriangleRepResult:
     )
 
 
-def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
+def triangle_prom(r: Representation) -> bool:
     """The prom-side triangle: the composite on 2^M is the identity map.
 
     The composite relates m to α iff m lies in some β ⊆ α, that is the
@@ -143,7 +142,7 @@ def triangle_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> bool:
     row operations, so neither the 4^|M| pairs of ⊆ nor the nested
     powerset 2^(2^M) is ever enumerated.
     """
-    mem = powerset(r.M, cap).mem
+    mem = powerset(r.M).mem
     return _triangle_prom_composite(mem) == identity_map(mem.dst)
 
 
@@ -168,11 +167,11 @@ def map_to_rel(psi: FnMap, mem: Rel) -> Rel:
     return compose(mem, graph_upper(psi))
 
 
-def lift(m: RepMorphism, p: Prom, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
+def lift(m: RepMorphism, p: Prom) -> PromMorphism:
     """Ψ of one morphism R(p) → r into the prom morphism p → M(r)."""
-    return hom_pair(p, m.dst, cap).lift(m)
+    return hom_pair(p, m.dst).lift(m)
 
 
-def lower(m: PromMorphism, r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> RepMorphism:
+def lower(m: PromMorphism, r: Representation) -> RepMorphism:
     """T of one prom morphism p → M(r) into the morphism R(p) → r."""
-    return hom_pair(m.src, r, cap).lower(m)
+    return hom_pair(m.src, r).lower(m)

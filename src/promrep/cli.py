@@ -19,7 +19,7 @@ from . import workspace
 from .adjunction import counit, lift, lower, unit
 from .functors import prom_to_rep, rep_to_prom
 from .harness import CATALOG, ConfigError, SearchConfig, search
-from .rel import DEFAULT_POWERSET_CAP, PowersetCapExceeded
+from .rel import PowersetCapExceeded
 from .structures import (
     InvalidStructure,
     Prom,
@@ -34,8 +34,15 @@ _CHECKS = {
     "preorder": ("reflexivity", "transitivity"),
     "prom": ("x preorder", "y preorder", "order preservation"),
     "representation": ("ord preorder", "soundness"),
-    "prom_morphism": ("phi order preservation", "psi order preservation", "commuting square"),
-    "rep_morphism": ("phi order preservation", "commuting square"),
+    "prom_morphism": (
+        "src x preorder", "src y preorder", "src order preservation",
+        "dst x preorder", "dst y preorder", "dst order preservation",
+        "phi order preservation", "psi order preservation", "commuting square",
+    ),
+    "rep_morphism": (
+        "src ord preorder", "src soundness", "dst ord preorder", "dst soundness",
+        "phi order preservation", "commuting square",
+    ),
 }
 
 
@@ -92,48 +99,46 @@ def _find_prom_preimage(ws: workspace.Workspace, rep: Representation) -> Prom:
     )
 
 
-def _find_rep_preimage(ws: workspace.Workspace, prom: Prom, cap: int) -> Representation:
+def _find_rep_preimage(ws: workspace.Workspace, prom: Prom) -> Representation:
     for obj in ws.structures.values():
         # M(r) has r's order and 2^|M| points: build it only for an r that can match
         if not isinstance(obj, Representation) or obj.ord != prom.x or 1 << len(obj.M) != len(prom.B):
             continue
-        if rep_to_prom(obj, cap) == prom:
+        if rep_to_prom(obj) == prom:
             return obj
     raise InputError(
         "tee needs a representation in the file whose prom image is the morphism destination"
     )
 
 
-#: Functor → (class of its input, its image given workspace, input, cap).
+#: Functor → (class of its input, its image given workspace and input).
 #: psi and tee also look up, in the workspace, the object their map needs.
 _FUNCTORS = {
-    "R": (Prom, lambda ws, p, cap: prom_to_rep(p)),
-    "M": (Representation, lambda ws, r, cap: rep_to_prom(r, cap)),
-    "MR": (Prom, lambda ws, p, cap: rep_to_prom(prom_to_rep(p), cap)),
-    "RM": (Representation, lambda ws, r, cap: prom_to_rep(rep_to_prom(r, cap))),
-    "unit": (Prom, lambda ws, p, cap: unit(p, cap)),
-    "counit": (Representation, lambda ws, r, cap: counit(r, cap)),
-    "psi": (RepMorphism, lambda ws, m, cap: lift(m, _find_prom_preimage(ws, m.src), cap)),
-    "tee": (PromMorphism, lambda ws, m, cap: lower(m, _find_rep_preimage(ws, m.dst, cap), cap)),
+    "R": (Prom, lambda ws, p: prom_to_rep(p)),
+    "M": (Representation, lambda ws, r: rep_to_prom(r)),
+    "MR": (Prom, lambda ws, p: rep_to_prom(prom_to_rep(p))),
+    "RM": (Representation, lambda ws, r: prom_to_rep(rep_to_prom(r))),
+    "unit": (Prom, lambda ws, p: unit(p)),
+    "counit": (Representation, lambda ws, r: counit(r)),
+    "psi": (RepMorphism, lambda ws, m: lift(m, _find_prom_preimage(ws, m.src))),
+    "tee": (PromMorphism, lambda ws, m: lower(m, _find_rep_preimage(ws, m.dst))),
 }
 
 FUNCTORS = tuple(_FUNCTORS)
 
 
-def _apply(functor: str, ws: workspace.Workspace, obj, cap: int):
+def _apply(functor: str, ws: workspace.Workspace, obj):
     cls, image = _FUNCTORS[functor]
     if not isinstance(obj, cls):
         raise InputError(f"functor {functor} applies to a {workspace.KIND_OF[cls]}")
-    return image(ws, obj, cap)
+    return image(ws, obj)
 
 
 def cmd_apply(args) -> int:
-    if args.powerset_cap < 0:
-        raise InputError(f"powerset cap must be nonnegative, got {args.powerset_cap}")
     ws = _load(args.file)
     obj = _named(ws, args.name)
     try:
-        image = _apply(args.functor, ws, obj, args.powerset_cap)
+        image = _apply(args.functor, ws, obj)
         out = workspace.build({f"{args.functor}({args.name})": image})
         text = workspace.dumps(out)
     except ValueError as e:
@@ -161,7 +166,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         parallelism=args.jobs,
-        powerset_cap=args.powerset_cap,
     )
     started = time.monotonic()
     try:
@@ -206,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument("functor", choices=FUNCTORS)
     p_apply.add_argument("file")
     p_apply.add_argument("name")
-    p_apply.add_argument("--powerset-cap", type=int, default=DEFAULT_POWERSET_CAP)
     p_apply.set_defaults(func=cmd_apply)
 
     p_verify = sub.add_parser("verify", help="search a law for counterexamples")
@@ -217,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--jobs", type=int, default=1, help="at least 1; trials run serially for now")
     p_verify.add_argument("--pretty", action="store_true")
-    p_verify.add_argument("--powerset-cap", type=int, default=DEFAULT_POWERSET_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_laws = sub.add_parser("laws", help="list the law catalog")

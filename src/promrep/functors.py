@@ -9,7 +9,6 @@ functorial.
 from __future__ import annotations
 
 from .rel import (
-    DEFAULT_POWERSET_CAP,
     FnMap,
     Rel,
     compose,
@@ -44,28 +43,17 @@ def subset_order(bundle) -> Preorder:
     return Preorder(left_residual(bundle.mem, bundle.mem), check=False)
 
 
-def theory_map(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
-    """s ↦ {m | m ⊨ s} into the powerset of models: Λ(⊨)."""
-    return power_transpose(r.sat, powerset(r.M, cap).mem)
-
-
-def rep_to_prom(r: Representation, cap: int = DEFAULT_POWERSET_CAP) -> Prom:
-    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩."""
-    bundle = powerset(r.M, cap)
+def rep_to_prom(r: Representation) -> Prom:
+    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; Λ(⊨) is the theory map s ↦ {m | m ⊨ s}."""
+    bundle = powerset(r.M)
     return Prom(r.ord, subset_order(bundle), power_transpose(r.sat, bundle.mem), check=False)
 
 
-def direct_image(tau: Rel, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
+def direct_image(tau: Rel) -> FnMap:
     """Lift tau: M' ⇸ M to the map 2^M → 2^M', α ↦ {b | ∃a∈α: (b,a)∈tau}: Λ(τ⨾∈)."""
-    return power_transpose(compose(tau, powerset(tau.dst, cap).mem), powerset(tau.src, cap).mem)
+    return power_transpose(compose(tau, powerset(tau.dst).mem), powerset(tau.src).mem)
 
 
-def repmor_to_prommor(m: RepMorphism, cap: int = DEFAULT_POWERSET_CAP) -> PromMorphism:
+def repmor_to_prommor(m: RepMorphism) -> PromMorphism:
     """(φ,τ) ↦ (φ, direct image of τ).  Strictly functorial."""
-    return PromMorphism(
-        rep_to_prom(m.src, cap),
-        rep_to_prom(m.dst, cap),
-        m.phi,
-        direct_image(m.tau, cap),
-        check=False,
-    )
+    return PromMorphism(rep_to_prom(m.src), rep_to_prom(m.dst), m.phi, direct_image(m.tau), check=False)

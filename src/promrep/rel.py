@@ -44,7 +44,10 @@ their rows or image with one `min`/`max` and keep a tuple argument as is.
 carriers built apart stay interchangeable.  Two bounded caches hold
 immutable values: `finset` interns its carriers by (name, size, prefix),
 and `powerset` memoizes the bundle per base carrier, checking the cap on
-every call.  `clear_caches` empties both, so that a test that patches a
+every call, before the memo.  The cap is the one constant `POWERSET_CAP`:
+no construction, law or search takes a cap of its own, so the constructions
+above `powerset` fail with `PowersetCapExceeded` exactly when it does.
+`clear_caches` empties both, so that a test that patches a
 kernel builder sees the patched result instead of a cached one.
 """
 
@@ -58,8 +61,8 @@ from typing import Iterable, Iterator
 
 #: Largest base carrier for which a powerset may be materialized (2^12 = 4096
 #: subsets).  The M and R∘M constructions square the powerset carrier, so this
-#: guard prevents accidental blowup; callers may override it per call.
-DEFAULT_POWERSET_CAP = 12
+#: guard prevents accidental blowup.  Only `powerset` reads it.
+POWERSET_CAP = 12
 
 #: Entries kept by the `finset` and `powerset` caches.  A law search meets a
 #: few dozen carriers; a powerset bundle at the cap holds about 1 MB.
@@ -72,7 +75,7 @@ class CarrierMismatch(ValueError):
 
 
 class PowersetCapExceeded(ValueError):
-    """A powerset construction would exceed the configured cap."""
+    """A powerset construction would exceed POWERSET_CAP."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,15 +450,15 @@ def subset_labels(base: FinSet) -> tuple[str, ...]:
     return tuple(f"{{{s}}}" for s in inner)
 
 
-def powerset(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> PowersetBundle:
+def powerset(base: FinSet) -> PowersetBundle:
     """All subsets of `base`, ordered by ascending bitmask over the base order.
 
-    The index of a subset in the carrier equals its bitmask.  The cap is
-    checked on every call; the bundle is built once per base carrier.
+    The index of a subset in the carrier equals its bitmask.  POWERSET_CAP
+    is checked on every call; the bundle is built once per base carrier.
     """
     n = len(base.elements)
-    if n > cap:
-        raise PowersetCapExceeded(f"|{base.name}| = {n} exceeds powerset cap {cap}")
+    if n > POWERSET_CAP:
+        raise PowersetCapExceeded(f"|{base.name}| = {n} exceeds powerset cap {POWERSET_CAP}")
     return _cached_powerset(base)
 
 
@@ -491,21 +494,12 @@ def power_transpose(x: Rel, mem: Rel) -> FnMap:
     return FnMap(x.dst, mem.dst, _transpose(x.rows, len(x.dst)))
 
 
-def singleton_map(base: FinSet, cap: int = DEFAULT_POWERSET_CAP) -> FnMap:
+def singleton_map(base: FinSet) -> FnMap:
     """a ↦ {a} into the powerset carrier: Λ(id)."""
-    return power_transpose(identity(base), powerset(base, cap).mem)
+    return power_transpose(identity(base), powerset(base).mem)
 
 
 def pullback(y: Rel, f: FnMap) -> Rel:
     """f_*⨾y⨾f^*: (a,a') iff (f(a),f(a'))∈y."""
     return compose(graph_lower(f), compose(y, graph_upper(f)))
 
-
-def fn_eq_into_powerset(f: FnMap, g: FnMap, mem: Rel) -> bool:
-    """∈⨾f^* = ∈⨾g^* for maps into the powerset whose membership is `mem`:
-    a carrier index names its subset, so this is equality of the images."""
-    if f.src != g.src or f.dst != g.dst:
-        raise CarrierMismatch("functions into a powerset over different carriers")
-    if mem.dst != f.dst:
-        raise CarrierMismatch("membership relation does not match the codomain")
-    return f.image == g.image

@@ -136,11 +136,7 @@ def check_prom(p: Prom) -> CheckResult:
     res = check_preorder(p.y.rel)
     if not res:
         return CheckResult(False, "y " + res.axiom, res.witness)
-    bad = order_violation(p.f, p.x.rel, p.y.rel)
-    if bad is not None:
-        i, j = bad
-        return CheckResult(False, "order preservation", (p.A.elements[i], p.A.elements[j]))
-    return OK
+    return _preserves("order preservation", p.f, p.x, p.y)
 
 
 def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
@@ -156,6 +152,14 @@ def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
             if not target >> img[j] & 1:
                 return i, j
     return None
+
+
+def _preserves(axiom: str, f: FnMap, x: Preorder, y: Preorder) -> CheckResult:
+    """Whether f carries x into y; if not, `axiom` fails at the first pair of x it breaks."""
+    bad = order_violation(f, x.rel, y.rel)
+    if bad is None:
+        return OK
+    return CheckResult(False, axiom, tuple(f.src.elements[i] for i in bad))
 
 
 @dataclass(frozen=True)
@@ -175,13 +179,26 @@ class PromMorphism:
             validate(self)
 
 
+def _ends(check, m) -> CheckResult:
+    """`check` on m's source, then its destination, naming the failing end."""
+    for end, obj in (("src", m.src), ("dst", m.dst)):
+        res = check(obj)
+        if not res:
+            return CheckResult(False, f"{end} {res.axiom}", res.witness)
+    return OK
+
+
 def check_prom_morphism(m: PromMorphism) -> CheckResult:
-    res = check_prom(Prom(m.src.x, m.dst.x, m.phi, check=False))
+    """Both ends, then φ and ψ for order preservation, then ψ∘f = f'∘φ.
+
+    The ends' checks test each of the four preorders once."""
+    res = (
+        _ends(check_prom, m)
+        and _preserves("phi order preservation", m.phi, m.src.x, m.dst.x)
+        and _preserves("psi order preservation", m.psi, m.src.y, m.dst.y)
+    )
     if not res:
-        return CheckResult(False, "phi: " + res.axiom, res.witness)
-    res = check_prom(Prom(m.src.y, m.dst.y, m.psi, check=False))
-    if not res:
-        return CheckResult(False, "psi: " + res.axiom, res.witness)
+        return res
     # ψ∘f = f'∘φ, pointwise.
     f, f2 = m.src.f, m.dst.f
     for i, a in enumerate(m.src.A.elements):
@@ -255,9 +272,12 @@ class RepMorphism:
 
 
 def check_rep_morphism(m: RepMorphism) -> CheckResult:
-    res = check_prom(Prom(m.src.ord, m.dst.ord, m.phi, check=False))
+    """Both ends, then φ for order preservation, then τ⨾⊨ = ⊨'⨾φ^*."""
+    res = _ends(check_representation, m) and _preserves(
+        "phi order preservation", m.phi, m.src.ord, m.dst.ord
+    )
     if not res:
-        return CheckResult(False, "phi: " + res.axiom, res.witness)
+        return res
     lhs = compose(m.tau, m.src.sat)
     rhs = compose(m.dst.sat, graph_upper(m.phi))
     for i, (l, r) in enumerate(zip(lhs.rows, rhs.rows)):

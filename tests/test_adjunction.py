@@ -19,13 +19,7 @@ from promrep import (
     direct_image,
     eq,
     finset,
-    fn_eq_into_powerset,
     full,
-    gen_preorder,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     graph_upper,
     hom_pair,
     identity,
@@ -66,6 +60,13 @@ import promrep.harness as harness_module
 import promrep.rel as rel_module
 import random
 import sys
+from seeded import (
+    gen_preorder,
+    gen_prom,
+    gen_prom_morphism,
+    gen_rep_morphism,
+    gen_representation,
+)
 
 
 def rel(src, dst, *pairs):
@@ -294,7 +295,7 @@ def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
 
 def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     """∈ on 2^8 is 256 columns wide with 128 bits a row, so its rows are
-    scanned, not peeled; no default seeded bound builds a row that wide.
+    scanned, not peeled.
 
     The law's reference for ∈\\∈ lists no bits through the kernel, and
     triangle_prom compares the composite's images with the identity's.
@@ -309,6 +310,21 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     assert summary.witness.violation == "∈\\∈ differs from the subset order"
     assert replay(summary.witness)
     assert not triangle_prom(r)
+
+
+def test_scan_dropping_top_bit_is_caught_by_the_default_run(monkeypatch, capsys):
+    """mem-residual-subset's default bound draws |M| up to 7, where ∈ has
+    rows 128 columns wide with 64 bits each, which `row_bits` scans."""
+    scan = rel_module._scan
+    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ (1 << row.bit_length() >> 1)))
+    clear_caches()
+    assert main(["verify", "mem-residual-subset"]) == 1
+    report, witness = capsys.readouterr().out.split("\n{", 1)
+    assert report.splitlines()[-1] == "result: fail"
+    summary = search(SearchConfig("mem-residual-subset"))
+    assert json.loads("{" + witness)["seed"] == summary.witness.seed
+    assert summary.witness.violation == "∈\\∈ differs from the subset order"
+    assert replay(summary.witness)
 
 
 def test_byte_table_dropping_top_bit_is_caught_by_default_runs(monkeypatch):
@@ -499,11 +515,10 @@ def test_lift_lower_roundtrips():
     p = gen_prom(3, 2, 2)
     r = gen_representation(3, 2, 2)
     rep_homs, prom_homs = _hom_sets(p, r)
-    bundle = powerset(r.M)
     for m in prom_homs:
         back = lift(lower(m, r), p)
         assert back.phi.image == m.phi.image
-        assert fn_eq_into_powerset(back.psi, m.psi, bundle.mem)
+        assert back.psi == m.psi
     for m in rep_homs:
         around = lower(lift(m, p), r)
         assert repmor_leq(m, around)

@@ -13,11 +13,16 @@ import pytest
 import promrep
 
 from promrep import (
+    FnMap,
     Preorder,
     Prom,
     Rel,
-    gen_prom,
-    gen_representation,
+    Representation,
+    finset,
+    full,
+    identity,
+    identity_prom_morphism,
+    identity_rep_morphism,
     prom_to_rep,
     prommor_to_repmor,
     rep_to_prom,
@@ -25,6 +30,7 @@ from promrep import (
     workspace,
 )
 from promrep.cli import main
+from seeded import gen_prom, gen_representation
 
 
 SAMPLE = {
@@ -86,6 +92,29 @@ def test_check_names_transitivity_witness_on_subset_order(tmp_path, capsys):
         "witness: ('{}', '{m0,m1,m2,m3,m4,m5,m6,m7}')",
         "result: fail",
     ]
+
+
+def test_check_morphism_names_a_broken_end(tmp_path, capsys):
+    """Identity morphisms on a prom whose f breaks order and on an unsound
+    representation: only the ends are invalid."""
+    A, B, M = finset("A", 2, "a"), finset("B", 2, "b"), finset("M", 1, "m")
+    chain = Preorder(Rel.from_pairs(B, B, [("b0", "b0"), ("b1", "b1"), ("b0", "b1")]))
+    p = Prom(Preorder(full(A, A)), chain, FnMap(A, B, (1, 0)), check=False)
+    r = Representation(Rel.from_pairs(M, B, [("m0", "b0")]), chain, check=False)
+    good = Prom(Preorder(identity(A)), chain, p.f)
+    ws = {"pm": identity_prom_morphism(p), "rm": identity_rep_morphism(r), "ok": identity_prom_morphism(good)}
+    path = tmp_path / "ws.json"
+    path.write_text(workspace.dumps(workspace.build(ws)))
+    for name, axiom, witness in (
+        ("pm", "src order preservation", "('a0', 'a1')"),
+        ("rm", "src soundness", "('m0', 'b1')"),
+    ):
+        assert main(["check", str(path), name]) == 1
+        assert capsys.readouterr().out.splitlines()[2:] == [f"axiom: {axiom}", f"witness: {witness}", "result: fail"]
+    assert main(["check", str(path), "ok"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:5] == ["src x preorder: ok", "src y preorder: ok", "src order preservation: ok"]
+    assert out[-2:] == ["commuting square: ok", "result: ok"]
 
 
 def test_check_missing_name(sample_file):
@@ -319,10 +348,12 @@ def test_apply_psi_without_context_prom(tmp_path):
 
 
 def test_apply_powerset_cap_guard(tmp_path, capsys):
-    r = gen_representation(1, 3, 2)
+    r = gen_representation(1, 13, 2)
     path = tmp_path / "big.json"
     path.write_text(workspace.dumps(workspace.build({"R": r})))
-    assert main(["apply", "M", str(path), "R", "--powerset-cap", "2"]) == 2
+    assert main(["apply", "M", str(path), "R"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: |M| = 13 exceeds powerset cap 12\n"
 
 
 #: sha256 of `promrep apply FUNCTOR FILE NAME` stdout on the |M| = 8 workspace
@@ -373,18 +404,26 @@ def test_verify_empty_max_size_is_input_error():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_verify_over_the_powerset_cap_is_input_error():
+    # lemma7 builds the powerset of x's source, drawn here up to 13 elements
+    proc = run_cli("verify", "lemma7", "--max-size", "13")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: |A| = 13 exceeds powerset cap 12")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "eq1-galois", "--trials", "5", "--powerset-cap=-1"],
-        ["verify", "lemma7", "--powerset-cap=-1"],
-        ["apply", "R", "FILE", "p", "--powerset-cap", "-1"],
+        ["verify", "lemma7", "--powerset-cap=12"],
+        ["apply", "R", "FILE", "p", "--powerset-cap", "12"],
     ],
 )
-def test_negative_powerset_cap_is_input_error(sample_file, argv):
+def test_powerset_cap_option_is_gone(sample_file, argv):
     proc = run_cli(*(sample_file if arg == "FILE" else arg for arg in argv))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: powerset cap must be nonnegative, got -1")
+    assert "error: unrecognized arguments: --powerset-cap" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 

@@ -23,16 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 from promrep import (
     CATALOG,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     prom_to_rep,
     prommor_to_repmor,
     unit,
     workspace,
 )
 from promrep.cli import FUNCTORS, main
+from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 
 def _valid_documents():
@@ -213,10 +210,9 @@ def verify_argv(draw):
     elif shape == "malformed":
         argv.append(f"--max-size={draw(st.sampled_from(('', ',', '1,', 'x', '1.5')))}")
     argv.append(f"--trials={draw(st.integers(-1, 5))}")
-    for option, values in (("powerset-cap", st.integers(-1, 4)), ("jobs", st.integers(0, 3))):
-        value = draw(values | st.none())
-        if value is not None:
-            argv.append(f"--{option}={value}")
+    jobs = draw(st.integers(0, 3) | st.none())
+    if jobs is not None:
+        argv.append(f"--jobs={jobs}")
     return argv
 
 
@@ -225,7 +221,7 @@ def verify_argv(draw):
 def test_verify_options_exit_cleanly(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2)
-    if any(arg.startswith(("--powerset-cap=-", "--trials=-")) for arg in argv):
+    if any(arg.startswith("--trials=-") for arg in argv):
         assert code == 2
     if code == 0:
         assert out.splitlines()[-1] == "result: pass"

@@ -10,8 +10,6 @@ from promrep import (
     exactness_is_identity,
     finset,
     full,
-    gen_prom,
-    gen_representation,
     identity,
     is_exact,
     is_order_reflecting,
@@ -22,6 +20,7 @@ from promrep import (
     reflection_is_identity,
     rep_to_prom,
 )
+from seeded import gen_prom, gen_representation
 
 
 def rel(src, dst, *pairs):

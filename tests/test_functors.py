@@ -13,11 +13,6 @@ from promrep import (
     direct_image,
     eq,
     finset,
-    fn_eq_into_powerset,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     graph_upper,
     identity,
     identity_map,
@@ -31,8 +26,8 @@ from promrep import (
     repmor_leq,
     repmor_to_prommor,
     subset_order,
-    theory_map,
 )
+from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 
 def rel(src, dst, *pairs):
@@ -113,14 +108,14 @@ def test_laxness_identity_inequality():
 def test_theory_map_comprehension():
     M, S = finset("M", 2, "m"), finset("S", 1, "s")
     rep = Representation(rel(M, S, ("m0", "s0")), Preorder(identity(S)))
-    f = theory_map(rep)
+    f = rep_to_prom(rep).f
     assert f.of("s0") == "{m0}"
 
 
 def test_theory_map_empty_sat_is_constant_empty():
     M, S = finset("M", 2, "m"), finset("S", 2, "s")
     rep = Representation(rel(M, S), Preorder(identity(S)))
-    f = theory_map(rep)
+    f = rep_to_prom(rep).f
     assert all(f.of(s) == "{}" for s in S)
 
 
@@ -189,9 +184,8 @@ def test_image_of_identity_rep_morphism_is_identity():
     r = gen_representation(7, 2, 2)
     img = repmor_to_prommor(identity_rep_morphism(r))
     ident = identity_prom_morphism(rep_to_prom(r))
-    bundle = powerset(r.M)
     assert img.phi.image == ident.phi.image
-    assert fn_eq_into_powerset(img.psi, ident.psi, bundle.mem)
+    assert img.psi == ident.psi
 
 
 def test_image_prom_morphisms_valid_seeded():

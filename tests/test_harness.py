@@ -30,11 +30,6 @@ from promrep import (
     empty,
     eq,
     finset,
-    gen_preorder,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     identity,
     identity_map,
     is_preorder,
@@ -53,6 +48,13 @@ from promrep.harness import (
     enumerate_rep_morphisms,
     enumerate_representations,
     mix_seed,
+)
+from seeded import (
+    gen_preorder,
+    gen_prom,
+    gen_prom_morphism,
+    gen_rep_morphism,
+    gen_representation,
 )
 
 
@@ -250,7 +252,7 @@ def test_check_law_rejects_invalid_input_instead_of_witnessing():
 def test_witness_pipeline_via_injected_law():
     # all catalog laws are theorems, so exercise the witness machinery with a
     # deliberately false law over the same instance space
-    def check(inst, cap):
+    def check(inst):
         if len(inst["p"].B) > 0:
             return "carrier is inhabited", {}
         return None, {}
@@ -280,7 +282,7 @@ def test_refuted_run_stops_at_its_first_witness(mode):
     k = 7
     seen = []
 
-    def check(inst, cap):
+    def check(inst):
         seen.append(inst)
         return ("failing from instance k on" if len(seen) >= k else None), {"seen": 1}
 
@@ -406,7 +408,8 @@ def test_seeded_rep_morphisms_respect_both_bounds(law):
 # Recorded from the hand-written generators and enumerators that the instance
 # schemas replaced, so a change of draw order or of instance space shows up
 # here.  modular-tautology's stream was re-recorded when its generator began
-# drawing |B| and |C| from 0..n, as its enumerator always did.
+# drawing |B| and |C| from 0..n, as its enumerator always did, and
+# mem-residual-subset's when its default bound went from 3 to 7.
 
 GOLDEN_STREAMS = {
     "counit-natural": "2b53d7de1320b81cdca6cb94c3cf3d54f6c724aff5877e91a7fb126f539bc3ac",
@@ -423,7 +426,7 @@ GOLDEN_STREAMS = {
     "lemma7": "89cc9f6678626efb7450a2a86d47f175be8249eeea72e2440ebb1c6ee8b9222d",
     "lemma8": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
     "lemma9": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
-    "mem-residual-subset": "3c9ee32151152cc4285469838e733729c5870464411cccfb83382b4b3af77722",
+    "mem-residual-subset": "880f02ed696152395da0d30d1897084f2cd36572be33d6bf75d5207cefe9e12b",
     "modular-tautology": "6a6c6de2ddc2a4e3f4d54857ea1627f26e8920ddc904753be3a1b4debd02a43e",
     "preorder-single-axiom": "f2997c0ac7b7119bcf52aff54e9d146a20fb33920c070f77b00368faf863eb9d",
     "psi-characterization": "de9933b179211a20e5baf8e5a8676809c99f809573abef02c6d743f267b1e570",
@@ -555,7 +558,7 @@ witnesses: 0
 result: pass
 law: mem-residual-subset
 mode: seeded
-bounds: 3
+bounds: 7
 seed: 7
 checked: 40
 witnesses: 0

@@ -14,6 +14,7 @@ from promrep import (
     CarrierMismatch,
     FinSet,
     FnMap,
+    POWERSET_CAP,
     PowersetCapExceeded,
     Rel,
     clear_caches,
@@ -22,7 +23,6 @@ from promrep import (
     empty,
     eq,
     finset,
-    fn_eq_into_powerset,
     full,
     graph_lower,
     graph_upper,
@@ -532,8 +532,9 @@ def test_subset_labels_quote_labels_that_could_be_misread():
 
 
 def test_powerset_cap():
-    with pytest.raises(PowersetCapExceeded):
-        powerset(finset("M", 5, "m"), cap=4)
+    assert POWERSET_CAP == 12
+    with pytest.raises(PowersetCapExceeded, match="exceeds powerset cap 12"):
+        powerset(finset("M", 13, "m"))
 
 
 def test_cached_powerset_equals_fresh_build():
@@ -543,14 +544,6 @@ def test_cached_powerset_equals_fresh_build():
     clear_caches()
     fresh = powerset(base)
     assert fresh is not cached and fresh == cached  # same labels and membership rows
-
-
-def test_powerset_cap_is_checked_on_cache_hits():
-    base = finset("M", 3, "m")
-    powerset(base)
-    with pytest.raises(PowersetCapExceeded):
-        powerset(base, cap=len(base) - 1)
-    assert powerset(base, cap=len(base)).carrier.elements[-1] == "{m0,m1,m2}"
 
 
 def test_kernel_caches_under_concurrent_use():
@@ -628,32 +621,33 @@ def test_pullback_matches_pointwise_definition():
                 assert set(pullback(y, f).pairs()) == expected
 
 
+# Maps into a powerset compare with ==: a carrier index names its subset.
+
 def test_fn_eq_into_powerset_basic():
     M = finset("M", 1, "m")
     bundle = powerset(M)
     f = FnMap(M, bundle.carrier, (0,))
     g = FnMap(M, bundle.carrier, (1,))
-    assert fn_eq_into_powerset(f, f, bundle.mem)
-    assert not fn_eq_into_powerset(f, g, bundle.mem)
+    assert f == FnMap(M, bundle.carrier, (0,))
+    assert f != g
 
 
 def test_fn_eq_into_powerset_matches_pointwise_exhaustively():
+    """f == g exactly when ∈⨾f^* = ∈⨾g^*."""
     A = finset("A", 2, "a")
     bundle = powerset(finset("B", 2, "b"))
     maps = [FnMap(A, bundle.carrier, (i, j)) for i in range(4) for j in range(4)]
     for f in maps:
         for g in maps:
             relational = eq(compose(bundle.mem, graph_upper(f)), compose(bundle.mem, graph_upper(g)))
-            assert fn_eq_into_powerset(f, g, bundle.mem) == (f.image == g.image) == relational
+            assert (f == g) == (f.image == g.image) == relational
 
 
 def test_fn_eq_into_powerset_rejects_other_carriers():
     bundle = powerset(finset("B", 2, "b"))
     f = FnMap(finset("A", 2, "a"), bundle.carrier, (0, 3))
-    with pytest.raises(CarrierMismatch, match="different carriers"):
-        fn_eq_into_powerset(f, FnMap(finset("C", 2, "c"), bundle.carrier, (0, 3)), bundle.mem)
-    with pytest.raises(CarrierMismatch, match="does not match the codomain"):
-        fn_eq_into_powerset(f, f, powerset(finset("D", 2, "d")).mem)
+    assert f != FnMap(finset("C", 2, "c"), bundle.carrier, (0, 3))
+    assert f != FnMap(f.src, powerset(finset("D", 2, "d")).carrier, (0, 3))
 
 
 # --- hypothesis property tests ---------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from promrep import (
     CarrierMismatch,
+    CheckResult,
     FnMap,
     InvalidStructure,
     Preorder,
@@ -23,10 +24,6 @@ from promrep import (
     eq,
     finset,
     full,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     identity,
     identity_map,
     identity_prom_morphism,
@@ -37,6 +34,8 @@ from promrep import (
     rep_to_prom,
     repmor_leq,
 )
+from promrep.structures import validate
+from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 A2 = finset("A", 2, "a")
 A3 = finset("A", 3, "a")
@@ -271,6 +270,32 @@ def test_composition_preserves_validity_seeded():
         rm = gen_rep_morphism(seed, 2)
         assert check_rep_morphism(rm)
         assert check_rep_morphism(compose_rep_morphisms(identity_rep_morphism(rm.dst), rm))
+
+
+def test_morphism_checks_validate_both_ends():
+    """A morphism whose maps and square are fine is still invalid when one
+    of its ends is; the failing axiom names that end."""
+    y = chain2(B2)
+    f = FnMap(A2, B2, (1, 0))
+    good = Prom(Preorder(identity(A2)), y, f)
+    bad = Prom(Preorder(full(A2, A2)), y, f, check=False)  # f breaks order at (a0, a1)
+    for m, axiom in (
+        (identity_prom_morphism(bad), "src order preservation"),
+        (PromMorphism(good, bad, identity_map(A2), identity_map(B2), check=False), "dst order preservation"),
+    ):
+        assert check_prom_morphism(m) == CheckResult(False, axiom, ("a0", "a1"))
+        with pytest.raises(InvalidStructure, match=axiom):
+            validate(m)
+    M = finset("M", 1, "m")
+    unsound = Representation(rel(M, B2, ("m0", "b0")), y, check=False)
+    sound = Representation(rel(M, B2, ("m0", "b0"), ("m0", "b1")), y)
+    for m, axiom in (
+        (identity_rep_morphism(unsound), "src soundness"),
+        (RepMorphism(sound, unsound, identity_map(B2), identity(M), check=False), "dst soundness"),
+    ):
+        assert check_rep_morphism(m) == CheckResult(False, axiom, ("m0", "b1"))
+        with pytest.raises(InvalidStructure, match=axiom):
+            validate(m)
 
 
 def test_identity_morphisms_are_valid():

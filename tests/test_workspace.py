@@ -16,14 +16,11 @@ from promrep import (
     RepMorphism,
     Workspace,
     WorkspaceError,
-    gen_prom,
-    gen_prom_morphism,
-    gen_rep_morphism,
-    gen_representation,
     prom_to_rep,
     unit,
 )
 from promrep import workspace
+from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 
 SAMPLE = {
