@@ -25,6 +25,7 @@ from typing import Any, Callable, Iterator
 
 from . import workspace
 from .rel import (
+    POWERSET_CAP,
     FinSet,
     FnMap,
     Rel,
@@ -509,6 +510,7 @@ class LawSpec:
     enumerate: Callable | None  # bounds -> iterator of instances; None for a seeded-only law
     default_bounds: tuple[int, ...]
     exhaustive_limit: tuple[int, ...] | None
+    powerset_base: tuple[str, int] | None = None  # (carrier, bound index) of every powerset's base
 
 
 def _ok() -> tuple[None, dict]:
@@ -841,8 +843,12 @@ def _check_lemma11(inst):
 CATALOG: dict[str, LawSpec] = {}
 
 
-def _law(law, summary, check, schema, default_bounds=(3,), limit=None):
+def _law(law, summary, check, schema, default_bounds=(3,), limit=None, powerset_base=None):
     """Register a law over `schema`'s instances, seeded-only if it has no exhaustive `limit`.
+
+    `powerset_base` names the carrier whose powerset the check builds and
+    the bound that sizes it, so that `search` rejects a bound over the cap
+    before its first trial; None for a law that builds no powerset.
 
     The registered check first validates every structure-valued field, so
     invalid input raises InvalidStructure instead of yielding a witness."""
@@ -854,7 +860,9 @@ def _law(law, summary, check, schema, default_bounds=(3,), limit=None):
                 validate(value)
         return check(inst)
 
-    CATALOG[law] = LawSpec(law, summary, validated, schema.generate, enumerate_, default_bounds, limit)
+    CATALOG[law] = LawSpec(
+        law, summary, validated, schema.generate, enumerate_, default_bounds, limit, powerset_base
+    )
 
 
 _law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _TRIPLE, (3,), (2,))
@@ -863,28 +871,28 @@ _law("modular-tautology", "f_*⨾(x\\y)⨾g^* = (x⨾f^*)\\(y⨾g^*)", _check_mo
 _law("preorder-single-axiom", "preorder(r) ⇔ r = r\\r", _check_single_axiom, _SQUARE, (3,), (4,))
 # At |M| = 7, ∈ has rows 128 columns wide, so a default run lists bits
 # through `rel._scan`, which narrower rows never reach.
-_law("mem-residual-subset", "∈\\∈ = ⊆", _check_mem_subset, _POWERSET_BASE, (7,), (8,))
+_law("mem-residual-subset", "∈\\∈ = ⊆", _check_mem_subset, _POWERSET_BASE, (7,), (8,), powerset_base=("M", 0))
 _law("lemma1", "R sends proms to sound representations", _check_lemma1, _PROM, (4, 4), (2, 2))
 _law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, _PROMMOR, (4,))
 _law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, _PROMMOR_CHAIN, (3,))
-_law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _REP, (3, 3), (2, 2))
-_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _REPMOR, (2, 2), (2, 2))
+_law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
+_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _REPMOR, (2, 2), (2, 2), powerset_base=("M", 0))
 # lemma6 caps |S| at 1 in exhaustive mode: representations with empty sat have
 # hom-sets of every phi and tau, so the composable-pair space at (2,2)
 # already exceeds five million instances.  The composition equality
 # factors through the tau pair alone; the tests cover the larger bound
 # through direct images of tau pairs, without the cross product.
-_law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1))
-_law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4))
-_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,))
-_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,))
-_law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _REP, (3, 3), (2, 2))
+_law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1), powerset_base=("M", 0))
+_law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4), powerset_base=("A", 0))
+_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0))
+_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0))
+_law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
 _law("lemma11", "p order-reflecting ⇔ R(p) exact", _check_lemma11, _PROM, (4, 4), (2, 2))
-_law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _PROM, (3, 3), (2, 2))
-_law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _REP, (3, 3), (2, 2))
-_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, _PROMMOR, (3,))
-_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _REPMOR_ONE_BOUND, (2,))
-_law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _PSI, (3, 3), (2, 2))
+_law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _PROM, (3, 3), (2, 2), powerset_base=("B", 1))
+_law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
+_law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, _PROMMOR, (3,), powerset_base=("B", 0))
+_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _REPMOR_ONE_BOUND, (2,), powerset_base=("M", 0))
+_law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _PSI, (3, 3), (2, 2), powerset_base=("M", 0))
 _law("soundness-residual-equiv", "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨", _check_soundness_equiv, _SOUNDNESS, (3, 3), (2, 2))
 
 
@@ -895,12 +903,13 @@ def _spec(law: str) -> LawSpec:
     return spec
 
 
-def check_law(law: str, instance: dict, seed: int | str = "manual") -> Witness | None:
-    """Run one law on one instance; None means the law holds there."""
+def check_law(law: str, instance: dict) -> Witness | None:
+    """Run one law on one instance; None means the law holds there.  The
+    witness is labelled "manual", as no search drew the instance."""
     violation, _ = _spec(law).check(instance)
     if violation is None:
         return None
-    return Witness(law, seed, dict(instance), violation)
+    return Witness(law, "manual", dict(instance), violation)
 
 
 def _violation(spec: LawSpec, instance: dict) -> tuple[str | None, dict]:
@@ -979,6 +988,13 @@ def search(config: SearchConfig) -> SearchSummary:
     if config.bounds is not None and (len(config.bounds) == 0 or min(config.bounds) < 0):
         raise ConfigError(f"bounds must be one or more nonnegative sizes, got {config.bounds!r}")
     bounds = _normalize_bounds(spec, config.bounds)
+    if spec.powerset_base is not None:
+        base, index = spec.powerset_base
+        if bounds[index] > POWERSET_CAP:
+            raise ConfigError(
+                f"|{base}| = {bounds[index]} exceeds powerset cap {POWERSET_CAP}: "
+                f"law {spec.law!r} builds 2^{base} with |{base}| up to that bound"
+            )
     if config.mode == "exhaustive":
         if spec.enumerate is None:
             raise ConfigError(f"law {spec.law!r} supports seeded mode only")

@@ -13,7 +13,23 @@ reads its bits from a table made once at import.  Peeling the lowest bit
 off an int is an O(width) step, so a dense row costs O(width²) that way,
 and ∈ at the powerset cap has 12 rows of 2048 bits in 4096 columns.  A
 row wider than 64 columns with many set bits is therefore scanned once
-as binary text in C, in O(width).  Every other row is peeled.
+as binary text in C, in O(width).  Every other row is peeled.  `_scan`
+is the only reader of a row's binary digits: it returns them as 0/1
+bytes, lowest column first, and `row_bits` compresses them to indices.
+
+Few wide rows are transposed without a step per bit.  `_transpose` of at
+most 16 rows wider than 64 columns, with more than 8 + width/128 set bits
+a row, reads each row's `_scan` bytes as an int with one byte per column,
+shifts it by the row's place in its group of 8 and ORs the group
+together, so byte j is column j's mask over the group; two groups
+interleave into 16-bit lanes.  The threshold is close to where
+`scripts/bitscan_crossover.py` measures this and the per-bit loop break
+even.  The left residual of an x with k such rows, 2^k at most the width
+and below popcount(x), ANDs z's rows over every subset of x's rows once
+(a meet table, the "Four Russians" idea of Arlazarov, Dinic, Kronrod and
+Faradzev) and reads row b at column b's mask.  Both choices read counts
+the kernel has at hand (rows, width, popcount), as `compose` does, so
+tiny relations keep the loops; nothing is cached.
 
 Composition has two exact strategies.  The row strategy ORs together the
 rows of y selected by each row of x, one operation per pair of x.  The
@@ -26,8 +42,9 @@ considering columns only when x has more than 64 rows.
 Transitivity is decided without composing.  `is_transitive` visits rows
 from the last to the first and tests row b ⊆ row a for the rows b that
 row a reaches; once that holds for a row b already known closed, the bits
-of row b need no test of their own.  On ⊆ over 2^n this tests only the
-n·2^(n-1) covers, where x⨾x costs 3^n row ORs.
+of row b need no test of their own, and one XOR drops them with b.  On ⊆
+over 2^n this tests only the n·2^(n-1) covers, where x⨾x costs 3^n row
+ORs.
 
 The powerset encoding lives here: a subset's index in its powerset
 carrier is its bitmask over the base order.  `powerset` builds the carrier
@@ -54,6 +71,7 @@ kernel builder sees the patched result instead of a cached one.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count
@@ -188,14 +206,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-#: Turns a row's binary digits into the 0/1 selectors `compress` reads.
+#: Turns a row's binary digits into 0/1 bytes.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _scan(row: int) -> Iterator[int]:
-    """The indices of row's set bits, ascending, from one C-level pass over
-    its binary text, lowest digit first: O(width) for the whole row."""
-    return compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT_FLAGS))
+def _scan(row: int) -> bytes:
+    """Row's binary digits as 0/1 bytes, lowest column first, from one
+    C-level pass over its binary text: O(width) for the whole row.
+
+    The only reader of a row's digits: `row_bits` compresses them to
+    indices, and the lane transpose reads them as one byte per column.
+    """
+    return bin(row)[:1:-1].encode().translate(_DIGIT_FLAGS)
 
 
 #: The set-bit indices of every byte value, ascending, from `_bits`.
@@ -220,7 +242,7 @@ def row_bits(row: int, width: int) -> Iterable[int]:
     if row < 256:
         return _BYTE_BITS[row]
     if width > 64 and row.bit_count() * (width + 4096) > width << 9:
-        return _scan(row)
+        return compress(count(), _scan(row))
     return _bits(row)
 
 
@@ -238,12 +260,55 @@ def full(src: FinSet, dst: FinSet) -> Rel:
 
 
 def _transpose(rows, width: int) -> list[int]:
+    """The columns of a matrix `width` wide, as masks over its rows.
+
+    At most 16 rows wider than 64 columns with enough set bits (see
+    `_lanes_pay`) go through `_lane_transpose`, O(width) per row; every
+    other matrix ORs one bit per set bit into its column.
+    """
+    if len(rows) <= 16 and width > 64 and _lanes_pay(rows, width):
+        return _lane_transpose(rows, width)
+    return _bit_transpose(rows, width)
+
+
+def _bit_transpose(rows, width: int) -> list[int]:
+    """`_transpose` by one OR per set bit, listed through `row_bits`."""
     out = [0] * width
     for i, row in enumerate(rows):
         bit = 1 << i
         for j in row_bits(row, width):
             out[j] |= bit
     return out
+
+
+def _lanes_pay(rows, width: int) -> bool:
+    """More than 8 + width/128 set bits a row, near where
+    `scripts/bitscan_crossover.py` measures the lanes overtaking the
+    per-bit loop."""
+    return sum(row.bit_count() for row in rows) << 7 > len(rows) * (width + 1024)
+
+
+def _lane_transpose(rows, width: int) -> list[int]:
+    """`_transpose` of 1..16 rows in byte lanes, one C-level pass per row.
+
+    `_scan` turns row k of a group of 8 into an int whose byte j is its
+    digit in column j; shifted by k and ORed together, byte j of the group
+    is column j's mask over those rows.  Two groups interleave into 16-bit
+    lanes.
+    """
+    lanes = []
+    for start in range(0, len(rows), 8):
+        acc = 0
+        for k, row in enumerate(rows[start:start + 8]):
+            if row:
+                acc |= int.from_bytes(_scan(row), "little") << k
+        lanes.append(acc.to_bytes(width, "little"))
+    if len(lanes) == 1:
+        return list(lanes[0])
+    low, high = lanes if sys.byteorder == "little" else lanes[::-1]
+    words = bytearray(2 * width)
+    words[0::2], words[1::2] = low, high
+    return memoryview(words).cast("H").tolist()
 
 
 def converse(x: Rel) -> Rel:
@@ -311,8 +376,9 @@ def is_transitive(x: Rel) -> bool:
     already known closed when row a is tested.  Row a tests the rows b it
     reaches, lowest first, with rows[b] ⊆ rows[a]; when that holds for a
     closed row b, every bit of row b is closed inside row a as well and is
-    dropped untested.  Row a's own bit needs no test.  On ⊆ over 2^n only
-    the covers are tested, n·2^(n-1) tests against 3^n ORs for x⨾x.
+    dropped untested, in the one XOR that drops b.  Row a's own bit needs
+    no test.  On ⊆ over 2^n only the covers are tested, n·2^(n-1) tests
+    against 3^n ORs for x⨾x.
     """
     if x.src != x.dst:
         raise CarrierMismatch("transitivity needs a square relation")
@@ -326,9 +392,10 @@ def is_transitive(x: Rel) -> bool:
             rb = rows[b]
             if rb | row != row:
                 return False
-            todo ^= low
             if b > a:
-                todo &= ~rb
+                todo ^= (todo & rb) | low
+            else:
+                todo ^= low
     return True
 
 
@@ -345,20 +412,38 @@ def union(x: Rel, y: Rel) -> Rel:
 def left_residual(x: Rel, z: Rel) -> Rel:
     """x\\z over B⇸C: (b,c) iff for all a, (a,b)∈x implies (a,c)∈z.
 
-    Row b is the AND of z's rows at the a with (a,b)∈x, one operation per
-    pair of x; listing x's bits is linear in the width of a dense row (see
-    `row_bits`).  An empty source carrier makes the universal vacuous: the
-    result is full.
+    Row b is the AND of z's rows at the a with (a,b)∈x.  With k rows of x
+    at most 16, wider than 64 columns and 2^k ≤ width, and fewer than
+    popcount(x) subsets of them, a meet table is cheaper: entry S is the
+    AND of z's rows over the subset S of x's rows, built once in 2^k - 1
+    ANDs, and row b is the entry at column b of x read as a mask (∈\\∈ over
+    2^12: 4,096 ANDs, where one per pair of ∈ is 24,576).  The table has no
+    more entries than the result has rows.  Otherwise the loop costs one
+    AND per pair of x, listed through `row_bits`.  An empty source carrier
+    makes the universal vacuous: the result is full.
     """
     if x.src != z.src:
         raise CarrierMismatch(f"residual sources differ: {x.src.name} vs {z.src.name}")
     full_c = (1 << len(z.dst)) - 1
     width = len(x.dst)
+    k = len(x.rows)
+    if width > 64 and k <= 16 and 1 << k <= width and 1 << k < x.count():
+        meets = _meet_table(z.rows, full_c)
+        return Rel(x.dst, z.dst, tuple(map(meets.__getitem__, _transpose(x.rows, width))))
     rows = [full_c] * width
     for xr, zr in zip(x.rows, z.rows):
         for j in row_bits(xr, width):
             rows[j] &= zr
     return Rel(x.dst, z.dst, tuple(rows))
+
+
+def _meet_table(rows, top: int) -> list[int]:
+    """Entry S, for every mask S over `rows`: the AND of top and rows[i]
+    for each bit i of S, in one AND per entry."""
+    meets = [top]
+    for row in rows:
+        meets += [meet & row for meet in meets]
+    return meets
 
 
 def right_residual(z: Rel, y: Rel) -> Rel:

@@ -327,6 +327,40 @@ def test_scan_dropping_top_bit_is_caught_by_the_default_run(monkeypatch, capsys)
     assert replay(summary.witness)
 
 
+def dropping_top_lane(lane_transpose):
+    """The lane transpose with the byte lane of the last column zeroed."""
+    def mutant(rows, width):
+        columns = lane_transpose(rows, width)
+        columns[-1] = 0
+        return columns
+
+    return mutant
+
+
+def without_last_row(meet_table):
+    """The meet table built as if z's last row were full."""
+    return lambda rows, top: meet_table(rows[:-1] + (top,), top)
+
+
+@pytest.mark.parametrize("name, mutate", [("_lane_transpose", dropping_top_lane), ("_meet_table", without_last_row)])
+def test_wide_row_kernel_mutants_are_caught_by_the_default_catalog_run(monkeypatch, capsys, name, mutate):
+    """∈ over 2^7 has 7 rows 128 columns wide, so the default
+    mem-residual-subset run transposes it in byte lanes and takes ∈\\∈
+    from a meet table; a mutant in either must give a replaying witness."""
+    monkeypatch.setattr(rel_module, name, mutate(getattr(rel_module, name)))
+    killed = []
+    for law in harness_module.CATALOG:
+        clear_caches()
+        summary = search(SearchConfig(law))
+        if not summary.passed:
+            assert replay(summary.witness), law
+            killed.append(law)
+    assert "mem-residual-subset" in killed
+    clear_caches()
+    assert main(["verify", "mem-residual-subset"]) == 1
+    assert capsys.readouterr().out.split("\n{", 1)[0].splitlines()[-1] == "result: fail"
+
+
 def test_byte_table_dropping_top_bit_is_caught_by_default_runs(monkeypatch):
     """Rows below 2^8 list their bits from `rel._BYTE_BITS`, so default
     seeded runs reach it; an entry for 0b11 that lost its top bit must

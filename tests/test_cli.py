@@ -405,11 +405,13 @@ def test_verify_empty_max_size_is_input_error():
 
 
 def test_verify_over_the_powerset_cap_is_input_error():
-    # lemma7 builds the powerset of x's source, drawn here up to 13 elements
-    proc = run_cli("verify", "lemma7", "--max-size", "13")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: |A| = 13 exceeds powerset cap 12")
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    # lemma7 builds the powerset of x's source, drawn here up to 13 elements;
+    # the bound alone is the error, also at seeds whose draws stay below 13
+    for seed in range(4):
+        proc = run_cli("verify", "lemma7", "--max-size", "13", "--trials", "3", "--seed", str(seed))
+        assert proc.returncode == 2, seed
+        assert proc.stderr == "error: |A| = 13 exceeds powerset cap 12: law 'lemma7' builds 2^A with |A| up to that bound\n"
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

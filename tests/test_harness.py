@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import promrep.rel as rel_module
 from promrep import (
     CATALOG,
     ConfigError,
@@ -270,6 +271,7 @@ def test_witness_pipeline_via_injected_law():
         assert replay(w)
         doc = w.to_doc()
         assert doc["law"] == "always-fails" and "structures" in doc
+        assert check_law("always-fails", w.structures) == replace(w, seed="manual")
     finally:
         del CATALOG["always-fails"]
 
@@ -347,6 +349,43 @@ def test_search_rejects_empty_or_negative_bounds(mode):
     for bounds in ((), (-1,), (2, -1)):
         with pytest.raises(ConfigError, match="bounds must be one or more nonnegative sizes"):
             search(SearchConfig(law="lemma4", mode=mode, bounds=bounds))
+
+
+def test_powerset_base_names_the_bound_of_every_powerset_built(monkeypatch):
+    """Each law's declared `powerset_base` bound caps every powerset base its
+    check builds, and a law that declares none builds no powerset: with the
+    declared bound at 2 and every other bound at 3, no base exceeds 2."""
+    bases = []
+    cached = rel_module._cached_powerset
+    monkeypatch.setattr(rel_module, "_cached_powerset", lambda base: bases.append(len(base)) or cached(base))
+    for law, spec in CATALOG.items():
+        bases.clear()
+        bounds = [3] * len(spec.default_bounds)
+        if spec.powerset_base is not None:
+            bounds[spec.powerset_base[1]] = 2
+        assert search(SearchConfig(law=law, trials=25, seed=3, bounds=tuple(bounds))).passed
+        if spec.powerset_base is None:
+            assert bases == [], law
+        else:
+            assert bases and max(bases) == 2, law
+
+
+def test_search_rejects_a_powerset_bound_over_the_cap_before_any_trial(monkeypatch):
+    """A bound over the cap that sizes a powerset base is a ConfigError
+    before the first draw; a law that builds no powerset draws as before."""
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    for law, spec in list(CATALOG.items()):
+        monkeypatch.setitem(CATALOG, law, replace(spec, generate=no_trial))
+        config = SearchConfig(law=law, bounds=(13,))
+        if spec.powerset_base is None:
+            with pytest.raises(AssertionError, match="a trial ran"):
+                search(config)
+        else:
+            base = spec.powerset_base[0]
+            with pytest.raises(ConfigError, match=rf"^\|{base}\| = 13 exceeds powerset cap 12: law '{law}'"):
+                search(config)
 
 
 def test_all_laws_pass_smoke():

@@ -349,40 +349,67 @@ def test_wide_rows_match_pair_oracles(monkeypatch, width):
     """Every kernel loop over rows `width` wide against an index-pair oracle.
 
     Rows of more than 64 columns must run both sides of the per-row choice
-    (the top-bit and sparse rows peel; the full and dense rows scan).
+    (the top-bit and sparse rows peel; the full and dense rows scan),
+    except in a transpose of at most 16 such rows, which reads every
+    nonempty row through `_scan` into byte lanes: the left residual of x
+    (through its meet table), the right residual, the converse, Λ and
+    the column strategy over x.  The 17 rows of u transpose bit by bit.
     Rows of 63 and 64 columns that reach 2^8 are peeled and never scanned,
     and rows 8 columns wide all read the byte table, so neither method runs.
     """
     rng = random.Random(width)
-    A, D, C = finset("A", 6, "a"), finset("D", 6, "d"), finset("C", 5, "c")
+    A, D, C, E = finset("A", 6, "a"), finset("D", 6, "d"), finset("C", 5, "c"), finset("E", 17, "e")
     W = finset("W", width, "w")
-    X, V = wide_pairs(rng, 6, width), wide_pairs(rng, 6, width)
+    X, V, U = wide_pairs(rng, 6, width), wide_pairs(rng, 6, width), wide_pairs(rng, 17, width)
     Y, Z, Q = random_pairs(rng, width, 5), random_pairs(rng, 6, 5), random_pairs(rng, 6, 6)
+    ZU = random_pairs(rng, 17, 5)
     x, v, y, z, q = rel_of(A, W, X), rel_of(D, W, V), rel_of(W, C, Y), rel_of(A, C, Z), rel_of(D, A, Q)
+    u, zu = rel_of(E, W, U), rel_of(E, C, ZU)
     mem = powerset(A).mem  # built before the spies, as it peels its own masks
     paths = {"peel", "scan"} if width > 64 else {"peel"} if width > 8 else set()
+    lanes = {"scan"} if width > 64 else paths
     used = bit_paths_recording(monkeypatch)
 
-    def check(run, expected):
+    def check(run, expected, expected_paths=paths):
         used.clear()
         assert run() == expected
-        assert used == paths
+        assert used == expected_paths
+
+    def residual(xs, zs, n):
+        return {(b, c) for b in range(width) for c in range(5)
+                if all((a, c) in zs for a in range(n) if (a, b) in xs)}
 
     check(lambda: compose_recording_path(monkeypatch, x, y), (rel_of(A, C, index_compose(X, Y)), "rows"))
     check(lambda: rel_module._compose_by_columns(q.rows, x.rows, width),
-          rel_of(D, W, index_compose(Q, X)).rows)
-    check(lambda: left_residual(x, z).rows, rel_of(W, C, {
-        (b, c) for b in range(width) for c in range(5)
-        if all((a, c) in Z for a in range(6) if (a, b) in X)
-    }).rows)
+          rel_of(D, W, index_compose(Q, X)).rows, lanes)
+    check(lambda: left_residual(x, z).rows, rel_of(W, C, residual(X, Z, 6)).rows, lanes)
+    check(lambda: left_residual(u, zu).rows, rel_of(W, C, residual(U, ZU, 17)).rows)
     check(lambda: right_residual(x, v).rows, rel_of(A, D, {
         (a, d) for a in range(6) for d in range(6)
         if all((a, c) in X for c in range(width) if (d, c) in V)
-    }).rows)
-    check(lambda: converse(x).rows, rel_of(W, A, {(b, a) for a, b in X}).rows)
+    }).rows, lanes)
+    check(lambda: converse(x).rows, rel_of(W, A, {(b, a) for a, b in X}).rows, lanes)
+    check(lambda: converse(u).rows, rel_of(W, E, {(b, a) for a, b in U}).rows)
     check(lambda: power_transpose(x, mem).image,
-          tuple(sum(1 << a for a in range(6) if (a, b) in X) for b in range(width)))
+          tuple(sum(1 << a for a in range(6) if (a, b) in X) for b in range(width)), lanes)
     check(lambda: x.pairs(), [(f"a{a}", f"w{b}") for a, b in sorted(X)])
+
+
+@pytest.mark.parametrize("n", [3, 7, 8, 9, 16])
+def test_lane_transpose_and_meet_table_match_pair_oracles(n):
+    """One and two byte-lane groups, the meet table at 2^n ≤ width, and
+    the residual loop where 2^n > width."""
+    rng = random.Random(n)
+    A, C = finset("A", n, "a"), finset("C", 5, "c")
+    for width in (65, 600):
+        X, Z = wide_pairs(rng, n, width), random_pairs(rng, n, 5, 0.8)
+        x, z = rel_of(A, finset("W", width, "w"), X), rel_of(A, C, Z)
+        columns = [sum(1 << a for a in range(n) if (a, b) in X) for b in range(width)]
+        assert rel_module._lane_transpose(x.rows, width) == columns
+        assert left_residual(x, z).rows == tuple(
+            sum(1 << c for c in range(5) if all((a, c) in Z for a in range(n) if (a, b) in X))
+            for b in range(width)
+        )
 
 
 def test_row_bits_table_matches_shift_oracle():

@@ -32,10 +32,33 @@ def test_verify_all_rejects_negative_trials_before_any_sweep():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-def test_bitscan_crossover_reports_both_methods_per_cell():
-    proc = run_script("bitscan_crossover.py", "--widths", "65", "--rows", "2", "--repeat", "1")
+def crossover_tables():
+    """bitscan_crossover.py's cells at width 65, grouped by their table."""
+    proc = run_script("bitscan_crossover.py", "--widths", "65", "--rows", "2", "--matrices", "1", "--repeat", "1")
     assert proc.returncode == 0, proc.stderr
-    cells = [json.loads(line) for line in proc.stdout.splitlines()]
+    tables = {}
+    for cell in map(json.loads, proc.stdout.splitlines()):
+        tables.setdefault(cell["table"], []).append(cell)
+    return tables
+
+
+def test_bitscan_crossover_reports_both_methods_per_cell():
+    cells = crossover_tables()["row_bits"]
     assert [c["popcount"] for c in cells] == [1, 2, 4, 8, 12, 16, 24, 32, 48, 64]
     assert {c["row_bits_picks"] for c in cells} == {"peel", "scan"}
     assert all(c["peel_us"] > 0 and c["scan_us"] > 0 for c in cells)
+
+
+def test_bitscan_crossover_reports_where_the_lane_transpose_pays():
+    tables = crossover_tables()
+    cells = tables["transpose"]
+    per_row = [1, 2, 4, 8, 12, 16, 24, 32, 48, 64]
+    assert [(c["rows"], c["popcount"]) for c in cells] == [(n, n * p) for n in (1, 2, 4, 8, 12, 16) for p in per_row]
+    assert {c["transpose_picks"] for c in cells} == {"lanes", "bits"}
+    assert all(c["lanes_us"] > 0 and c["bits_us"] > 0 for c in cells)
+    assert [even["rows"] for even in tables["transpose-break-even"]] == [1, 2, 4, 8, 12, 16]
+    for even in tables["transpose-break-even"]:
+        series = [c for c in cells if c["rows"] == even["rows"]]
+        assert even["picked_from"] == min(c["popcount"] for c in series if c["transpose_picks"] == "lanes")
+        start = even["lanes_faster_from"]
+        assert start is None or all(c["faster"] == "lanes" for c in series if c["popcount"] >= start)
