@@ -579,18 +579,14 @@ def _superset_masks(n: int) -> tuple[int, ...]:
 
     This is the law's reference for ∈\\∈, so it is built from bitmasks
     alone and never from mem or left_residual: a kernel bug shared by both
-    sides would cancel out.  Each row grows one base element at a time:
-    β must contain element i when α does, and may or may not otherwise.
+    sides would cancel out.  The rows double once per base element i: a
+    row α without i lets β hold i or not (r | r << 2^i), and the row of
+    α + 2^i makes β hold i (r << 2^i).
     """
-    rows = []
-    for alpha in range(1 << n):
-        row = 1
-        for i in range(n):
-            if alpha >> i & 1:
-                row <<= 1 << i
-            else:
-                row |= row << (1 << i)
-        rows.append(row)
+    rows = [1]
+    for i in range(n):
+        shift = 1 << i
+        rows = [r | r << shift for r in rows] + [r << shift for r in rows]
     return tuple(rows)
 
 

@@ -31,13 +31,15 @@ Faradzev) and reads row b at column b's mask.  Both choices read counts
 the kernel has at hand (rows, width, popcount), as `compose` does, so
 tiny relations keep the loops; nothing is cached.
 
-Composition has two exact strategies.  The row strategy ORs together the
-rows of y selected by each row of x, one operation per pair of x.  The
-column strategy transposes y once and tests each row of x against each
-column, one operation per pair of y plus one per cell of the result; it
-wins for tall, narrow products such as the 2^M ⊆ order into a small
-carrier.  `compose` picks the cheaper one from these operand counts,
-considering columns only when x has more than 64 rows.
+Composition is one row loop: row a of x⨾y ORs together y's rows at the
+bits of x's row a.  When y has more than 64 rows and some are empty, each
+row of x is first ANDed with the mask of y's nonzero rows (`_live_rows`,
+one C-level pass), so the loop lists only bits that select something, the
+idea of Gustavson's sparse product ("Two fast algorithms for sparse
+matrices", 1978).  At the powerset cap ⊆⨾g^* for a map g into 2^M has
+4,096-bit rows of ⊆ but at most |M| nonzero rows of g^*.  A y with no
+empty row, such as ⊆ in ∈⨾⊆, skips the mask, whose pass would cost more
+than it saves.
 
 Transitivity is decided without composing.  `is_transitive` visits rows
 from the last to the first and tests row b ⊆ row a for the rows b that
@@ -272,11 +274,12 @@ def _transpose(rows, width: int) -> list[int]:
 
 
 def _bit_transpose(rows, width: int) -> list[int]:
-    """`_transpose` by one OR per set bit, listed through `row_bits`."""
+    """`_transpose` by one OR per set bit, listed through `row_bits`; an
+    empty row is never visited."""
     out = [0] * width
-    for i, row in enumerate(rows):
+    for i in compress(count(), rows):
         bit = 1 << i
-        for j in row_bits(row, width):
+        for j in row_bits(rows[i], width):
             out[j] |= bit
     return out
 
@@ -318,22 +321,18 @@ def converse(x: Rel) -> Rel:
 def compose(x: Rel, y: Rel) -> Rel:
     """Sequential composition x⨾y: (a,c) iff some b with (a,b)∈x, (b,c)∈y.
 
-    Row strategy: row a is the OR of y's rows at the bits of x's row a,
-    costing popcount(x) operations; listing those bits is linear in the
-    width of a dense row (see `row_bits`).  Column strategy: (a,c) holds iff
-    x's row a meets column c of y, costing popcount(y) for the transpose
-    plus |A|·|C| tests.  The column strategy runs only when x has more
-    than 64 rows and its cost is strictly lower.  Both give the same bits.
+    Row a is the OR of y's rows at the bits of x's row a, listed through
+    `row_bits`.  When y has more than 64 rows and some of them are empty,
+    x's row is first ANDed with the mask of y's nonzero rows, so a bit that
+    selects an empty row of y is never listed; otherwise the row is listed
+    as it is.
     """
     if x.dst != y.src:
         raise CarrierMismatch(f"cannot compose {x.dst.name} with {y.src.name}")
     xrows, yrows = x.rows, y.rows
-    if len(xrows) > 64:
-        by_rows = sum(row.bit_count() for row in xrows)
-        by_cols = sum(row.bit_count() for row in yrows) + len(xrows) * len(y.dst)
-        if by_cols < by_rows:
-            return Rel(x.src, y.dst, _compose_by_columns(xrows, yrows, len(y.dst)))
     width = len(yrows)  # x.dst is y.src
+    if width > 64 and not all(yrows):
+        xrows = map(_live_rows(yrows).__and__, xrows)
     rows = []
     for row in xrows:
         acc = 0
@@ -343,16 +342,14 @@ def compose(x: Rel, y: Rel) -> Rel:
     return Rel(x.src, y.dst, tuple(rows))
 
 
-def _compose_by_columns(xrows, yrows, width: int) -> tuple[int, ...]:
-    cols = [(1 << c, col) for c, col in enumerate(_transpose(yrows, width)) if col]
-    rows = []
-    for row in xrows:
-        acc = 0
-        for bit, col in cols:
-            if row & col:
-                acc |= bit
-        rows.append(acc)
-    return tuple(rows)
+#: Turns 0/1 bytes into binary digits, the inverse of `_DIGIT_FLAGS`.
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _live_rows(rows) -> int:
+    """The mask with bit i set iff rows[i] is nonzero, from one C-level
+    pass over the rows; `rows` must not be empty."""
+    return int(bytes(map(bool, rows)).translate(_FLAG_DIGITS)[::-1], 2)
 
 
 def _require_same_shape(x: Rel, y: Rel):

@@ -222,6 +222,15 @@ def test_subset_reference_matches_pointwise_definition(n):
     assert left_residual(mem, mem).rows == expected
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_superset_masks_match_their_definition(n):
+    """Bit β of row α is set iff α & ~β == 0, read bit by bit."""
+    rows = _superset_masks(n)
+    assert len(rows) == 1 << n
+    for alpha, row in enumerate(rows):
+        assert [row >> beta & 1 for beta in range(1 << n)] == [int(alpha & ~beta == 0) for beta in range(1 << n)]
+
+
 # --- mutation: the checks catch injected kernel bugs -------------------------
 
 def full_residual(x, z):
@@ -246,16 +255,44 @@ def test_residual_bug_is_caught_by_both_powerset_laws(monkeypatch, bug):
 
 
 def test_dropped_column_is_caught_by_triangle_repr(monkeypatch):
-    by_columns = rel_module._compose_by_columns
+    """A live-row mask that loses y's highest nonzero row drops from x⨾y
+    the columns that row alone reaches: in ⊆⨾g^*, every a with g(a) the
+    highest image."""
+    live_rows = rel_module._live_rows
 
-    def drop_first_column(xrows, yrows, width):
-        return tuple(row & ~1 for row in by_columns(xrows, yrows, width))
+    def drop_top_live_row(rows):
+        mask = live_rows(rows)
+        return mask ^ (1 << mask.bit_length() >> 1)
 
-    p = gen_prom(5, 3, 8)  # ⊆ on 2^8 has 256 rows: the column strategy runs
+    p = gen_prom(5, 3, 8)  # ⊆ on 2^8 has 256 rows: compose masks them
     assert check_law("triangle-repr", {"p": p}) is None
-    monkeypatch.setattr(rel_module, "_compose_by_columns", drop_first_column)
+    monkeypatch.setattr(rel_module, "_live_rows", drop_top_live_row)
     witness = check_law("triangle-repr", {"p": p})
-    assert witness is not None and replay(witness)
+    assert witness is not None and witness.violation == "ε∘R(η) differs from (id, y)"
+    assert replay(witness)
+
+
+def test_compose_dropping_last_bit_is_caught_by_the_default_catalog_run(monkeypatch):
+    """Every law but mem-residual-subset, which composes nothing, kills the
+    mutant with a replaying witness."""
+    compose = rel_module.compose
+
+    def mutant(x, y):
+        """compose's row loop, skipping the highest set bit of each row of x."""
+        return compose(Rel(x.src, x.dst, tuple(row ^ (1 << row.bit_length() >> 1) for row in x.rows)), y)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "promrep" and getattr(module, "compose", None) is compose:
+            monkeypatch.setattr(module, "compose", mutant)
+    survivors = []
+    for law in harness_module.CATALOG:
+        clear_caches()
+        summary = search(SearchConfig(law))
+        if summary.passed:
+            survivors.append(law)
+        else:
+            assert replay(summary.witness), law
+    assert survivors == ["mem-residual-subset"]
 
 
 @pytest.mark.parametrize("law", ["lemma4", "psi-characterization", "triangle-pom"])

@@ -230,7 +230,7 @@ def test_compose_matches_witness_search():
 
 
 def pairs_compose(x: Rel, y: Rel) -> set:
-    """Composition from the pair lists alone, independent of both strategies."""
+    """Composition from the pair lists alone, independent of compose's loop."""
     after = {}
     for b, c in y.pairs():
         after.setdefault(b, []).append(c)
@@ -244,52 +244,80 @@ def random_rows(rng, src, dst, density):
 
 
 def compose_recording_path(monkeypatch, x, y):
+    """compose(x, y), and "masked" if it read y's live-row mask, else "unmasked"."""
     used = []
-    by_columns = rel_module._compose_by_columns
+    live_rows = rel_module._live_rows
 
-    def spy(*args):
-        used.append("columns")
-        return by_columns(*args)
+    def spy(rows):
+        used.append(rows)
+        return live_rows(rows)
 
-    monkeypatch.setattr(rel_module, "_compose_by_columns", spy)
+    monkeypatch.setattr(rel_module, "_live_rows", spy)
     got = compose(x, y)
-    return got, ("columns" if used else "rows")
+    return got, ("masked" if used else "unmasked")
+
+
+def rows_with_zeros(rng, src, dst, zero_rows):
+    """Random rows in which "some" (every third row), "none" or "all" are zero."""
+    rel = random_rows(rng, src, dst, 0.4)
+    rows = []
+    for i, row in enumerate(rel.rows):
+        if zero_rows == "all" or zero_rows == "some" and i % 3 == 0:
+            row = 0
+        elif not row:
+            row = 1 << rng.randrange(len(dst))
+        rows.append(row)
+    return Rel(src, dst, tuple(rows))
 
 
 @pytest.mark.parametrize(
-    "rows, middle, cols, path",
-    [
-        (100, 200, 0, "columns"),
-        (100, 200, 1, "columns"),
-        (100, 200, 4, "columns"),
-        (100, 200, 12, "columns"),
-        (100, 200, 300, "rows"),  # wide target: |A|·|C| outweighs popcount(x)
-        (64, 200, 1, "rows"),  # 64 rows never weigh the column strategy
-        (0, 200, 4, "rows"),
-        (100, 0, 4, "rows"),
+    "rows, middle, cols, zero_rows",
+    [(100, middle, 4, zero_rows) for middle in (8, 64, 65, 200, 4096) for zero_rows in ("some", "none", "all")]
+    + [
+        (100, 200, 0, "all"),  # an empty target: every row of y is zero
+        (100, 200, 1, "some"),
+        (100, 200, 12, "some"),
+        (100, 200, 300, "some"),
+        (64, 200, 1, "some"),
+        (0, 200, 4, "some"),
+        (100, 0, 4, "none"),
+        (0, 0, 0, "none"),
     ],
 )
-def test_compose_both_strategies_match_pairs(monkeypatch, rows, middle, cols, path):
+def test_compose_masked_and_unmasked_match_pairs(monkeypatch, rows, middle, cols, zero_rows):
+    """compose masks x's rows with y's nonzero rows exactly when y has more
+    than 64 rows and some are zero; both paths must give the pair oracle's
+    bits.  x's rows hold about three bits, so that a mask losing one of y's
+    rows changes the result."""
     rng = random.Random(rows * 1000 + middle + cols)
     A, B, C = finset("A", rows, "a"), finset("B", middle, "b"), finset("C", cols, "c")
-    x, y = random_rows(rng, A, B, 0.5), random_rows(rng, B, C, 0.4)
+    x = random_rows(rng, A, B, min(0.5, 3 / max(middle, 1)))
+    y = rows_with_zeros(rng, B, C, zero_rows)
+    zeros = y.rows.count(0)
+    assert zeros == {"some": (middle + 2) // 3, "none": 0, "all": middle}[zero_rows]
     got, used = compose_recording_path(monkeypatch, x, y)
-    assert used == path
-    expected = Rel.from_pairs(A, C, pairs_compose(x, y))
-    assert got.rows == expected.rows
-    # the strategy compose did not pick must agree as well
-    assert rel_module._compose_by_columns(x.rows, y.rows, cols) == expected.rows
+    assert used == ("masked" if middle > 64 and zeros else "unmasked")
+    assert got.rows == Rel.from_pairs(A, C, pairs_compose(x, y)).rows
 
 
 @pytest.mark.parametrize("cols", [1, 4, 12])
 def test_compose_subset_order_into_narrow_target(monkeypatch, cols):
-    """The tall, narrow shape of the powerset constructions: ⊆ on 2^8 ⨾ 2^8 ⇸ C."""
+    """The tall, narrow shape of the powerset constructions: ⊆ on 2^8 ⨾ 2^8 ⇸ C,
+    with most rows of the right operand zero."""
     bundle = powerset(finset("M", 8, "m"))
     subset = left_residual(bundle.mem, bundle.mem)
     tau = random_rows(random.Random(cols), bundle.carrier, finset("C", cols, "c"), 0.02)
+    assert 0 < tau.rows.count(0) < len(tau.rows)
     got, used = compose_recording_path(monkeypatch, subset, tau)
-    assert used == "columns"
+    assert used == "masked"
     assert set(got.pairs()) == pairs_compose(subset, tau)
+
+
+def test_live_rows_mask_marks_nonzero_rows():
+    rng = random.Random(7)
+    for n in (1, 2, 8, 65, 300):
+        rows = [rng.choice((0, 0, 1, 5, 1 << 70)) for _ in range(n)]
+        assert rel_module._live_rows(rows) == sum(1 << i for i, row in enumerate(rows) if row)
 
 
 def test_compose_carrier_mismatch():
@@ -352,8 +380,10 @@ def test_wide_rows_match_pair_oracles(monkeypatch, width):
     (the top-bit and sparse rows peel; the full and dense rows scan),
     except in a transpose of at most 16 such rows, which reads every
     nonempty row through `_scan` into byte lanes: the left residual of x
-    (through its meet table), the right residual, the converse, Λ and
-    the column strategy over x.  The 17 rows of u transpose bit by bit.
+    (through its meet table), the right residual, the converse and Λ.
+    The 17 rows of u transpose bit by bit.  Above 64 columns y has more
+    than 64 rows, some empty, so x⨾y lists x's rows masked with y's
+    nonzero rows; q⨾x lists only q's 6-column rows, from the byte table.
     Rows of 63 and 64 columns that reach 2^8 are peeled and never scanned,
     and rows 8 columns wide all read the byte table, so neither method runs.
     """
@@ -379,9 +409,9 @@ def test_wide_rows_match_pair_oracles(monkeypatch, width):
         return {(b, c) for b in range(width) for c in range(5)
                 if all((a, c) in zs for a in range(n) if (a, b) in xs)}
 
-    check(lambda: compose_recording_path(monkeypatch, x, y), (rel_of(A, C, index_compose(X, Y)), "rows"))
-    check(lambda: rel_module._compose_by_columns(q.rows, x.rows, width),
-          rel_of(D, W, index_compose(Q, X)).rows, lanes)
+    masked = "masked" if width > 64 else "unmasked"
+    check(lambda: compose_recording_path(monkeypatch, x, y), (rel_of(A, C, index_compose(X, Y)), masked))
+    check(lambda: compose(q, x).rows, rel_of(D, W, index_compose(Q, X)).rows, set())
     check(lambda: left_residual(x, z).rows, rel_of(W, C, residual(X, Z, 6)).rows, lanes)
     check(lambda: left_residual(u, zu).rows, rel_of(W, C, residual(U, ZU, 17)).rows)
     check(lambda: right_residual(x, v).rows, rel_of(A, D, {
