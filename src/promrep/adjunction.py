@@ -80,8 +80,9 @@ def hom_pair(p: Prom, r: Representation) -> HomPair:
 
 def unit(p: Prom) -> PromMorphism:
     """η = Ψ(1_{R p}): the identity on A and the down-set map b ↦ {b' | (b',b)∈y}."""
-    h = hom_pair(p, prom_to_rep(p))
-    return h.lift(identity_rep_morphism(h.r))
+    rp = prom_to_rep(p)
+    h = HomPair(p, rp, rp, rep_to_prom(rp), powerset(rp.M).mem)
+    return h.lift(identity_rep_morphism(rp))
 
 
 def counit(r: Representation) -> RepMorphism:
@@ -97,16 +98,18 @@ def recover_by_membership(x: Rel) -> Rel:
     return compose(bundle.mem, left_residual(bundle.mem, x))
 
 
-def unit_natural(m: PromMorphism) -> bool:
-    """unit(dst)∘m = image-of-m∘unit(src), as equal prom morphisms."""
-    lhs = compose_prom_morphisms(unit(m.dst), m)
-    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), unit(m.src))
+def unit_natural(m: PromMorphism, units=None) -> bool:
+    """unit(dst)∘m = image-of-m∘unit(src); `units`, if given, is (unit(m.src), unit(m.dst))."""
+    src_unit, dst_unit = units or (unit(m.src), unit(m.dst))
+    lhs = compose_prom_morphisms(dst_unit, m)
+    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), src_unit)
 
 
-def counit_natural(m: RepMorphism) -> bool:
-    """counit(dst)∘image-of-m = m∘counit(src)."""
-    lhs = compose_rep_morphisms(counit(m.dst), prommor_to_repmor(repmor_to_prommor(m)))
-    return lhs == compose_rep_morphisms(m, counit(m.src))
+def counit_natural(m: RepMorphism, counits=None) -> bool:
+    """counit(dst)∘image-of-m = m∘counit(src); `counits`, if given, is (counit(m.src), counit(m.dst))."""
+    src_counit, dst_counit = counits or (counit(m.src), counit(m.dst))
+    lhs = compose_rep_morphisms(dst_counit, prommor_to_repmor(repmor_to_prommor(m)))
+    return lhs == compose_rep_morphisms(m, src_counit)
 
 
 @dataclass(frozen=True)

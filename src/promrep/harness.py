@@ -750,22 +750,24 @@ def _check_triangle_pom(inst):
 
 def _check_unit_natural(inst):
     m = inst["m"]
-    for q in (m.src, m.dst):
-        res = check_prom_morphism(unit(q))
+    units = unit(m.src), unit(m.dst)
+    for eta in units:
+        res = check_prom_morphism(eta)
         if not res:
             return "unit is not a prom morphism: " + _fmt(res), {}
-    if not unit_natural(m):
+    if not unit_natural(m, units):
         return "unit naturality square does not commute", {}
     return _ok()
 
 
 def _check_counit_natural(inst):
     m = inst["m"]
-    for r in (m.src, m.dst):
-        res = check_rep_morphism(counit(r))
+    counits = counit(m.src), counit(m.dst)
+    for eps in counits:
+        res = check_rep_morphism(eps)
         if not res:
             return "counit is not a representation morphism: " + _fmt(res), {}
-    if not counit_natural(m):
+    if not counit_natural(m, counits):
         return "counit naturality square does not commute", {}
     return _ok()
 

@@ -67,7 +67,10 @@ every call, before the memo.  The cap is the one constant `POWERSET_CAP`:
 no construction, law or search takes a cap of its own, so the constructions
 above `powerset` fail with `PowersetCapExceeded` exactly when it does.
 `clear_caches` empties both, so that a test that patches a
-kernel builder sees the patched result instead of a cached one.
+kernel builder sees the patched result instead of a cached one.  A map's
+graphs f_* and f^* are built once, into the immutable `FnMap`'s own dict
+(as `cached_property` would, without the lock Python 3.11's takes on every
+first read), and die with it, so `clear_caches` has nothing to empty there.
 """
 
 from __future__ import annotations
@@ -497,16 +500,22 @@ def compose_maps(g: FnMap, f: FnMap) -> FnMap:
 
 
 def graph_lower(f: FnMap) -> Rel:
-    """The graph of f: pairs (a, f(a))."""
-    return Rel(f.src, f.dst, tuple(1 << i for i in f.image))
+    """The graph of f: pairs (a, f(a)), built once per map."""
+    g = f.__dict__.get("graph_lower")
+    if g is None:
+        g = f.__dict__["graph_lower"] = Rel(f.src, f.dst, tuple(1 << i for i in f.image))
+    return g
 
 
 def graph_upper(f: FnMap) -> Rel:
-    """Converse of the graph: pairs (f(a), a)."""
-    rows = [0] * len(f.dst)
-    for a, i in enumerate(f.image):
-        rows[i] |= 1 << a
-    return Rel(f.dst, f.src, tuple(rows))
+    """Converse of the graph: pairs (f(a), a), built once per map."""
+    g = f.__dict__.get("graph_upper")
+    if g is None:
+        rows = [0] * len(f.dst)
+        for a, i in enumerate(f.image):
+            rows[i] |= 1 << a
+        g = f.__dict__["graph_upper"] = Rel(f.dst, f.src, tuple(rows))
+    return g
 
 
 @dataclass(frozen=True)
@@ -582,6 +591,9 @@ def singleton_map(base: FinSet) -> FnMap:
 
 
 def pullback(y: Rel, f: FnMap) -> Rel:
-    """f_*⨾y⨾f^*: (a,a') iff (f(a),f(a'))∈y."""
-    return compose(graph_lower(f), compose(y, graph_upper(f)))
+    """f_*⨾y⨾f^*: (a,a') iff (f(a),f(a'))∈y; row a is row f(a) of y⨾f^*."""
+    if f.dst != y.src:
+        raise CarrierMismatch(f"cannot compose {f.dst.name} with {y.src.name}")
+    rows = compose(y, graph_upper(f)).rows
+    return Rel(f.src, f.src, tuple(rows[i] for i in f.image))
 

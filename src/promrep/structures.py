@@ -26,7 +26,6 @@ from .rel import (
     is_transitive,
     leq,
     row_bits,
-    union,
 )
 
 
@@ -94,15 +93,15 @@ class Preorder:
 
 
 def preorder_closure(r: Rel) -> Preorder:
-    """Least preorder containing r: reflexive closure, then square to fixpoint."""
+    """Least preorder containing r, by Warshall's pass (J. ACM 1962): each row
+    takes its own bit, then for each pivot k every row holding bit k takes row k."""
     if r.src != r.dst:
         raise CarrierMismatch("closure requires a square relation")
-    cur = union(r, identity(r.src))
-    while True:
-        nxt = union(cur, compose(cur, cur))
-        if nxt.rows == cur.rows:
-            return Preorder(cur, check=False)
-        cur = nxt
+    rows = [row | 1 << i for i, row in enumerate(r.rows)]
+    for k in range(len(rows)):
+        row_k = rows[k]
+        rows = [row | row_k if row >> k & 1 else row for row in rows]
+    return Preorder(Rel(r.src, r.dst, tuple(rows)), check=False)
 
 
 @dataclass(frozen=True)

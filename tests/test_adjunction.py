@@ -129,6 +129,61 @@ def test_counit_naturality_seeded():
         assert counit_natural(gen_rep_morphism(seed, 2))
 
 
+def patch_everywhere(monkeypatch, name, replacement):
+    """Bind `replacement` in place of promrep's `name` in every promrep module."""
+    original = getattr(adjunction_module, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "promrep" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+    return original
+
+
+@pytest.mark.parametrize("law, name", [("unit-natural", "unit"), ("counit-natural", "counit")])
+def test_naturality_checks_build_each_end_once(monkeypatch, law, name):
+    """The check builds the unit (or counit) of each end once and uses it
+    both for the morphism check and for the square."""
+    built = []
+    build = patch_everywhere(monkeypatch, name, lambda obj: built.append(obj) or build(obj))
+    summary = search(SearchConfig(law, trials=20))
+    assert summary.passed and summary.checked == 20
+    assert len(built) == 2 * summary.checked
+
+
+def unit_dropping_last_image(p):
+    """η with ψ sending the last point of B to the empty set."""
+    m = unit(p)
+    psi = FnMap(m.psi.src, m.psi.dst, m.psi.image[:-1] + (0,) * bool(m.psi.image))
+    return type(m)(m.src, m.dst, m.phi, psi, check=False)
+
+
+def counit_dropping_last_row(r):
+    """ε with the last row of τ emptied."""
+    m = counit(r)
+    tau = Rel(m.tau.src, m.tau.dst, m.tau.rows[:-1] + (0,) * bool(m.tau.rows))
+    return type(m)(m.src, m.dst, m.phi, tau, check=False)
+
+
+@pytest.mark.parametrize(
+    "law, name, mutant, seed, violation",
+    [
+        ("unit-natural", "unit", unit_dropping_last_image, 0,
+         "unit is not a prom morphism: psi order preservation violated at ('b0', 'b2')"),
+        ("unit-natural", "unit", unit_dropping_last_image, 1,
+         "unit is not a prom morphism: psi order preservation violated at ('d0', 'd1')"),
+        ("counit-natural", "counit", counit_dropping_last_row, 0,
+         "counit is not a representation morphism: commuting square violated at ('m0', 's0')"),
+    ],
+)
+def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mutant, seed, violation):
+    """A broken unit or counit is reported with the message of the first
+    end whose morphism check fails, the source before the destination: at
+    seed 0 the source's unit fails, at seed 1 the destination's."""
+    patch_everywhere(monkeypatch, name, mutant)
+    summary = search(SearchConfig(law, seed=seed))
+    assert summary.witness.violation == violation
+    assert replay(summary.witness)
+
+
 def test_unit_and_counit_are_transposes_of_identities():
     # η = Ψ(1_{R p}) and ε = T(1_{M r}), as whole morphisms
     proms = [

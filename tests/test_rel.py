@@ -1,6 +1,8 @@
 """Kernel tests: operator semantics against independent pointwise oracles,
 plus hypothesis property tests for the algebraic laws."""
 
+import dataclasses
+import pickle
 import random
 import sys
 import threading
@@ -556,6 +558,54 @@ def test_graph_total_function_covers_diagonal():
     for code in range(4):
         f = FnMap(A2, B2, (code & 1, code >> 1))
         assert leq(identity(A2), compose(graph_lower(f), graph_upper(f)))
+
+
+def every_small_map():
+    """Every map between carriers of 0 to 3 points: 60 of them."""
+    for n, k in product(range(4), repeat=2):
+        A, B = finset("A", n, "a"), finset("B", k, "b")
+        for image in product(range(k), repeat=n):
+            yield FnMap(A, B, image)
+
+
+def test_graphs_are_built_once_and_match_their_pairs():
+    for f in every_small_map():
+        lower, upper = graph_lower(f), graph_upper(f)
+        assert set(lower.pairs()) == {(a, f.of(a)) for a in f.src}
+        assert set(upper.pairs()) == {(f.of(a), a) for a in f.src}
+        assert (lower.src, lower.dst, upper.src, upper.dst) == (f.src, f.dst, f.dst, f.src)
+        assert graph_lower(f) is lower and graph_upper(f) is upper
+
+
+def test_built_graphs_stay_out_of_equality_hashing_and_copies():
+    for f in every_small_map():
+        apart = FnMap(f.src, f.dst, tuple(list(f.image)))
+        assert f == apart and hash(f) == hash(apart)
+        graph_upper(f)
+        assert f == apart and hash(f) == hash(apart)
+        graph_lower(apart)
+        assert f == apart and hash(f) == hash(apart)
+        for copy in (pickle.loads(pickle.dumps(f)), dataclasses.replace(f)):
+            assert copy == f and hash(copy) == hash(f)
+            assert eq(graph_lower(copy), graph_lower(f)) and eq(graph_upper(copy), graph_upper(f))
+        if len(f.src) and len(f.dst) > 1:
+            moved = dataclasses.replace(f, image=((f.image[0] + 1) % len(f.dst),) + f.image[1:])
+            assert moved != f and not eq(graph_upper(moved), graph_upper(f))
+
+
+def test_pullback_selects_rows_as_the_composite_does():
+    rng = random.Random(19)
+    for f in every_small_map():
+        for _ in range(4):
+            y = Rel(f.dst, f.dst, tuple(rng.randrange(1 << len(f.dst)) for _ in f.dst))
+            assert eq(pullback(y, f), compose(graph_lower(f), compose(y, graph_upper(f))))
+
+
+def test_pullback_needs_a_relation_on_the_map_target():
+    f = FnMap(A2, B2, (0, 1))
+    for y in (full(A2, B2), full(B2, A2), full(A2, A2)):
+        with pytest.raises(CarrierMismatch):
+            pullback(y, f)
 
 
 # --- powersets --------------------------------------------------------------

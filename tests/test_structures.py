@@ -1,5 +1,9 @@
 """Structure axioms, eager validation, closure, morphism composition."""
 
+import random
+import sys
+from itertools import product
+
 import pytest
 
 from promrep import (
@@ -18,6 +22,7 @@ from promrep import (
     check_prom_morphism,
     check_rep_morphism,
     check_representation,
+    clear_caches,
     compose_prom_morphisms,
     compose,
     compose_rep_morphisms,
@@ -34,7 +39,9 @@ from promrep import (
     rep_to_prom,
     repmor_leq,
 )
+from promrep.harness import CATALOG, SearchConfig, random_rel, replay, search
 from promrep.structures import validate
+import promrep.structures as structures_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 A2 = finset("A", 2, "a")
@@ -114,6 +121,88 @@ def test_closure_idempotent_and_valid():
     once = preorder_closure(r)
     assert is_preorder(once.rel)
     assert eq(preorder_closure(once.rel).rel, once.rel)
+
+
+def reachability(r):
+    """Every (a, b) with a path from a to b in r's pairs, found by search;
+    the empty path makes it reflexive."""
+    succ = {a: [] for a in r.src}
+    for a, b in r.pairs():
+        succ[a].append(b)
+    out = set()
+    for a in r.src:
+        seen, todo = {a}, [a]
+        while todo:
+            for b in succ[todo.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        out |= {(a, b) for b in seen}
+    return out
+
+
+def small_relations():
+    """Every square relation on 0 to 3 points, then 25 seeded ones on each
+    of 4 to 12 points (perfbench closes 12-point relations)."""
+    for n in range(4):
+        carrier = finset("A", n, "a")
+        for rows in product(range(1 << n), repeat=n):
+            yield Rel(carrier, carrier, rows)
+    rng = random.Random(1962)
+    for n in range(4, 13):
+        carrier = finset("A", n, "a")
+        for _ in range(25):
+            yield random_rel(rng, carrier, carrier, rng.choice((0.05, 0.1, 0.2, 0.4)))
+
+
+def test_closure_is_reachability():
+    for r in small_relations():
+        got = preorder_closure(r).rel
+        assert set(got.pairs()) == reachability(r), r.rows
+        assert got.src == r.src and got.dst == r.dst
+
+
+def closure_skipping_last_pivot(r):
+    """Warshall's closure without its last pivot: a path through the last
+    element that no other pivot shortcuts is lost."""
+    rows = [row | 1 << i for i, row in enumerate(r.rows)]
+    for k in range(len(rows) - 1):
+        row_k = rows[k]
+        rows = [row | row_k if row >> k & 1 else row for row in rows]
+    return Preorder(Rel(r.src, r.dst, tuple(rows)), check=False)
+
+
+def test_closure_skipping_last_pivot_is_caught_by_the_default_catalog_run(monkeypatch):
+    """Every law that draws a preorder on three or more points meets a
+    non-transitive one, and reports it as a replaying invalid instance.
+    The other laws draw no preorder (eq1-galois, modular-tautology, ...)
+    or only preorders on at most two points, where every pivot but the
+    last already closes every path (lemma5, lemma6, lemma8, lemma9,
+    counit-natural)."""
+    closure = structures_module.preorder_closure
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "promrep" and getattr(module, "preorder_closure", None) is closure:
+            monkeypatch.setattr(module, "preorder_closure", closure_skipping_last_pivot)
+    killed = []
+    for law in CATALOG:
+        clear_caches()
+        summary = search(SearchConfig(law))
+        if not summary.passed:
+            assert summary.witness.violation.startswith("instance is not valid: "), law
+            assert replay(summary.witness), law
+            killed.append(law)
+    assert killed == [
+        "lemma1",
+        "lemma2",
+        "lemma3",
+        "lemma4",
+        "lemma10",
+        "lemma11",
+        "triangle-repr",
+        "triangle-pom",
+        "unit-natural",
+        "psi-characterization",
+    ]
 
 
 def test_eager_validation_raises():
