@@ -13,7 +13,6 @@ from .rel import (
     compose,
     compose_maps,
     converse,
-    empty,
     eq,
     finset,
     full,
@@ -28,9 +27,6 @@ from .rel import (
     powerset,
     pullback,
     right_residual,
-    singleton_map,
-    subset_labels,
-    union,
 )
 from .structures import (
     CheckResult,
@@ -59,7 +55,6 @@ from .functors import (
     prommor_to_repmor,
     rep_to_prom,
     repmor_to_prommor,
-    subset_order,
 )
 from .adjunction import (
     HomPair,
@@ -69,7 +64,6 @@ from .adjunction import (
     hom_pair,
     lift,
     lower,
-    map_to_rel,
     recover_by_membership,
     rel_to_map,
     triangle_prom,

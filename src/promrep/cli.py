@@ -93,6 +93,7 @@ def cmd_check(args) -> int:
 def _find_prom_preimage(ws: workspace.Workspace, rep: Representation) -> Prom:
     for obj in ws.structures.values():
         if isinstance(obj, Prom) and prom_to_rep(obj) == rep:
+            validate(obj)  # R(p) can be valid when p is not: y⨾f^* reads y only at f's image
             return obj
     raise InputError(
         "psi needs a prom in the file whose representation image is the morphism source"
@@ -100,6 +101,7 @@ def _find_prom_preimage(ws: workspace.Workspace, rep: Representation) -> Prom:
 
 
 def _find_rep_preimage(ws: workspace.Workspace, prom: Prom) -> Representation:
+    # r needs no check of its own: M(r) has r's order, and its f preserves order iff r is sound
     for obj in ws.structures.values():
         # M(r) has r's order and 2^|M| points: build it only for an r that can match
         if not isinstance(obj, Representation) or obj.ord != prom.x or 1 << len(obj.M) != len(prom.B):
@@ -113,6 +115,7 @@ def _find_rep_preimage(ws: workspace.Workspace, prom: Prom) -> Representation:
 
 #: Functor → (class of its input, its image given workspace and input).
 #: psi and tee also look up, in the workspace, the object their map needs.
+#: Every input is validated first, as `check` would.
 _FUNCTORS = {
     "R": (Prom, lambda ws, p: prom_to_rep(p)),
     "M": (Representation, lambda ws, r: rep_to_prom(r)),
@@ -131,6 +134,7 @@ def _apply(functor: str, ws: workspace.Workspace, obj):
     cls, image = _FUNCTORS[functor]
     if not isinstance(obj, cls):
         raise InputError(f"functor {functor} applies to a {workspace.KIND_OF[cls]}")
+    validate(obj)
     return image(ws, obj)
 
 
@@ -142,7 +146,7 @@ def cmd_apply(args) -> int:
         out = workspace.build({f"{args.functor}({args.name})": image})
         text = workspace.dumps(out)
     except ValueError as e:
-        # the cap, carriers that do not connect, or an unserializable image
+        # an invalid input, the cap, carriers that do not connect, or an unserializable image
         raise InputError(str(e)) from None
     sys.stdout.write(text)
     return 0

@@ -38,15 +38,11 @@ def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
     return RepMorphism(prom_to_rep(m.src), prom_to_rep(m.dst), m.phi, tau, check=False)
 
 
-def subset_order(bundle) -> Preorder:
-    """⊆ on a powerset carrier, computed as the residual ∈\\∈."""
-    return Preorder(left_residual(bundle.mem, bundle.mem), check=False)
-
-
 def rep_to_prom(r: Representation) -> Prom:
-    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; Λ(⊨) is the theory map s ↦ {m | m ⊨ s}."""
-    bundle = powerset(r.M)
-    return Prom(r.ord, subset_order(bundle), power_transpose(r.sat, bundle.mem), check=False)
+    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, and Λ(⊨) is the theory
+    map s ↦ {m | m ⊨ s}."""
+    mem = powerset(r.M).mem
+    return Prom(r.ord, Preorder(left_residual(mem, mem), check=False), power_transpose(r.sat, mem), check=False)
 
 
 def direct_image(tau: Rel) -> FnMap:

@@ -511,6 +511,7 @@ class LawSpec:
     default_bounds: tuple[int, ...]
     exhaustive_limit: tuple[int, ...] | None
     powerset_base: tuple[str, int] | None = None  # (carrier, bound index) of every powerset's base
+    tau_bound: int | None = None  # bound index that caps both carriers of every enumerated τ
 
 
 def _ok() -> tuple[None, dict]:
@@ -841,12 +842,15 @@ def _check_lemma11(inst):
 CATALOG: dict[str, LawSpec] = {}
 
 
-def _law(law, summary, check, schema, default_bounds=(3,), limit=None, powerset_base=None):
+def _law(law, summary, check, schema, default_bounds=(3,), limit=None, powerset_base=None, tau_bound=None):
     """Register a law over `schema`'s instances, seeded-only if it has no exhaustive `limit`.
 
     `powerset_base` names the carrier whose powerset the check builds and
     the bound that sizes it, so that `search` rejects a bound over the cap
     before its first trial; None for a law that builds no powerset.
+    `tau_bound` likewise names the bound on both carriers of the τ that
+    `enumerate_rep_morphisms` lists, so that `search` rejects one whose
+    square exceeds MAX_TAU_CELLS; None for a law that lists no τ.
 
     The registered check first validates every structure-valued field, so
     invalid input raises InvalidStructure instead of yielding a witness."""
@@ -859,7 +863,7 @@ def _law(law, summary, check, schema, default_bounds=(3,), limit=None, powerset_
         return check(inst)
 
     CATALOG[law] = LawSpec(
-        law, summary, validated, schema.generate, enumerate_, default_bounds, limit, powerset_base
+        law, summary, validated, schema.generate, enumerate_, default_bounds, limit, powerset_base, tau_bound
     )
 
 
@@ -874,22 +878,22 @@ _law("lemma1", "R sends proms to sound representations", _check_lemma1, _PROM, (
 _law("lemma2", "R sends prom morphisms to representation morphisms", _check_lemma2, _PROMMOR, (4,))
 _law("lemma3", "R is lax: id ⩽ R(id) and R(m2∘m1) ⩽ R(m2)∘R(m1)", _check_lemma3, _PROMMOR_CHAIN, (3,))
 _law("lemma4", "M sends representations to proms, with ∈⨾f^* = ⊨", _check_lemma4, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
-_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _REPMOR, (2, 2), (2, 2), powerset_base=("M", 0))
+_law("lemma5", "M sends representation morphisms to prom morphisms", _check_lemma5, _REPMOR, (2, 2), (2, 2), powerset_base=("M", 0), tau_bound=0)
 # lemma6 caps |S| at 1 in exhaustive mode: representations with empty sat have
 # hom-sets of every phi and tau, so the composable-pair space at (2,2)
 # already exceeds five million instances.  The composition equality
 # factors through the tau pair alone; the tests cover the larger bound
 # through direct images of tau pairs, without the cross product.
-_law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1), powerset_base=("M", 0))
+_law("lemma6", "M is strictly functorial: M(id) = id and M(m2∘m1) = M(m2)∘M(m1)", _check_lemma6, _REPMOR_CHAIN, (2, 2), (2, 1), powerset_base=("M", 0), tau_bound=0)
 _law("lemma7", "x = ∈⨾(∈\\x)", _check_lemma7, _LEMMA7, (2, 3), (4, 4), powerset_base=("A", 0))
-_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0))
-_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0))
+_law("lemma8", "Ψ and T produce morphisms of the appropriate kind", _check_lemma8, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0), tau_bound=0)
+_law("lemma9", "ΨT(φ,ψ) = (φ,ψ) and (φ,τ) ⩽ TΨ(φ,τ)", _check_lemma9, _HOM_PAIR, (2,), (2,), powerset_base=("M", 0), tau_bound=0)
 _law("lemma10", "R exact ⇔ M(R) order-reflecting", _check_lemma10, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
 _law("lemma11", "p order-reflecting ⇔ R(p) exact", _check_lemma11, _PROM, (4, 4), (2, 2))
 _law("triangle-repr", "ε∘R(η) = (id, y) ⩾ id", _check_triangle_repr, _PROM, (3, 3), (2, 2), powerset_base=("B", 1))
 _law("triangle-pom", "M(ε)∘η = id", _check_triangle_pom, _REP, (3, 3), (2, 2), powerset_base=("M", 0))
 _law("unit-natural", "η commutes with every prom morphism", _check_unit_natural, _PROMMOR, (3,), powerset_base=("B", 0))
-_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _REPMOR_ONE_BOUND, (2,), powerset_base=("M", 0))
+_law("counit-natural", "ε commutes with every representation morphism", _check_counit_natural, _REPMOR_ONE_BOUND, (2,), powerset_base=("M", 0), tau_bound=0)
 _law("psi-characterization", "∈⨾(Ψτ)^* = τ⨾y", _check_psi_char, _PSI, (3, 3), (2, 2), powerset_base=("M", 0))
 _law("soundness-residual-equiv", "⊨⨾≤ ≤ ⊨ ⇔ ≤ ≤ ⊨\\⊨", _check_soundness_equiv, _SOUNDNESS, (3, 3), (2, 2))
 
@@ -993,6 +997,12 @@ def search(config: SearchConfig) -> SearchSummary:
                 f"|{base}| = {bounds[index]} exceeds powerset cap {POWERSET_CAP}: "
                 f"law {spec.law!r} builds 2^{base} with |{base}| up to that bound"
             )
+    if spec.tau_bound is not None and bounds[spec.tau_bound] ** 2 > MAX_TAU_CELLS:
+        size = bounds[spec.tau_bound]
+        raise ConfigError(
+            f"tau enumeration over up to {size}·{size} cells exceeds limit {MAX_TAU_CELLS}: "
+            f"law {spec.law!r} lists every τ between carriers of up to {size} points"
+        )
     if config.mode == "exhaustive":
         if spec.enumerate is None:
             raise ConfigError(f"law {spec.law!r} supports seeded mode only")

@@ -52,9 +52,9 @@ The powerset encoding lives here: a subset's index in its powerset
 carrier is its bitmask over the base order.  `powerset` builds the carrier
 and the membership relation ∈, and `power_transpose` (Λ) turns a relation
 into the set-valued map it denotes, so the constructions convert between
-relations and maps into a powerset only through these two and
-`singleton_map` = Λ(id).  (The harness's reference for ∈\\∈ builds its
-masks apart from this module on purpose.)
+relations and maps into a powerset only through these two.  (The
+harness's reference for ∈\\∈ builds its masks apart from this module on
+purpose.)
 
 Checking a law builds many tiny relations over few carriers, so kernel
 objects are made cheap to build and compare.  `Rel` and `FnMap` validate
@@ -255,10 +255,6 @@ def identity(a: FinSet) -> Rel:
     return Rel(a, a, tuple(1 << i for i in range(len(a))))
 
 
-def empty(src: FinSet, dst: FinSet) -> Rel:
-    return Rel(src, dst, (0,) * len(src))
-
-
 def full(src: FinSet, dst: FinSet) -> Rel:
     mask = (1 << len(dst)) - 1
     return Rel(src, dst, (mask,) * len(src))
@@ -402,11 +398,6 @@ def is_transitive(x: Rel) -> bool:
 def eq(x: Rel, y: Rel) -> bool:
     _require_same_shape(x, y)
     return x.rows == y.rows
-
-
-def union(x: Rel, y: Rel) -> Rel:
-    _require_same_shape(x, y)
-    return Rel(x.src, x.dst, tuple(rx | ry for rx, ry in zip(x.rows, y.rows)))
 
 
 def left_residual(x: Rel, z: Rel) -> Rel:
@@ -583,11 +574,6 @@ def power_transpose(x: Rel, mem: Rel) -> FnMap:
     if mem.src != x.src:
         raise CarrierMismatch(f"membership over {mem.src.name} cannot transpose {x.src.name}")
     return FnMap(x.dst, mem.dst, _transpose(x.rows, len(x.dst)))
-
-
-def singleton_map(base: FinSet) -> FnMap:
-    """a ↦ {a} into the powerset carrier: Λ(id)."""
-    return power_transpose(identity(base), powerset(base).mem)
 
 
 def pullback(y: Rel, f: FnMap) -> Rel:

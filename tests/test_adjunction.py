@@ -29,7 +29,7 @@ from promrep import (
     leq,
     lift,
     lower,
-    map_to_rel,
+    power_transpose,
     powerset,
     prom_to_rep,
     recover_by_membership,
@@ -41,7 +41,7 @@ from promrep import (
     unit,
     unit_natural,
 )
-from promrep.adjunction import _triangle_prom_composite
+from promrep.adjunction import _triangle_prom_composite, map_to_rel
 from promrep.cli import main
 from promrep.harness import (
     SearchConfig,
@@ -85,6 +85,7 @@ def test_unit_discrete_order_is_singleton_map():
     p = Prom(Preorder(identity(A)), Preorder(identity(B)), FnMap(A, B, (0,)))
     eta = unit(p)
     assert eta.psi.of("b0") == "{b0}" and eta.psi.of("b1") == "{b1}"
+    assert eta.psi == power_transpose(identity(B), powerset(B).mem)
 
 
 def test_unit_two_chain_downsets():
@@ -129,9 +130,9 @@ def test_counit_naturality_seeded():
         assert counit_natural(gen_rep_morphism(seed, 2))
 
 
-def patch_everywhere(monkeypatch, name, replacement):
-    """Bind `replacement` in place of promrep's `name` in every promrep module."""
-    original = getattr(adjunction_module, name)
+def patch_everywhere(monkeypatch, name, replacement, home=adjunction_module):
+    """Bind `replacement` in place of `home`'s `name` in every promrep module."""
+    original = getattr(home, name)
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "promrep" and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, replacement)
@@ -581,6 +582,47 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
     assert not summary.passed
     assert summary.witness.violation == violation
     assert replay(summary.witness)
+
+
+@pytest.mark.parametrize(
+    "name, bug, killers",
+    [
+        (
+            "leq",
+            lambda leq: lambda x, y: leq(_zero_last_row(x), y),
+            ["eq1-galois", "lemma10", "lemma11", "soundness-residual-equiv"],
+        ),
+        ("converse", lambda converse: lambda x: _zero_last_row(converse(x)), ["dual-galois"]),
+        (
+            "left_residual",
+            lambda residual: lambda x, z: residual(x, z) if len(x.src) else Rel(x.dst, z.dst, (0,) * len(x.dst)),
+            [
+                "eq1-galois",
+                "dual-galois",
+                "mem-residual-subset",
+                "lemma4",
+                "lemma5",
+                "lemma8",
+                "lemma10",
+                "unit-natural",
+                "soundness-residual-equiv",
+            ],
+        ),
+    ],
+    ids=["leq-skipping-last-row", "converse-zeroing-last-row", "residual-empty-over-empty-source"],
+)
+def test_kernel_mutant_is_caught_by_the_default_catalog_run(monkeypatch, name, bug, killers):
+    """`bug` maps the correct kernel function to its mutant; exactly the
+    laws in `killers` refute it, each with a replaying witness."""
+    patch_everywhere(monkeypatch, name, bug(getattr(rel_module, name)), rel_module)
+    killed = []
+    for law in harness_module.CATALOG:
+        clear_caches()
+        summary = search(SearchConfig(law))
+        if not summary.passed:
+            assert replay(summary.witness), law
+            killed.append(law)
+    assert killed == killers
 
 
 # --- psi / tee --------------------------------------------------------------

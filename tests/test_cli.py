@@ -347,6 +347,47 @@ def test_apply_psi_without_context_prom(tmp_path):
     assert main(["apply", "psi", str(path), "m"]) == 2
 
 
+def _invalid_inputs_file(tmp_path):
+    """p's y misses (b1, b1), where f does not reach, so R(p) is valid; r is
+    unsound, as m0 ⊨ s0 ≤ s1 but not m0 ⊨ s1, so M(r) is no prom."""
+    A, B = finset("A", 1, "a"), finset("B", 2, "b")
+    M, S = finset("M", 1, "m"), finset("S", 2, "s")
+    p = Prom(Preorder(identity(A)), Preorder(Rel(B, B, (1, 0)), check=False), FnMap(A, B, (0,)), check=False)
+    r = Representation(Rel(M, S, (1,)), Preorder(Rel(S, S, (3, 2))), check=False)
+    ws = {"p": p, "r": r, "rm": identity_rep_morphism(prom_to_rep(p)), "pm": identity_prom_morphism(rep_to_prom(r))}
+    path = tmp_path / "invalid.json"
+    path.write_text(workspace.dumps(workspace.build(ws)))
+    return str(path)
+
+
+P_INVALID = "error: invalid prom: y reflexivity violated at ('b1', 'b1')\n"
+R_INVALID = "error: invalid representation: soundness violated at ('m0', 's1')\n"
+
+
+@pytest.mark.parametrize(
+    "functor, name, err",
+    [
+        ("R", "p", P_INVALID),
+        ("MR", "p", P_INVALID),
+        ("unit", "p", P_INVALID),
+        ("psi", "rm", P_INVALID),  # the prom psi looks up
+        ("M", "r", R_INVALID),
+        ("RM", "r", R_INVALID),
+        ("counit", "r", R_INVALID),
+        ("tee", "pm", "error: invalid prom morphism: src order preservation violated at ('s0', 's1')\n"),
+    ],
+    ids=["R", "MR", "unit", "psi", "M", "RM", "counit", "tee"],
+)
+def test_apply_validates_its_input_first(tmp_path, capsys, functor, name, err):
+    """An input that `check` refutes is an input error, with nothing on stdout."""
+    path = _invalid_inputs_file(tmp_path)
+    assert main(["check", path, name if functor != "psi" else "p"]) == 1
+    capsys.readouterr()
+    assert main(["apply", functor, path, name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_apply_powerset_cap_guard(tmp_path, capsys):
     r = gen_representation(1, 13, 2)
     path = tmp_path / "big.json"
@@ -412,6 +453,23 @@ def test_verify_over_the_powerset_cap_is_input_error():
         assert proc.returncode == 2, seed
         assert proc.stderr == "error: |A| = 13 exceeds powerset cap 12: law 'lemma7' builds 2^A with |A| up to that bound\n"
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("law", ["lemma5", "lemma6", "lemma8", "lemma9", "counit-natural"])
+def test_verify_over_the_tau_cell_limit_is_input_error_at_every_seed(capsys, law):
+    """Each of these laws lists every τ between two carriers of up to the
+    first bound's size: 4·4 cells are over the limit of 9 at every seed,
+    also where no draw reaches 4, and 3·3 cells are within it."""
+    for seed in map(str, range(6)):
+        assert main(["verify", law, "--max-size", "4", "--trials", "1", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: tau enumeration over up to 4·4 cells exceeds limit 9: "
+            f"law '{law}' lists every τ between carriers of up to 4 points\n"
+        )
+        assert main(["verify", law, "--max-size", "3", "--trials", "1", "--seed", seed]) == 0
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from promrep import (
     compose,
     compose_maps,
     direct_image,
-    empty,
     eq,
     finset,
     identity,
@@ -220,7 +219,8 @@ def _unreflexive(obj):
     when that preorder's carrier is empty, as the empty relation is then a
     preorder."""
     if isinstance(obj, Preorder):
-        return Preorder(empty(obj.carrier, obj.carrier), check=False) if len(obj.carrier) else None
+        c = obj.carrier
+        return Preorder(Rel(c, c, (0,) * len(c)), check=False) if len(c) else None
     key = {Prom: "x", Representation: "ord", PromMorphism: "src", RepMorphism: "src"}[type(obj)]
     inner = _unreflexive(getattr(obj, key))
     return None if inner is None else replace(obj, **{key: inner}, check=False)

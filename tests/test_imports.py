@@ -1,7 +1,10 @@
 """Every module of the package uses every name it imports, and every
-module-level private name it defines."""
+module-level private name it defines; every exported name has a caller
+outside its module, and every function the benchmark times by name exists."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -67,3 +70,75 @@ def test_module_private_names_are_referenced():
         if package_refs[name] - references(node)[name] == 0
     ]
     assert orphans == []
+
+
+ROOT = PACKAGE.parent.parent
+
+#: Exported names that need no caller outside their own module, each with its reason.
+EXPORTED_WITHOUT_CALLER = {
+    "PowersetBundle": "the type `powerset` returns",
+    "HomPair": "the type `hom_pair` returns",
+    "TriangleRepResult": "the type `triangle_rep` returns",
+    "Witness": "the type of `SearchSummary.witness` and of `check_law`'s result",
+    "SearchSummary": "the type `search` returns",
+    "replay": "user-facing: re-runs a law on a witness",
+    "clear_caches": "user-facing: empties the kernel caches after a kernel function is patched",
+    "converse": "perfbench wraps it as a public function for its `rel.converse.*` metrics",
+    "check_preorder": "perfbench wraps it as a public function for its `structures.check_preorder.*` metrics",
+}
+
+
+def test_exported_names_have_a_caller_outside_their_module():
+    """Every name `promrep` exports is used outside its defining module, in
+    the package, its scripts or its benchmark; the tests do not count."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name: node.module
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    callers = [
+        *(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+        *ROOT.glob("scripts/*.py"),
+        *ROOT.glob("perfbench/**/*.py"),
+    ]
+    refs = {path: references(ast.parse(path.read_text())) for path in callers}
+    uncalled = [
+        name
+        for name, module in exported.items()
+        if not any(counts[name] for path, counts in refs.items() if path != PACKAGE / f"{module}.py")
+    ]
+    assert sorted(set(uncalled) - set(EXPORTED_WITHOUT_CALLER)) == []
+    assert sorted(set(EXPORTED_WITHOUT_CALLER) - set(uncalled)) == []  # no stale entry
+
+
+def per_layer_metrics():
+    """perfbench's PER_LAYER, evaluated from the source of `perfbench/layers.py`
+    without its imports, so that the tracer is not loaded."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    tree.body = [
+        node for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__"
+    ]
+    namespace = {}
+    exec(compile(tree, "layers.py", "exec"), namespace)
+    return namespace["PER_LAYER"]
+
+
+def test_per_layer_call_counts_name_public_functions():
+    """Each `<layer>.<fn>.calls` metric counts calls of a public function
+    `fn` of `promrep.<layer>`, the ones perfbench wraps; a removed or
+    renamed function would read 0 there."""
+    counted = [name[: -len(".calls")] for name, _, _ in per_layer_metrics() if name.endswith(".calls")]
+    assert "rel.compose" in counted
+    missing = []
+    for name in counted:
+        if name == "exactness":  # sums every exactness.* span
+            continue
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"promrep.{layer}")
+        target = getattr(module, fn, None)
+        if fn.startswith("_") or not inspect.isfunction(target) or target.__module__ != module.__name__:
+            missing.append(name)
+    assert missing == []
