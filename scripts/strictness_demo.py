@@ -25,6 +25,7 @@ from promrep import (
     prommor_to_repmor,
     repmor_leq,
     triangle_rep,
+    validate,
 )
 from promrep.harness import enumerate_rep_morphisms
 
@@ -38,6 +39,7 @@ def main():
     B = finset("B", 2, "b")
     y = Preorder(Rel.from_pairs(B, B, [("b0", "b0"), ("b1", "b1"), ("b0", "b1")]))
     p = Prom(Preorder(identity(A)), y, FnMap(A, B, (0,)))
+    validate(p)  # constructors check carriers only; a bad hand edit stops here
     print(f"prom: f: {A.elements} -> {B.elements} with y = 2-chain b0 <= b1\n")
 
     r_id = prommor_to_repmor(identity_prom_morphism(p))

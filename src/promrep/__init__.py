@@ -48,6 +48,7 @@ from .structures import (
     is_preorder,
     preorder_closure,
     repmor_leq,
+    validate,
 )
 from .functors import (
     direct_image,

@@ -64,13 +64,13 @@ class HomPair:
         """Ψ: (φ, τ): R(p) → r ↦ (φ, Λ(τ⨾y)): p → M(r)."""
         if m.src != self.rp or m.dst != self.r:
             raise ValueError("morphism is not in the hom-set R(p) → r")
-        return PromMorphism(self.p, self.mr, m.phi, rel_to_map(m.tau, self.p.y, self.mem), check=False)
+        return PromMorphism(self.p, self.mr, m.phi, rel_to_map(m.tau, self.p.y, self.mem))
 
     def lower(self, m: PromMorphism) -> RepMorphism:
         """T: (φ, ψ): p → M(r) ↦ (φ, ∈⨾ψ^*): R(p) → r."""
         if m.src != self.p or m.dst != self.mr:
             raise ValueError("morphism is not in the hom-set p → M(r)")
-        return RepMorphism(self.rp, self.r, m.phi, map_to_rel(m.psi, self.mem), check=False)
+        return RepMorphism(self.rp, self.r, m.phi, map_to_rel(m.psi, self.mem))
 
 
 def hom_pair(p: Prom, r: Representation) -> HomPair:
@@ -130,7 +130,7 @@ def triangle_rep(p: Prom) -> TriangleRepResult:
     composite = compose_rep_morphisms(counit(rp), prommor_to_repmor(unit(p)))
     return TriangleRepResult(
         composite,
-        composite == RepMorphism(rp, rp, identity_map(p.A), p.y.rel, check=False),
+        composite == RepMorphism(rp, rp, identity_map(p.A), p.y.rel),
         repmor_leq(identity_rep_morphism(rp), composite),
         not eq(p.y.rel, identity(p.B)),
     )

@@ -29,20 +29,20 @@ from .structures import (
 def prom_to_rep(p: Prom) -> Representation:
     """⟨B, A, y⨾f^*, x⟩.  Always a sound representation."""
     sat = compose(p.y.rel, graph_upper(p.f))
-    return Representation(sat, p.x, check=False)
+    return Representation(sat, p.x)
 
 
 def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
     """(φ,ψ) ↦ (φ, y'⨾ψ^*)."""
     tau = compose(m.dst.y.rel, graph_upper(m.psi))
-    return RepMorphism(prom_to_rep(m.src), prom_to_rep(m.dst), m.phi, tau, check=False)
+    return RepMorphism(prom_to_rep(m.src), prom_to_rep(m.dst), m.phi, tau)
 
 
 def rep_to_prom(r: Representation) -> Prom:
     """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, and Λ(⊨) is the theory
     map s ↦ {m | m ⊨ s}."""
     mem = powerset(r.M).mem
-    return Prom(r.ord, Preorder(left_residual(mem, mem), check=False), power_transpose(r.sat, mem), check=False)
+    return Prom(r.ord, Preorder(left_residual(mem, mem)), power_transpose(r.sat, mem))
 
 
 def direct_image(tau: Rel) -> FnMap:
@@ -52,4 +52,4 @@ def direct_image(tau: Rel) -> FnMap:
 
 def repmor_to_prommor(m: RepMorphism) -> PromMorphism:
     """(φ,τ) ↦ (φ, direct image of τ).  Strictly functorial."""
-    return PromMorphism(rep_to_prom(m.src), rep_to_prom(m.dst), m.phi, direct_image(m.tau), check=False)
+    return PromMorphism(rep_to_prom(m.src), rep_to_prom(m.dst), m.phi, direct_image(m.tau))

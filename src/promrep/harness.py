@@ -149,7 +149,7 @@ def _gen_sub_pullback(rng: random.Random, y: Rel, f: FnMap) -> Preorder:
     otherwise the closure of a thinned-out part of it.  f carries either into y."""
     pull = pullback(y, f)
     if rng.random() < 0.5:
-        return Preorder(pull, check=False)
+        return Preorder(pull)
     return preorder_closure(_thin(rng, pull))
 
 
@@ -167,7 +167,7 @@ def _gen_prom(
     B = finset(b[0], size_b, b[1])
     y = _gen_preorder(rng, B)
     f = random_fnmap(rng, A, B)
-    return Prom(_gen_sub_pullback(rng, y.rel, f), y, f, check=False)
+    return Prom(_gen_sub_pullback(rng, y.rel, f), y, f)
 
 
 def _gen_representation(
@@ -183,7 +183,7 @@ def _gen_representation(
     S = finset(s[0], size_s, s[1])
     ord_ = _gen_preorder(rng, S)
     sat = compose(random_rel(rng, M, S), ord_.rel)
-    return Representation(sat, ord_, check=False)
+    return Representation(sat, ord_)
 
 
 def _gen_prom_morphism_into(
@@ -215,9 +215,9 @@ def _gen_prom_morphism_into(
         fiber = [j for j in range(size_b) if psi.image[j] == want]
         f_image.append(rng.choice(fiber))
     f = FnMap(A, B, tuple(f_image))
-    y = Preorder(pullback(dst.y.rel, psi), check=False)
-    src = Prom(_gen_sub_pullback(rng, dst.x.rel, phi), y, f, check=False)
-    return PromMorphism(src, dst, phi, psi, check=False)
+    y = Preorder(pullback(dst.y.rel, psi))
+    src = Prom(_gen_sub_pullback(rng, dst.x.rel, phi), y, f)
+    return PromMorphism(src, dst, phi, psi)
 
 
 def _gen_prom_morphism(rng: random.Random, max_size: int) -> PromMorphism:
@@ -278,7 +278,7 @@ def enumerate_relations(src: FinSet, dst: FinSet) -> Iterator[Rel]:
 def enumerate_preorders(carrier: FinSet) -> Iterator[Preorder]:
     for r in enumerate_relations(carrier, carrier):
         if is_preorder(r):
-            yield Preorder(r, check=False)
+            yield Preorder(r)
 
 
 def enumerate_fnmaps(src: FinSet, dst: FinSet) -> Iterator[FnMap]:
@@ -301,7 +301,7 @@ def enumerate_proms(
                 for f in enumerate_fnmaps(A, B):
                     for x in enumerate_preorders(A):
                         if order_violation(f, x.rel, y.rel) is None:
-                            yield Prom(x, y, f, check=False)
+                            yield Prom(x, y, f)
 
 
 def enumerate_representations(
@@ -317,7 +317,7 @@ def enumerate_representations(
             for ord_ in enumerate_preorders(S):
                 for sat in enumerate_relations(M, S):
                     if leq(compose(sat, ord_.rel), sat):
-                        yield Representation(sat, ord_, check=False)
+                        yield Representation(sat, ord_)
 
 
 def enumerate_rep_morphisms(r1: Representation, r2: Representation) -> Iterator[RepMorphism]:
@@ -347,7 +347,7 @@ def enumerate_rep_morphisms(r1: Representation, r2: Representation) -> Iterator[
         rhs = compose(r2.sat, graph_upper(phi))
         choices = [by_union.get(row, ()) for row in reversed(rhs.rows)]
         for rows in product(*choices):
-            yield RepMorphism(r1, r2, phi, Rel(r2.M, r1.M, rows[::-1]), check=False)
+            yield RepMorphism(r1, r2, phi, Rel(r2.M, r1.M, rows[::-1]))
 
 
 def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
@@ -363,7 +363,7 @@ def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
     for phi in enumerate_fnmaps(p1.A, p2.A):
         if order_violation(phi, p1.x.rel, p2.x.rel) is None:
             for psi in by_square.get(tuple(f2[a] for a in phi.image), ()):
-                yield PromMorphism(p1, p2, phi, psi, check=False)
+                yield PromMorphism(p1, p2, phi, psi)
 
 
 def _enumerate_rep_morphisms_within(max_m: int, max_s: int) -> Iterator[RepMorphism]:

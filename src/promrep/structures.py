@@ -1,17 +1,18 @@
 """Preorders, proms, representations, and their morphisms.
 
-Constructors validate eagerly by default.  Every constructor checks that
-its carriers connect (a preorder is square, a prom's map runs between its
-two carriers, and so on) and raises CarrierMismatch otherwise; check=False
-skips only the axioms, not these carrier checks (the harness uses it for
-negative tests and for structures already known valid).  Every axiom has
-a check_* function that reports the first violated axiom together with a
-concrete witness, which `validate` raises as InvalidStructure.
+A constructor checks only that its carriers connect (a preorder is
+square, a prom's map runs between its two carriers, and so on) and raises
+CarrierMismatch otherwise.  `validate` is the one place that checks the
+axioms: every axiom has a check_* function that reports the first
+violated axiom together with a concrete witness, which `validate` raises
+as InvalidStructure.  Callers validate where input enters (`promrep
+check` and `apply`, and the harness on every law instance), so an invalid
+structure can still be held and reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass
 
 from .rel import (
     CarrierMismatch,
@@ -79,13 +80,10 @@ def is_preorder(r: Rel) -> bool:
 @dataclass(frozen=True)
 class Preorder:
     rel: Rel
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.rel.src != self.rel.dst:
             raise CarrierMismatch("a preorder must be a square relation")
-        if check:
-            validate(self)
 
     @property
     def carrier(self) -> FinSet:
@@ -101,7 +99,7 @@ def preorder_closure(r: Rel) -> Preorder:
     for k in range(len(rows)):
         row_k = rows[k]
         rows = [row | row_k if row >> k & 1 else row for row in rows]
-    return Preorder(Rel(r.src, r.dst, tuple(rows)), check=False)
+    return Preorder(Rel(r.src, r.dst, tuple(rows)))
 
 
 @dataclass(frozen=True)
@@ -111,13 +109,10 @@ class Prom:
     x: Preorder
     y: Preorder
     f: FnMap
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.f.src != self.x.carrier or self.f.dst != self.y.carrier:
             raise CarrierMismatch("prom map does not connect the two preordered carriers")
-        if check:
-            validate(self)
 
     @property
     def A(self) -> FinSet:
@@ -167,15 +162,12 @@ class PromMorphism:
     dst: Prom
     phi: FnMap  # src.A → dst.A
     psi: FnMap  # src.B → dst.B
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.phi.src != self.src.A or self.phi.dst != self.dst.A:
             raise CarrierMismatch("phi does not connect the source carriers")
         if self.psi.src != self.src.B or self.psi.dst != self.dst.B:
             raise CarrierMismatch("psi does not connect the target carriers")
-        if check:
-            validate(self)
 
 
 def _ends(check, m) -> CheckResult:
@@ -218,13 +210,10 @@ class Representation:
 
     sat: Rel  # M ⇸ S
     ord: Preorder  # on S
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.sat.dst != self.ord.carrier:
             raise CarrierMismatch("preorder carrier does not match the statement carrier")
-        if check:
-            validate(self)
 
     @property
     def M(self) -> FinSet:
@@ -259,15 +248,12 @@ class RepMorphism:
     dst: Representation
     phi: FnMap  # src.S → dst.S
     tau: Rel  # dst.M ⇸ src.M
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         if self.phi.src != self.src.S or self.phi.dst != self.dst.S:
             raise CarrierMismatch("phi does not connect the statement carriers")
         if self.tau.src != self.dst.M or self.tau.dst != self.src.M:
             raise CarrierMismatch("tau does not connect the model carriers")
-        if check:
-            validate(self)
 
 
 def check_rep_morphism(m: RepMorphism) -> CheckResult:
@@ -315,34 +301,22 @@ def repmor_leq(m1: RepMorphism, m2: RepMorphism) -> bool:
 
 
 def identity_prom_morphism(p: Prom) -> PromMorphism:
-    return PromMorphism(p, p, identity_map(p.A), identity_map(p.B), check=False)
+    return PromMorphism(p, p, identity_map(p.A), identity_map(p.B))
 
 
 def identity_rep_morphism(r: Representation) -> RepMorphism:
-    return RepMorphism(r, r, identity_map(r.S), identity(r.M), check=False)
+    return RepMorphism(r, r, identity_map(r.S), identity(r.M))
 
 
 def compose_prom_morphisms(m2: PromMorphism, m1: PromMorphism) -> PromMorphism:
     """m2 ∘ m1 (m1 first)."""
     if m1.dst != m2.src:
         raise CarrierMismatch("prom morphisms do not share a middle prom")
-    return PromMorphism(
-        m1.src,
-        m2.dst,
-        compose_maps(m2.phi, m1.phi),
-        compose_maps(m2.psi, m1.psi),
-        check=False,
-    )
+    return PromMorphism(m1.src, m2.dst, compose_maps(m2.phi, m1.phi), compose_maps(m2.psi, m1.psi))
 
 
 def compose_rep_morphisms(m2: RepMorphism, m1: RepMorphism) -> RepMorphism:
     """m2 ∘ m1; the model relations compose as tau2⨾tau1."""
     if m1.dst != m2.src:
         raise CarrierMismatch("representation morphisms do not share a middle object")
-    return RepMorphism(
-        m1.src,
-        m2.dst,
-        compose_maps(m2.phi, m1.phi),
-        compose(m2.tau, m1.tau),
-        check=False,
-    )
+    return RepMorphism(m1.src, m2.dst, compose_maps(m2.phi, m1.phi), compose(m2.tau, m1.tau))

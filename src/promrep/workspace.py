@@ -152,11 +152,11 @@ def _parse_structure(ws: Workspace, name: str, rec: dict):
             section = _SECTION.get(what, "structures")
             value = _ref(getattr(ws, section), rec.get(key), section[:-1])
             if what == "preorder":
-                value = Preorder(value, check=False)
+                value = Preorder(value)
             elif isinstance(what, type) and not isinstance(value, what):
                 raise WorkspaceError(f"structure {name!r}: {key} must be a {KIND_OF[what]}")
             args.append(value)
-        return cls(*args, check=False)
+        return cls(*args)
     except WorkspaceError:
         raise
     except ValueError as e:
@@ -283,7 +283,9 @@ def build(objects: dict[str, object]) -> Workspace:
     """Assemble a workspace from named objects, collecting what they reference.
 
     Sets keep their own names; relations and functions inside a structure
-    named n are exported as n.x, n.f, etc.  Equal sub-objects are shared.
+    named n are exported as n.x, n.f, etc.  Every other named object is
+    recorded under its name, even when it equals an earlier one; equal
+    sub-objects are shared.
     """
     ws = Workspace()
 
@@ -293,35 +295,30 @@ def build(objects: dict[str, object]) -> Workspace:
             raise WorkspaceError(f"two different carriers named {s.name!r}")
         ws.sets[s.name] = s
 
-    def add(section: str, name: str, value):
+    def add(section: str, name: str, value, named: bool = False):
         add_set(value.src)
         add_set(value.dst)
         table = getattr(ws, section)
-        if value not in table.values():
+        if named or value not in table.values():
             table[name] = value
 
-    def add_structure(name: str, obj):
-        for existing_name, existing in ws.structures.items():
-            if existing == obj:
-                return existing_name
+    def add_structure(name: str, obj, named: bool = False):
         if isinstance(obj, FinSet):
             add_set(obj)
-            return None
-        if isinstance(obj, (Rel, FnMap)):
-            add("relations" if isinstance(obj, Rel) else "functions", name, obj)
-            return None
-        kind = KIND_OF.get(type(obj))
-        if kind is None:
-            raise WorkspaceError(f"cannot serialize object of type {type(obj).__name__}")
-        for key, what in KINDS[kind][1]:
-            value = getattr(obj, key)
-            if isinstance(what, type):
-                add_structure(f"{name}.{key}", value)
-            else:
-                add(_SECTION[what], f"{name}.{key}", _entry(value, what))
-        ws.structures[name] = obj
-        return name
+        elif isinstance(obj, (Rel, FnMap)):
+            add("relations" if isinstance(obj, Rel) else "functions", name, obj, named)
+        elif named or obj not in ws.structures.values():
+            kind = KIND_OF.get(type(obj))
+            if kind is None:
+                raise WorkspaceError(f"cannot serialize object of type {type(obj).__name__}")
+            for key, what in KINDS[kind][1]:
+                value = getattr(obj, key)
+                if isinstance(what, type):
+                    add_structure(f"{name}.{key}", value)
+                else:
+                    add(_SECTION[what], f"{name}.{key}", _entry(value, what))
+            ws.structures[name] = obj
 
     for name, obj in objects.items():
-        add_structure(name, obj)
+        add_structure(name, obj, named=True)
     return ws

@@ -154,14 +154,14 @@ def unit_dropping_last_image(p):
     """η with ψ sending the last point of B to the empty set."""
     m = unit(p)
     psi = FnMap(m.psi.src, m.psi.dst, m.psi.image[:-1] + (0,) * bool(m.psi.image))
-    return type(m)(m.src, m.dst, m.phi, psi, check=False)
+    return type(m)(m.src, m.dst, m.phi, psi)
 
 
 def counit_dropping_last_row(r):
     """ε with the last row of τ emptied."""
     m = counit(r)
     tau = Rel(m.tau.src, m.tau.dst, m.tau.rows[:-1] + (0,) * bool(m.tau.rows))
-    return type(m)(m.src, m.dst, m.phi, tau, check=False)
+    return type(m)(m.src, m.dst, m.phi, tau)
 
 
 @pytest.mark.parametrize(

@@ -83,7 +83,7 @@ def test_check_names_transitivity_witness_on_subset_order(tmp_path, capsys):
     p = rep_to_prom(gen_representation(3, 8, 3))
     y = p.y.rel
     rows = (y.rows[0] & ~(1 << 255),) + y.rows[1:]
-    bad = Prom(p.x, Preorder(Rel(y.src, y.dst, rows), check=False), p.f, check=False)
+    bad = Prom(p.x, Preorder(Rel(y.src, y.dst, rows)), p.f)
     path = tmp_path / "ws.json"
     path.write_text(workspace.dumps(workspace.build({"p": bad})))
     assert main(["check", str(path), "p"]) == 1
@@ -99,8 +99,8 @@ def test_check_morphism_names_a_broken_end(tmp_path, capsys):
     representation: only the ends are invalid."""
     A, B, M = finset("A", 2, "a"), finset("B", 2, "b"), finset("M", 1, "m")
     chain = Preorder(Rel.from_pairs(B, B, [("b0", "b0"), ("b1", "b1"), ("b0", "b1")]))
-    p = Prom(Preorder(full(A, A)), chain, FnMap(A, B, (1, 0)), check=False)
-    r = Representation(Rel.from_pairs(M, B, [("m0", "b0")]), chain, check=False)
+    p = Prom(Preorder(full(A, A)), chain, FnMap(A, B, (1, 0)))
+    r = Representation(Rel.from_pairs(M, B, [("m0", "b0")]), chain)
     good = Prom(Preorder(identity(A)), chain, p.f)
     ws = {"pm": identity_prom_morphism(p), "rm": identity_rep_morphism(r), "ok": identity_prom_morphism(good)}
     path = tmp_path / "ws.json"
@@ -352,8 +352,8 @@ def _invalid_inputs_file(tmp_path):
     unsound, as m0 ⊨ s0 ≤ s1 but not m0 ⊨ s1, so M(r) is no prom."""
     A, B = finset("A", 1, "a"), finset("B", 2, "b")
     M, S = finset("M", 1, "m"), finset("S", 2, "s")
-    p = Prom(Preorder(identity(A)), Preorder(Rel(B, B, (1, 0)), check=False), FnMap(A, B, (0,)), check=False)
-    r = Representation(Rel(M, S, (1,)), Preorder(Rel(S, S, (3, 2))), check=False)
+    p = Prom(Preorder(identity(A)), Preorder(Rel(B, B, (1, 0))), FnMap(A, B, (0,)))
+    r = Representation(Rel(M, S, (1,)), Preorder(Rel(S, S, (3, 2))))
     ws = {"p": p, "r": r, "rm": identity_rep_morphism(prom_to_rep(p)), "pm": identity_prom_morphism(rep_to_prom(r))}
     path = tmp_path / "invalid.json"
     path.write_text(workspace.dumps(workspace.build(ws)))

@@ -56,7 +56,7 @@ def test_full_order_is_always_exact():
 
 def test_order_reflection_pullback_construction():
     p = gen_prom(1, 3, 3)
-    reflecting = Prom(Preorder(pullback(p.y.rel, p.f), check=False), p.y, p.f)
+    reflecting = Prom(Preorder(pullback(p.y.rel, p.f)), p.y, p.f)
     assert is_order_reflecting(reflecting)
     assert reflection_is_identity(reflecting)
 

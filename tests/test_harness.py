@@ -8,9 +8,11 @@ from itertools import product
 import pytest
 
 import promrep.rel as rel_module
+from promrep import workspace
 from promrep import (
     CATALOG,
     ConfigError,
+    FnMap,
     InvalidStructure,
     Preorder,
     Prom,
@@ -152,7 +154,7 @@ def test_enumerate_prom_morphisms_matches_brute_force():
             (phi.image, psi.image)
             for phi in enumerate_fnmaps(p1.A, p2.A)
             for psi in enumerate_fnmaps(p1.B, p2.B)
-            if check_prom_morphism(PromMorphism(p1, p2, phi, psi, check=False))
+            if check_prom_morphism(PromMorphism(p1, p2, phi, psi))
         ]
         homs = [(m.phi.image, m.psi.image) for m in enumerate_prom_morphisms(p1, p2)]
         assert homs == brute
@@ -170,7 +172,7 @@ def test_enumerate_rep_morphisms_matches_brute_force():
             (phi.image, tau.rows)
             for phi in enumerate_fnmaps(r1.S, r2.S)
             for tau in enumerate_relations(r2.M, r1.M)
-            if check_rep_morphism(RepMorphism(r1, r2, phi, tau, check=False))
+            if check_rep_morphism(RepMorphism(r1, r2, phi, tau))
         ]
         homs = [(m.phi.image, m.tau.rows) for m in enumerate_rep_morphisms(r1, r2)]
         assert homs == brute
@@ -220,17 +222,17 @@ def _unreflexive(obj):
     preorder."""
     if isinstance(obj, Preorder):
         c = obj.carrier
-        return Preorder(Rel(c, c, (0,) * len(c)), check=False) if len(c) else None
+        return Preorder(Rel(c, c, (0,) * len(c))) if len(c) else None
     key = {Prom: "x", Representation: "ord", PromMorphism: "src", RepMorphism: "src"}[type(obj)]
     inner = _unreflexive(getattr(obj, key))
-    return None if inner is None else replace(obj, **{key: inner}, check=False)
+    return None if inner is None else replace(obj, **{key: inner})
 
 
 def test_check_law_rejects_invalid_input_instead_of_witnessing():
     A = finset("A", 2, "a")
-    bad_x = Preorder(Rel.from_pairs(A, A, [("a0", "a1")]), check=False)
+    bad_x = Preorder(Rel.from_pairs(A, A, [("a0", "a1")]))
     p = gen_prom(1, 2, 2)
-    corrupted = Prom(bad_x, p.y, p.f, check=False) if len(p.A) == 2 else None
+    corrupted = Prom(bad_x, p.y, p.f) if len(p.A) == 2 else None
     assert corrupted is not None
     with pytest.raises(InvalidStructure):
         check_law("lemma1", {"p": corrupted})
@@ -274,6 +276,26 @@ def test_witness_pipeline_via_injected_law():
         assert check_law("always-fails", w.structures) == replace(w, seed="manual")
     finally:
         del CATALOG["always-fails"]
+
+
+def test_witness_documents_name_every_field_even_when_two_are_equal():
+    """Each structure, relation and function of an instance is a record under
+    its own key, and parses back equal to it.  lemma6's trial 0 at seed 0
+    has m1 == m2 (the identity fallback of the chain generator), and both
+    must be named."""
+    rng = lambda i: random.Random(mix_seed(0, i))
+    lemma6 = CATALOG["lemma6"]
+    first = lemma6.generate(rng(0), lemma6.default_bounds)
+    assert first["m1"] == first["m2"]
+    sections = {Rel: "relations", FnMap: "functions", **dict.fromkeys(workspace.KIND_OF, "structures")}
+    for law, spec in CATALOG.items():
+        for i in range(20):
+            inst = spec.generate(rng(i), spec.default_bounds)
+            doc = Witness(law, mix_seed(0, i), inst, "unchecked").to_doc()
+            ws = workspace.parse(doc["structures"])
+            for key, value in inst.items():
+                if type(value) in sections:
+                    assert getattr(ws, sections[type(value)])[key] == value, (law, i, key)
 
 
 # --- search -----------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Structure axioms, eager validation, closure, morphism composition."""
+"""Structure axioms, carrier checks, validation, closure, morphism composition."""
 
+import dataclasses
 import random
 import sys
 from itertools import product
@@ -38,9 +39,9 @@ from promrep import (
     preorder_closure,
     rep_to_prom,
     repmor_leq,
+    validate,
 )
 from promrep.harness import CATALOG, SearchConfig, random_rel, replay, search
-from promrep.structures import validate
 import promrep.structures as structures_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
@@ -88,14 +89,14 @@ def test_constructors_check_carriers_even_without_axioms():
     p = Prom(Preorder(identity(A2)), Preorder(identity(B2)), FnMap(A2, B2, (0, 1)))
     r = Representation(rel(M1, B2), Preorder(identity(B2)))
     disconnected = [
-        lambda: Preorder(rel(A2, B2), check=False),
-        lambda: Prom(p.x, p.y, FnMap(B2, B2, (0, 1)), check=False),
-        lambda: Prom(p.x, p.y, FnMap(A2, A2, (0, 1)), check=False),
-        lambda: Representation(rel(M1, B2), Preorder(identity(A2)), check=False),
-        lambda: PromMorphism(p, p, identity_map(B2), identity_map(B2), check=False),
-        lambda: PromMorphism(p, p, identity_map(A2), identity_map(A2), check=False),
-        lambda: RepMorphism(r, r, identity_map(M1), identity(M1), check=False),
-        lambda: RepMorphism(r, r, identity_map(B2), identity(B2), check=False),
+        lambda: Preorder(rel(A2, B2)),
+        lambda: Prom(p.x, p.y, FnMap(B2, B2, (0, 1))),
+        lambda: Prom(p.x, p.y, FnMap(A2, A2, (0, 1))),
+        lambda: Representation(rel(M1, B2), Preorder(identity(A2))),
+        lambda: PromMorphism(p, p, identity_map(B2), identity_map(B2)),
+        lambda: PromMorphism(p, p, identity_map(A2), identity_map(A2)),
+        lambda: RepMorphism(r, r, identity_map(M1), identity(M1)),
+        lambda: RepMorphism(r, r, identity_map(B2), identity(B2)),
     ]
     for build in disconnected:
         with pytest.raises(CarrierMismatch):
@@ -169,7 +170,7 @@ def closure_skipping_last_pivot(r):
     for k in range(len(rows) - 1):
         row_k = rows[k]
         rows = [row | row_k if row >> k & 1 else row for row in rows]
-    return Preorder(Rel(r.src, r.dst, tuple(rows)), check=False)
+    return Preorder(Rel(r.src, r.dst, tuple(rows)))
 
 
 def test_closure_skipping_last_pivot_is_caught_by_the_default_catalog_run(monkeypatch):
@@ -205,11 +206,41 @@ def test_closure_skipping_last_pivot_is_caught_by_the_default_catalog_run(monkey
     ]
 
 
-def test_eager_validation_raises():
-    with pytest.raises(InvalidStructure):
-        Preorder(rel(A2, A2, ("a0", "a1")))
-    # transient unchecked construction is allowed
-    Preorder(rel(A2, A2, ("a0", "a1")), check=False)
+def test_constructors_hold_axiom_violations_that_validate_reports():
+    """A constructor checks carriers only: each value below breaks an axiom
+    yet constructs, and `validate` raises InvalidStructure with its kind,
+    axiom and witness.  No constructor takes a `check` flag."""
+    M1 = finset("M", 1, "m")
+    disc = Prom(Preorder(identity(A2)), Preorder(identity(B2)), FnMap(A2, B2, (0, 1)))
+    sound = Representation(rel(M1, B2, ("m0", "b0"), ("m0", "b1")), chain2(B2))
+    cases = [
+        (Preorder(rel(A2, A2, ("a0", "a1"))), ("preorder", "reflexivity", ("a0", "a0"))),
+        (
+            Prom(Preorder(full(A2, A2)), chain2(B2), FnMap(A2, B2, (1, 0))),
+            ("prom", "order preservation", ("a0", "a1")),
+        ),
+        (
+            PromMorphism(disc, disc, identity_map(A2), FnMap(B2, B2, (1, 0))),
+            ("prom morphism", "commuting square", ("a0", "b1", "b0")),
+        ),
+        (
+            Representation(rel(M1, B2, ("m0", "b0")), chain2(B2)),
+            ("representation", "soundness", ("m0", "b1")),
+        ),
+        (
+            RepMorphism(sound, sound, identity_map(B2), rel(M1, M1)),
+            ("representation morphism", "commuting square", ("m0", "b0")),
+        ),
+    ]
+    assert [type(bad) for bad, _ in cases] == list(structures_module.VALIDATION)
+    for bad, expected in cases:
+        with pytest.raises(InvalidStructure) as exc:
+            validate(bad)
+        assert (exc.value.kind, exc.value.result.axiom, exc.value.result.witness) == expected
+        fields = [getattr(bad, f.name) for f in dataclasses.fields(bad)]
+        for flag in (False, True):
+            with pytest.raises(TypeError):
+                type(bad)(*fields, check=flag)
 
 
 def reference_check_preorder(r):
@@ -248,7 +279,7 @@ def without_empty_below_top(p):
     """p with the pair (∅, M) taken out of ⊆ on its subset carrier 2^M."""
     y = p.y.rel
     rows = (y.rows[0] & ~(1 << len(p.B) - 1),) + y.rows[1:]
-    return Prom(p.x, Preorder(Rel(y.src, y.dst, rows), check=False), p.f, check=False)
+    return Prom(p.x, Preorder(Rel(y.src, y.dst, rows)), p.f)
 
 
 def test_transitivity_witness_at_the_powerset_cap():
@@ -272,7 +303,7 @@ def test_prom_violation_witness():
     f = FnMap(A2, B2, (1, 0))  # a0 ↦ b1, a1 ↦ b0
     ok = Prom(Preorder(identity(A2)), y, f)
     assert check_prom(ok)
-    bad = Prom(Preorder(full(A2, A2), check=False), y, f, check=False)
+    bad = Prom(Preorder(full(A2, A2)), y, f)
     res = check_prom(bad)
     assert not res
     assert res.axiom == "order preservation"
@@ -289,7 +320,7 @@ def test_empty_sat_is_sound():
 def test_soundness_violation_witness():
     S = finset("S", 2, "s")
     M = finset("M", 1, "m")
-    bad = Representation(rel(M, S, ("m0", "s0")), chain2(S), check=False)
+    bad = Representation(rel(M, S, ("m0", "s0")), chain2(S))
     res = check_representation(bad)
     assert not res and res.axiom == "soundness"
     assert res.witness == ("m0", "s1")
@@ -306,7 +337,7 @@ def test_repmor_leq_reflexive():
 def test_repmor_leq_tau_inclusion():
     r = gen_representation(3, 2, 2)
     m = identity_rep_morphism(r)
-    bigger = RepMorphism(r, r, m.phi, full(r.M, r.M), check=False)
+    bigger = RepMorphism(r, r, m.phi, full(r.M, r.M))
     assert repmor_leq(m, bigger)
     assert repmor_leq(bigger, m) == eq(bigger.tau, m.tau)
 
@@ -315,8 +346,8 @@ def test_repmor_leq_needs_equal_phi():
     S = finset("S", 2, "s")
     M = finset("M", 0, "m")
     r = Representation(rel(M, S), Preorder(full(S, S)))
-    m1 = RepMorphism(r, r, FnMap(S, S, (0, 0)), identity(M), check=False)
-    m2 = RepMorphism(r, r, FnMap(S, S, (1, 1)), identity(M), check=False)
+    m1 = RepMorphism(r, r, FnMap(S, S, (0, 0)), identity(M))
+    m2 = RepMorphism(r, r, FnMap(S, S, (1, 1)), identity(M))
     assert not repmor_leq(m1, m2)
 
 
@@ -345,8 +376,8 @@ def test_rep_morphism_tau_composes_relationally():
     r1 = Representation(rel(M1, S), ordS)
     r2 = Representation(rel(M2, S), ordS)
     r3 = Representation(rel(M3, S), ordS)
-    m1 = RepMorphism(r1, r2, FnMap(S, S, ()), rel(M2, M1, ("y0", "x0")), check=False)
-    m2 = RepMorphism(r2, r3, FnMap(S, S, ()), rel(M3, M2, ("z0", "y0")), check=False)
+    m1 = RepMorphism(r1, r2, FnMap(S, S, ()), rel(M2, M1, ("y0", "x0")))
+    m2 = RepMorphism(r2, r3, FnMap(S, S, ()), rel(M3, M2, ("z0", "y0")))
     comp = compose_rep_morphisms(m2, m1)
     assert comp.tau.pairs() == [("z0", "x0")]
 
@@ -367,20 +398,20 @@ def test_morphism_checks_validate_both_ends():
     y = chain2(B2)
     f = FnMap(A2, B2, (1, 0))
     good = Prom(Preorder(identity(A2)), y, f)
-    bad = Prom(Preorder(full(A2, A2)), y, f, check=False)  # f breaks order at (a0, a1)
+    bad = Prom(Preorder(full(A2, A2)), y, f)  # f breaks order at (a0, a1)
     for m, axiom in (
         (identity_prom_morphism(bad), "src order preservation"),
-        (PromMorphism(good, bad, identity_map(A2), identity_map(B2), check=False), "dst order preservation"),
+        (PromMorphism(good, bad, identity_map(A2), identity_map(B2)), "dst order preservation"),
     ):
         assert check_prom_morphism(m) == CheckResult(False, axiom, ("a0", "a1"))
         with pytest.raises(InvalidStructure, match=axiom):
             validate(m)
     M = finset("M", 1, "m")
-    unsound = Representation(rel(M, B2, ("m0", "b0")), y, check=False)
+    unsound = Representation(rel(M, B2, ("m0", "b0")), y)
     sound = Representation(rel(M, B2, ("m0", "b0"), ("m0", "b1")), y)
     for m, axiom in (
         (identity_rep_morphism(unsound), "src soundness"),
-        (RepMorphism(sound, unsound, identity_map(B2), identity(M), check=False), "dst soundness"),
+        (RepMorphism(sound, unsound, identity_map(B2), identity(M)), "dst soundness"),
     ):
         assert check_rep_morphism(m) == CheckResult(False, axiom, ("m0", "b1"))
         with pytest.raises(InvalidStructure, match=axiom):

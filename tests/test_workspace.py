@@ -136,9 +136,12 @@ def test_build_conflicting_carriers_rejected():
 
 
 def test_build_dedupes_shared_subobjects():
+    """Each named object keeps its own record; equal sub-objects are stored once."""
     p = gen_prom(4, 2, 2)
-    ws = workspace.build({"p": p, "q": p})
-    assert list(ws.structures) == ["p"] or len(ws.structures) == 1
+    doc = workspace.to_doc(workspace.build({"p": p, "q": p}))
+    assert list(doc["structures"]) == ["p", "q"]
+    assert doc["structures"]["q"] == doc["structures"]["p"]
+    assert list(doc["relations"]) == ["p.x", "p.y"] and list(doc["functions"]) == ["p.f"]
 
 
 # --- the writer against the json.dumps oracle ---------------------------------
@@ -168,14 +171,14 @@ def workspaces(draw):
     def fn(src, dst):
         return FnMap(src, dst, tuple(draw(st.integers(0, len(dst) - 1)) for _ in src))
 
-    p = Prom(Preorder(rel(A, A), check=False), Preorder(rel(B, B), check=False), fn(A, B), check=False)
-    r = Representation(rel(M, S), Preorder(rel(S, S), check=False), check=False)
+    p = Prom(Preorder(rel(A, A)), Preorder(rel(B, B)), fn(A, B))
+    r = Representation(rel(M, S), Preorder(rel(S, S)))
     objects = {
         "p": p,
         "r": r,
-        "o": Preorder(rel(S, S), check=False),
-        "pm": PromMorphism(p, p, fn(A, A), fn(B, B), check=False),
-        "rm": RepMorphism(r, r, fn(S, S), rel(M, M), check=False),
+        "o": Preorder(rel(S, S)),
+        "pm": PromMorphism(p, p, fn(A, A), fn(B, B)),
+        "rm": RepMorphism(r, r, fn(S, S), rel(M, M)),
         "loose": rel(E, M),
         "on-empty": fn(FinSet(names[5], ()), E),
     }
