@@ -4,9 +4,10 @@ A `HomPair` fixes a prom p and a representation r, and holds R(p), M(r)
 and the membership relation ∈ on r.M, all built from one powerset of r.M.
 Its `lift` (Ψ) and `lower` (T) are the Galois maps between the hom-sets
 R(p) → r and p → M(r); the public `lift`/`lower` build the context for a
-single morphism.  The unit and counit are the transposes of identities:
-η = Ψ(1_{R p}) sends each point of B to its down-set, and ε = T(1_{M r})
-is the membership relation out of the representation rebuilt from M(r).
+single morphism.  The unit η: p → M(R p) is the identity on A with the
+map sending each point of B to its down-set, and the counit ε: R(M r) → r
+is the identity on S with membership ∈ as its relation.  The paper defines
+them as Ψ(1_{R p}) and T(1_{M r}); a test checks them against those.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .structures import (
     RepMorphism,
     compose_prom_morphisms,
     compose_rep_morphisms,
-    identity_prom_morphism,
     identity_rep_morphism,
     repmor_leq,
 )
@@ -79,17 +79,13 @@ def hom_pair(p: Prom, r: Representation) -> HomPair:
 
 
 def unit(p: Prom) -> PromMorphism:
-    """η = Ψ(1_{R p}): the identity on A and the down-set map b ↦ {b' | (b',b)∈y}."""
-    rp = prom_to_rep(p)
-    h = HomPair(p, rp, rp, rep_to_prom(rp), powerset(rp.M).mem)
-    return h.lift(identity_rep_morphism(rp))
+    """η: the identity on A and the down-set map b ↦ {b' | (b',b)∈y}; a test checks it is Ψ(1_{R p})."""
+    return PromMorphism(p, rep_to_prom(prom_to_rep(p)), identity_map(p.A), power_transpose(p.y.rel, powerset(p.B).mem))
 
 
 def counit(r: Representation) -> RepMorphism:
-    """ε = T(1_{M r}): the identity on S and the membership relation M ⇸ 2^M."""
-    mr = rep_to_prom(r)
-    h = HomPair(mr, r, prom_to_rep(mr), mr, powerset(r.M).mem)
-    return h.lower(identity_prom_morphism(mr))
+    """ε: the identity on S and the membership relation M ⇸ 2^M; a test checks it is T(1_{M r})."""
+    return RepMorphism(prom_to_rep(rep_to_prom(r)), r, identity_map(r.S), powerset(r.M).mem)
 
 
 def recover_by_membership(x: Rel) -> Rel:

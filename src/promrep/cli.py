@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the property holds / the structure is valid; 1 refuted, with
-the violated axiom and a serialized witness; 2 usage or input errors.
+the violated axiom and a serialized witness; 2 usage or input errors, or a
+stdout closed before the report was written.
 
 Summaries go to stdout as line-oriented key:value pairs and are
 byte-deterministic for a fixed configuration; wall-clock time is reported
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -235,9 +237,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader went away: no verdict was delivered, so this is not a
+        # refutation; send what is still buffered to devnull, so that the
+        # flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

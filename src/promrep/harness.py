@@ -233,27 +233,35 @@ def _gen_prom_chain(rng: random.Random, max_size: int) -> tuple[PromMorphism, Pr
     return m1, m2
 
 
+def _gen_rep_morphism_into(
+    rng: random.Random,
+    dst: Representation,
+    max_m: int,
+    max_s: int,
+    m: tuple[str, str] = ("M", "m"),
+    s: tuple[str, str] = ("S", "s"),
+) -> RepMorphism:
+    """A random representation morphism into dst, chosen uniformly from the
+    hom-set out of a random source; the source is redrawn while that hom-set
+    is empty.  The empty representation has exactly one morphism into every
+    dst, so a source with one is always in reach."""
+    while True:
+        src = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), m, s)
+        homs = list(enumerate_rep_morphisms(src, dst))
+        if homs:
+            return rng.choice(homs)
+
+
 def _gen_rep_morphism(rng: random.Random, max_m: int, max_s: int) -> RepMorphism:
-    """A random representation morphism, by enumerating the hom-set between
-    two random representations; falls back to an identity when it is empty."""
-    r1 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s))
-    r2 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
-    homs = list(enumerate_rep_morphisms(r1, r2))
-    return rng.choice(homs) if homs else identity_rep_morphism(r1)
+    dst = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
+    return _gen_rep_morphism_into(rng, dst, max_m, max_s)
 
 
 def _gen_rep_chain(rng: random.Random, max_m: int, max_s: int) -> tuple[RepMorphism, RepMorphism]:
-    """A random composable pair m1: r1 → r2, m2: r2 → r3; an empty hom-set
-    falls back to an identity on r2, and two empty ones to identities on r1."""
-    r1 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s))
-    r2 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
+    """A random composable pair m1: r1 → r2, m2: r2 → r3, drawn from r3 back."""
     r3 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M3", "o"), ("S3", "u"))
-    homs1 = list(enumerate_rep_morphisms(r1, r2))
-    homs2 = list(enumerate_rep_morphisms(r2, r3))
-    if not (homs1 or homs2):
-        return identity_rep_morphism(r1), identity_rep_morphism(r1)
-    m1 = rng.choice(homs1) if homs1 else identity_rep_morphism(r2)
-    m2 = rng.choice(homs2) if homs2 else identity_rep_morphism(r2)
+    m2 = _gen_rep_morphism_into(rng, r3, max_m, max_s, ("M2", "n"), ("S2", "t"))
+    m1 = _gen_rep_morphism_into(rng, m2.src, max_m, max_s)
     return m1, m2
 
 

@@ -172,7 +172,7 @@ def counit_dropping_last_row(r):
         ("unit-natural", "unit", unit_dropping_last_image, 1,
          "unit is not a prom morphism: psi order preservation violated at ('d0', 'd1')"),
         ("counit-natural", "counit", counit_dropping_last_row, 0,
-         "counit is not a representation morphism: commuting square violated at ('m0', 's0')"),
+         "counit is not a representation morphism: commuting square violated at ('m1', 's0')"),
     ],
 )
 def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mutant, seed, violation):
@@ -185,20 +185,27 @@ def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mut
     assert replay(summary.witness)
 
 
-def test_unit_and_counit_are_transposes_of_identities():
-    # η = Ψ(1_{R p}) and ε = T(1_{M r}), as whole morphisms
+def transposes_of_identities():
+    """For each input, whether η = Ψ(1_{R p}) or ε = T(1_{M r}) holds, as
+    whole morphisms.  unit and counit are built by their formulas, lift and
+    lower through `HomPair`, so the two sides share no code path."""
     proms = [
         *enumerate_proms(2, 2),
         *(gen_prom(seed, 4 + seed % 2, 4 + seed % 2) for seed in range(20)),
+        gen_prom(0, 3, 12),
     ]
     reps = [
         *enumerate_representations(2, 2),
         *(gen_representation(seed, 4 + seed % 2, 4 + seed % 2) for seed in range(20)),
+        gen_representation(0, 12, 3),
     ]
-    for p in proms:
-        assert unit(p) == lift(identity_rep_morphism(prom_to_rep(p)), p)
-    for r in reps:
-        assert counit(r) == lower(identity_prom_morphism(rep_to_prom(r)), r)
+    return [unit(p) == lift(identity_rep_morphism(prom_to_rep(p)), p) for p in proms] + [
+        counit(r) == lower(identity_prom_morphism(rep_to_prom(r)), r) for r in reps
+    ]
+
+
+def test_unit_and_counit_are_transposes_of_identities():
+    assert all(transposes_of_identities())
 
 
 # --- membership recovery ----------------------------------------------------
@@ -560,6 +567,17 @@ def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, name, bug, vio
     assert not summary.passed
     assert summary.witness.violation.startswith(violation)
     assert replay(summary.witness)
+
+
+@pytest.mark.parametrize(
+    "name, bug", [("rel_to_map", _zero_last_image_entry), ("map_to_rel", _zero_last_row)], ids=["psi", "tee"]
+)
+def test_broken_galois_map_is_caught_by_the_transposes_of_identities(monkeypatch, name, bug):
+    """Of the default catalog run, only lemma8, lemma9 and (for Ψ)
+    psi-characterization kill these mutants; the transposes check kills both."""
+    correct = getattr(adjunction_module, name)
+    monkeypatch.setattr(adjunction_module, name, lambda *args: bug(correct(*args)))
+    assert not all(transposes_of_identities())
 
 
 @pytest.mark.parametrize(

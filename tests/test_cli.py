@@ -133,12 +133,12 @@ def test_check_unreadable_file():
     assert main(["check", "/no/such/file.json", "p"]) == 2
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE):
     """The CLI in its own process, so exit code and stderr are the real ones."""
     src = str(Path(promrep.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "promrep.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "promrep.cli", *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
     )
 
 
@@ -531,3 +531,29 @@ def test_laws_listing(capsys):
     assert len(lines) == 22
     assert "lemma9: ΨT(φ,ψ) = (φ,ψ)" in out
     assert any(l.startswith("eq1-galois") for l in lines)
+
+
+# --- closed stdout ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{file}", "p"],
+        ["apply", "R", "{file}", "p"],
+        ["verify", "lemma9", "--seed", "7"],
+        ["verify", "lemma1", "--trials", "5"],
+        ["laws"],
+    ],
+    ids=["check", "apply", "verify-lemma9", "verify-lemma1", "laws"],
+)
+def test_closed_stdout_exits_2_without_traceback(sample_file, argv):
+    """A reader that goes away, as `| head -1` does, is not a refutation:
+    the pipe's read end is closed before the CLI writes a byte."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli(*(arg.format(file=sample_file) for arg in argv), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr

@@ -34,6 +34,7 @@ from promrep import (
     finset,
     identity,
     identity_map,
+    identity_rep_morphism,
     is_preorder,
     powerset,
     replay,
@@ -280,22 +281,20 @@ def test_witness_pipeline_via_injected_law():
 
 def test_witness_documents_name_every_field_even_when_two_are_equal():
     """Each structure, relation and function of an instance is a record under
-    its own key, and parses back equal to it.  lemma6's trial 0 at seed 0
-    has m1 == m2 (the identity fallback of the chain generator), and both
-    must be named."""
-    rng = lambda i: random.Random(mix_seed(0, i))
-    lemma6 = CATALOG["lemma6"]
-    first = lemma6.generate(rng(0), lemma6.default_bounds)
-    assert first["m1"] == first["m2"]
-    sections = {Rel: "relations", FnMap: "functions", **dict.fromkeys(workspace.KIND_OF, "structures")}
+    its own key, and parses back equal to it.  A lemma6 chain of one identity
+    twice has m1 == m2, and both must be named."""
+    ident = identity_rep_morphism(gen_representation(0, 2, 2))
+    instances = [("lemma6", "manual", {"m1": ident, "m2": ident})]
     for law, spec in CATALOG.items():
         for i in range(20):
-            inst = spec.generate(rng(i), spec.default_bounds)
-            doc = Witness(law, mix_seed(0, i), inst, "unchecked").to_doc()
-            ws = workspace.parse(doc["structures"])
-            for key, value in inst.items():
-                if type(value) in sections:
-                    assert getattr(ws, sections[type(value)])[key] == value, (law, i, key)
+            inst = spec.generate(random.Random(mix_seed(0, i)), spec.default_bounds)
+            instances.append((law, mix_seed(0, i), inst))
+    sections = {Rel: "relations", FnMap: "functions", **dict.fromkeys(workspace.KIND_OF, "structures")}
+    for law, label, inst in instances:
+        ws = workspace.parse(Witness(law, label, inst, "unchecked").to_doc()["structures"])
+        for key, value in inst.items():
+            if type(value) in sections:
+                assert getattr(ws, sections[type(value)])[key] == value, (law, label, key)
 
 
 # --- search -----------------------------------------------------------------
@@ -470,10 +469,12 @@ def test_seeded_rep_morphisms_respect_both_bounds(law):
 # schemas replaced, so a change of draw order or of instance space shows up
 # here.  modular-tautology's stream was re-recorded when its generator began
 # drawing |B| and |C| from 0..n, as its enumerator always did, and
-# mem-residual-subset's when its default bound went from 3 to 7.
+# mem-residual-subset's when its default bound went from 3 to 7.  lemma5,
+# lemma6 and counit-natural were re-recorded when representation morphisms
+# began to be drawn into a drawn target instead of falling back to identities.
 
 GOLDEN_STREAMS = {
-    "counit-natural": "2b53d7de1320b81cdca6cb94c3cf3d54f6c724aff5877e91a7fb126f539bc3ac",
+    "counit-natural": "49cbd50d2590d83730807296b66f95870f09bbff4438d4ec636a25dd5f5b14e4",
     "dual-galois": "e879e6500bcce26e0d63d776c617a46783ad7d3b1e4ee2fb5a28778b90f07cf5",
     "eq1-galois": "e879e6500bcce26e0d63d776c617a46783ad7d3b1e4ee2fb5a28778b90f07cf5",
     "lemma1": "7aa1eb016e102adf481cdcb190741a855865f8bfbd76c3a857fca25937252c5f",
@@ -482,8 +483,8 @@ GOLDEN_STREAMS = {
     "lemma2": "c2e33eea7a0c27dc790c56f53ce9c55ea10dbd8a32893700ed01336541fb929f",
     "lemma3": "7c8f467db3270b46eabef24d8c39007f09ac0fbb72eb62d7f4ec8e8758debbcf",
     "lemma4": "9818474b547201ac02712efa9562ac268df00e90183d48775c933346351e658b",
-    "lemma5": "2b53d7de1320b81cdca6cb94c3cf3d54f6c724aff5877e91a7fb126f539bc3ac",
-    "lemma6": "8148a58cf5b66ba62ad66356b643d9c48902dabf2f8111e319a986c66b35b954",
+    "lemma5": "49cbd50d2590d83730807296b66f95870f09bbff4438d4ec636a25dd5f5b14e4",
+    "lemma6": "591c42378beee22fe11d3d0ba4b28d05c2dd862d7420a204f69d5475dd0f1c80",
     "lemma7": "89cc9f6678626efb7450a2a86d47f175be8249eeea72e2440ebb1c6ee8b9222d",
     "lemma8": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
     "lemma9": "59f957b998988b2150306b228d46eadb56d0745de63618d8ccf3956182bcb99a",
@@ -566,14 +567,8 @@ def test_generated_instances_at_the_limit_are_enumerated(law):
     def key(inst):
         return tuple(sorted(inst.items()))
 
-    def identity_fallback(inst):
-        # a draw whose hom-set is empty falls back to an identity, and no
-        # enumerated morphism has equal endpoints: its ends are
-        # representations over differently named carriers
-        return any(isinstance(v, RepMorphism) and v.src == v.dst for v in inst.values())
-
     drawn = [spec.generate(random.Random(mix_seed(1, i)), limit) for i in range(25)]
-    wanted = {key(inst) for inst in drawn if not identity_fallback(inst)}
+    wanted = {key(inst) for inst in drawn}
     assert wanted
     for inst in spec.enumerate(limit):
         wanted.discard(key(inst))
