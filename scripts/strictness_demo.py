@@ -20,7 +20,8 @@ from promrep import (
     identity,
     identity_prom_morphism,
     identity_rep_morphism,
-    hom_pair,
+    lift,
+    lower,
     prom_to_rep,
     prommor_to_repmor,
     repmor_leq,
@@ -56,10 +57,10 @@ def main():
     print(f"   equals (id, y): {tri.equals_expected}, dominates id: "
           f"{tri.dominates_identity}{_strict(tri.strict)}\n")
 
-    h = hom_pair(p, prom_to_rep(p))
+    rp = prom_to_rep(p)
     print("3. lower-after-lift saturation:")
-    for m in enumerate_rep_morphisms(h.rp, h.r):
-        around = h.lower(h.lift(m))
+    for m in enumerate_rep_morphisms(rp, rp):
+        around = lower(lift(m, p), rp)
         if not eq(around.tau, m.tau):
             print(f"   tau          = {m.tau.pairs()}")
             print(f"   after TΨ     = {around.tau.pairs()}")

@@ -58,11 +58,9 @@ from .functors import (
     repmor_to_prommor,
 )
 from .adjunction import (
-    HomPair,
     TriangleRepResult,
     counit,
     counit_natural,
-    hom_pair,
     lift,
     lower,
     recover_by_membership,

@@ -1,13 +1,12 @@
 """Unit, counit, triangle laws, and the hom-set Galois connection.
 
-A `HomPair` fixes a prom p and a representation r, and holds R(p), M(r)
-and the membership relation ∈ on r.M, all built from one powerset of r.M.
-Its `lift` (Ψ) and `lower` (T) are the Galois maps between the hom-sets
-R(p) → r and p → M(r); the public `lift`/`lower` build the context for a
-single morphism.  The unit η: p → M(R p) is the identity on A with the
-map sending each point of B to its down-set, and the counit ε: R(M r) → r
-is the identity on S with membership ∈ as its relation.  The paper defines
-them as Ψ(1_{R p}) and T(1_{M r}); a test checks them against those.
+`lift` (Ψ) and `lower` (T) are the Galois maps between the hom-sets
+R(p) → r and p → M(r); each checks its morphism's ends against the R(p)
+and M(r) that p and r keep.  The unit η: p → M(R p) is the identity on A
+with the map sending each point of B to its down-set, and the counit
+ε: R(M r) → r is the identity on S with membership ∈ as its relation.  The
+paper defines them as Ψ(1_{R p}) and T(1_{M r}); a test checks them
+against those.
 """
 
 from __future__ import annotations
@@ -45,39 +44,6 @@ from .functors import (
 )
 
 
-@dataclass(frozen=True)
-class HomPair:
-    """The hom-sets R(p) → r and p → M(r), and the Galois maps between them.
-
-    `rp` is R(p), `mr` is M(r) and `mem` is ∈ on r.M; M(r) and `mem` come
-    from one powerset.  Morphisms built from `rp` and `mr` carry these very
-    objects, so the endpoint checks of `lift` and `lower` are cheap.
-    """
-
-    p: Prom
-    r: Representation
-    rp: Representation
-    mr: Prom
-    mem: Rel
-
-    def lift(self, m: RepMorphism) -> PromMorphism:
-        """Ψ: (φ, τ): R(p) → r ↦ (φ, Λ(τ⨾y)): p → M(r)."""
-        if m.src != self.rp or m.dst != self.r:
-            raise ValueError("morphism is not in the hom-set R(p) → r")
-        return PromMorphism(self.p, self.mr, m.phi, rel_to_map(m.tau, self.p.y, self.mem))
-
-    def lower(self, m: PromMorphism) -> RepMorphism:
-        """T: (φ, ψ): p → M(r) ↦ (φ, ∈⨾ψ^*): R(p) → r."""
-        if m.src != self.p or m.dst != self.mr:
-            raise ValueError("morphism is not in the hom-set p → M(r)")
-        return RepMorphism(self.rp, self.r, m.phi, map_to_rel(m.psi, self.mem))
-
-
-def hom_pair(p: Prom, r: Representation) -> HomPair:
-    """The context of the hom-sets R(p) → r and p → M(r), from one powerset of r.M."""
-    return HomPair(p, r, prom_to_rep(p), rep_to_prom(r), powerset(r.M).mem)
-
-
 def unit(p: Prom) -> PromMorphism:
     """η: the identity on A and the down-set map b ↦ {b' | (b',b)∈y}; a test checks it is Ψ(1_{R p})."""
     return PromMorphism(p, rep_to_prom(prom_to_rep(p)), identity_map(p.A), power_transpose(p.y.rel, powerset(p.B).mem))
@@ -94,18 +60,16 @@ def recover_by_membership(x: Rel) -> Rel:
     return compose(bundle.mem, left_residual(bundle.mem, x))
 
 
-def unit_natural(m: PromMorphism, units=None) -> bool:
-    """unit(dst)∘m = image-of-m∘unit(src); `units`, if given, is (unit(m.src), unit(m.dst))."""
-    src_unit, dst_unit = units or (unit(m.src), unit(m.dst))
-    lhs = compose_prom_morphisms(dst_unit, m)
-    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), src_unit)
+def unit_natural(m: PromMorphism) -> bool:
+    """unit(dst)∘m = image-of-m∘unit(src)."""
+    lhs = compose_prom_morphisms(unit(m.dst), m)
+    return lhs == compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), unit(m.src))
 
 
-def counit_natural(m: RepMorphism, counits=None) -> bool:
-    """counit(dst)∘image-of-m = m∘counit(src); `counits`, if given, is (counit(m.src), counit(m.dst))."""
-    src_counit, dst_counit = counits or (counit(m.src), counit(m.dst))
-    lhs = compose_rep_morphisms(dst_counit, prommor_to_repmor(repmor_to_prommor(m)))
-    return lhs == compose_rep_morphisms(m, src_counit)
+def counit_natural(m: RepMorphism) -> bool:
+    """counit(dst)∘image-of-m = m∘counit(src)."""
+    lhs = compose_rep_morphisms(counit(m.dst), prommor_to_repmor(repmor_to_prommor(m)))
+    return lhs == compose_rep_morphisms(m, counit(m.src))
 
 
 @dataclass(frozen=True)
@@ -167,10 +131,15 @@ def map_to_rel(psi: FnMap, mem: Rel) -> Rel:
 
 
 def lift(m: RepMorphism, p: Prom) -> PromMorphism:
-    """Ψ of one morphism R(p) → r into the prom morphism p → M(r)."""
-    return hom_pair(p, m.dst).lift(m)
+    """Ψ: (φ, τ): R(p) → r ↦ (φ, Λ(τ⨾y)): p → M(r)."""
+    if m.src != prom_to_rep(p):
+        raise ValueError("morphism is not in the hom-set R(p) → r")
+    r = m.dst
+    return PromMorphism(p, rep_to_prom(r), m.phi, rel_to_map(m.tau, p.y, powerset(r.M).mem))
 
 
 def lower(m: PromMorphism, r: Representation) -> RepMorphism:
-    """T of one prom morphism p → M(r) into the morphism R(p) → r."""
-    return hom_pair(m.src, r).lower(m)
+    """T: (φ, ψ): p → M(r) ↦ (φ, ∈⨾ψ^*): R(p) → r."""
+    if m.dst != rep_to_prom(r):
+        raise ValueError("morphism is not in the hom-set p → M(r)")
+    return RepMorphism(prom_to_rep(m.src), r, m.phi, map_to_rel(m.psi, powerset(r.M).mem))

@@ -4,6 +4,13 @@ prom_to_rep sends ⟨A,B,x,y,f⟩ to the representation ⟨B,A,y⨾f^*,x⟩; it 
 lax functorial (composition only up to the 2-cell order).  rep_to_prom
 sends ⟨M,S,⊨,≤⟩ to the prom ⟨S,2^M,≤,⊆,s↦{m | m⊨s}⟩ and is strictly
 functorial.
+
+Each image is built once per structure and kept in the structure's own
+dict under the function's name, as a map keeps its graphs, so it dies with
+the structure and changes none of its equality, hashing or copies.  R(p) is
+always kept: its relation has |B|·|A| cells, no more than p holds itself.
+M(r) is kept only while 2^|M| ≤ `KEPT_POWERSET_SIZE`, since it holds ⊆ over
+2^M; above that it is rebuilt on every call.
 """
 
 from __future__ import annotations
@@ -25,11 +32,19 @@ from .structures import (
     RepMorphism,
 )
 
+#: Largest powerset 2^|M| whose M(r) a representation keeps.  Up to 64
+#: subsets every row of ⊆ fits in one machine word, the narrow side of the
+#: 64-column boundary in `rel`; a kept M(r) at the powerset cap would hold
+#: ⊆ over 4,096 subsets for as long as r lives.
+KEPT_POWERSET_SIZE = 64
+
 
 def prom_to_rep(p: Prom) -> Representation:
-    """⟨B, A, y⨾f^*, x⟩.  Always a sound representation."""
-    sat = compose(p.y.rel, graph_upper(p.f))
-    return Representation(sat, p.x)
+    """⟨B, A, y⨾f^*, x⟩, built once per prom.  Always a sound representation."""
+    rp = p.__dict__.get("prom_to_rep")
+    if rp is None:
+        rp = p.__dict__["prom_to_rep"] = Representation(compose(p.y.rel, graph_upper(p.f)), p.x)
+    return rp
 
 
 def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
@@ -40,9 +55,14 @@ def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
 
 def rep_to_prom(r: Representation) -> Prom:
     """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, and Λ(⊨) is the theory
-    map s ↦ {m | m ⊨ s}."""
-    mem = powerset(r.M).mem
-    return Prom(r.ord, Preorder(left_residual(mem, mem)), power_transpose(r.sat, mem))
+    map s ↦ {m | m ⊨ s}.  Kept in r while 2^|M| ≤ `KEPT_POWERSET_SIZE`."""
+    mr = r.__dict__.get("rep_to_prom")
+    if mr is None:
+        mem = powerset(r.M).mem
+        mr = Prom(r.ord, Preorder(left_residual(mem, mem)), power_transpose(r.sat, mem))
+        if 1 << len(r.M) <= KEPT_POWERSET_SIZE:
+            r.__dict__["rep_to_prom"] = mr
+    return mr
 
 
 def direct_image(tau: Rel) -> FnMap:

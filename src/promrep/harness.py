@@ -72,7 +72,8 @@ from .functors import (
 from .adjunction import (
     counit,
     counit_natural,
-    hom_pair,
+    lift,
+    lower,
     recover_by_membership,
     rel_to_map,
     triangle_prom,
@@ -759,59 +760,58 @@ def _check_triangle_pom(inst):
 
 def _check_unit_natural(inst):
     m = inst["m"]
-    units = unit(m.src), unit(m.dst)
-    for eta in units:
+    for eta in (unit(m.src), unit(m.dst)):
         res = check_prom_morphism(eta)
         if not res:
             return "unit is not a prom morphism: " + _fmt(res), {}
-    if not unit_natural(m, units):
+    if not unit_natural(m):
         return "unit naturality square does not commute", {}
     return _ok()
 
 
 def _check_counit_natural(inst):
     m = inst["m"]
-    counits = counit(m.src), counit(m.dst)
-    for eps in counits:
+    for eps in (counit(m.src), counit(m.dst)):
         res = check_rep_morphism(eps)
         if not res:
             return "counit is not a representation morphism: " + _fmt(res), {}
-    if not counit_natural(m, counits):
+    if not counit_natural(m):
         return "counit naturality square does not commute", {}
     return _ok()
 
 
 def _hom_sets(inst):
-    """A lemma 8/9 instance's hom-pair context and its hom-sets R(p) → r and p → M(r)."""
-    h = hom_pair(inst["p"], inst["R"])
-    return h, list(enumerate_rep_morphisms(h.rp, h.r)), list(enumerate_prom_morphisms(h.p, h.mr))
+    """A lemma 8/9 instance's p, r and hom-sets R(p) → r and p → M(r)."""
+    p, r = inst["p"], inst["R"]
+    rep_homs = list(enumerate_rep_morphisms(prom_to_rep(p), r))
+    return p, r, rep_homs, list(enumerate_prom_morphisms(p, rep_to_prom(r)))
 
 
 def _check_lemma8(inst):
-    h, rep_homs, prom_homs = _hom_sets(inst)
+    p, r, rep_homs, prom_homs = _hom_sets(inst)
     for m in rep_homs:
-        res = check_prom_morphism(h.lift(m))
+        res = check_prom_morphism(lift(m, p))
         if not res:
             return "Ψ image is not a prom morphism: " + _fmt(res), {}
     for m in prom_homs:
-        res = check_rep_morphism(h.lower(m))
+        res = check_rep_morphism(lower(m, r))
         if not res:
             return "T image is not a representation morphism: " + _fmt(res), {}
     return None, {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs)}
 
 
 def _check_lemma9(inst):
-    h, rep_homs, prom_homs = _hom_sets(inst)
+    p, r, rep_homs, prom_homs = _hom_sets(inst)
     notes = {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs), "strict_t_psi": 0}
     for m in prom_homs:
-        back = h.lift(h.lower(m))
+        back = lift(lower(m, r), p)
         if back != m:
             return "ΨT is not the identity on prom morphisms", notes
     for m in rep_homs:
-        around = h.lower(h.lift(m))
+        around = lower(lift(m, p), r)
         if not repmor_leq(m, around):
             return "TΨ does not dominate the identity", notes
-        if not eq(around.tau, compose(m.tau, h.p.y.rel)):
+        if not eq(around.tau, compose(m.tau, p.y.rel)):
             return "TΨ(τ) differs from τ⨾y", notes
         if not repmor_leq(around, m):
             notes["strict_t_psi"] += 1
@@ -980,13 +980,14 @@ class SearchSummary:
 
 
 def _normalize_bounds(spec: LawSpec, bounds) -> tuple[int, ...]:
+    """The law's sizes: a shorter list is padded with its last size, a longer one rejected."""
     if bounds is None:
         return spec.default_bounds
     bounds = tuple(bounds)
     want = len(spec.default_bounds)
-    if len(bounds) < want:
-        bounds = bounds + (bounds[-1],) * (want - len(bounds))
-    return bounds[:want]
+    if len(bounds) > want:
+        raise ConfigError(f"bounds {bounds!r} give {len(bounds)} sizes, but law {spec.law!r} takes {want}")
+    return bounds + (bounds[-1],) * (want - len(bounds))
 
 
 def search(config: SearchConfig) -> SearchSummary:

@@ -282,10 +282,11 @@ def _structure_record(ws: Workspace, back: dict, name: str) -> dict:
 def build(objects: dict[str, object]) -> Workspace:
     """Assemble a workspace from named objects, collecting what they reference.
 
-    Sets keep their own names; relations and functions inside a structure
-    named n are exported as n.x, n.f, etc.  Every other named object is
-    recorded under its name, even when it equals an earlier one; equal
-    sub-objects are shared.
+    A set given under a name is recorded under that name; the carriers of
+    everything else keep their own names.  Relations and functions inside
+    a structure named n are exported as n.x, n.f, etc.  Every other named
+    object is recorded under its name, even when it equals an earlier one;
+    equal sub-objects are shared.
     """
     ws = Workspace()
 
@@ -304,7 +305,7 @@ def build(objects: dict[str, object]) -> Workspace:
 
     def add_structure(name: str, obj, named: bool = False):
         if isinstance(obj, FinSet):
-            add_set(obj)
+            add_set(FinSet(name, obj.elements))
         elif isinstance(obj, (Rel, FnMap)):
             add("relations" if isinstance(obj, Rel) else "functions", name, obj, named)
         elif named or obj not in ws.structures.values():

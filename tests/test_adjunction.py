@@ -1,6 +1,7 @@
 """Unit, counit, triangles, membership recovery, and the hom-set Galois maps."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,6 @@ from promrep import (
     finset,
     full,
     graph_upper,
-    hom_pair,
     identity,
     identity_prom_morphism,
     identity_rep_morphism,
@@ -56,6 +56,7 @@ from promrep.harness import (
     search,
 )
 import promrep.adjunction as adjunction_module
+import promrep.functors as functors_module
 import promrep.harness as harness_module
 import promrep.rel as rel_module
 import random
@@ -139,15 +140,36 @@ def patch_everywhere(monkeypatch, name, replacement, home=adjunction_module):
     return original
 
 
-@pytest.mark.parametrize("law, name", [("unit-natural", "unit"), ("counit-natural", "counit")])
-def test_naturality_checks_build_each_end_once(monkeypatch, law, name):
-    """The check builds the unit (or counit) of each end once and uses it
-    both for the morphism check and for the square."""
-    built = []
-    build = patch_everywhere(monkeypatch, name, lambda obj: built.append(obj) or build(obj))
+def count_image_builds(monkeypatch) -> Counter:
+    """Count R and M images as they are built, by wrapping the constructors
+    that `prom_to_rep` and `rep_to_prom` call."""
+    built = Counter()
+    for name, key in (("Representation", "R"), ("Prom", "M")):
+        def build(*args, cls=getattr(functors_module, name), key=key):
+            built[key] += 1
+            return cls(*args)
+        monkeypatch.setattr(functors_module, name, build)
+    return built
+
+
+@pytest.mark.parametrize("law", ["unit-natural", "counit-natural"])
+def test_naturality_checks_build_each_image_once_per_end(monkeypatch, law):
+    """The units or counits, their morphism checks and the square all read
+    the R and M that each end keeps."""
+    built = count_image_builds(monkeypatch)
     summary = search(SearchConfig(law, trials=20))
     assert summary.passed and summary.checked == 20
-    assert len(built) == 2 * summary.checked
+    assert built == {"R": 2 * summary.checked, "M": 2 * summary.checked}
+
+
+@pytest.mark.parametrize("law, bounds, pools", [("lemma5", (2, 2), 2), ("lemma6", (2, 1), 3)])
+def test_exhaustive_functor_laws_build_m_once_per_representation(monkeypatch, law, bounds, pools):
+    """lemma5 draws its morphisms' ends from two pools of representations
+    and lemma6 from three; each representation builds its M once."""
+    reps = len(list(enumerate_representations(*bounds)))
+    built = count_image_builds(monkeypatch)
+    assert search(SearchConfig(law, mode="exhaustive", bounds=bounds)).passed
+    assert built["M"] == pools * reps == {"lemma5": 128, "lemma6": 30}[law]
 
 
 def unit_dropping_last_image(p):
@@ -188,7 +210,7 @@ def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mut
 def transposes_of_identities():
     """For each input, whether η = Ψ(1_{R p}) or ε = T(1_{M r}) holds, as
     whole morphisms.  unit and counit are built by their formulas, lift and
-    lower through `HomPair`, so the two sides share no code path."""
+    lower from the Galois maps Ψ and T, so the two sides share no code path."""
     proms = [
         *enumerate_proms(2, 2),
         *(gen_prom(seed, 4 + seed % 2, 4 + seed % 2) for seed in range(20)),
@@ -693,8 +715,7 @@ def test_psi_characterization_equation():
 # --- galois lift / lower ----------------------------------------------------
 
 def _hom_sets(p, r):
-    h = hom_pair(p, r)
-    return list(enumerate_rep_morphisms(h.rp, r)), list(enumerate_prom_morphisms(p, h.mr))
+    return list(enumerate_rep_morphisms(prom_to_rep(p), r)), list(enumerate_prom_morphisms(p, rep_to_prom(r)))
 
 
 def test_lift_lower_roundtrips():

@@ -434,6 +434,14 @@ def test_verify_infeasible_bounds(capsys):
     assert main(["verify", "eq1-galois", "--mode", "exhaustive", "--max-size", "3"]) == 2
 
 
+def test_verify_more_sizes_than_the_law_takes_is_input_error():
+    # a shorter list is padded with its last size; a longer one names the law
+    proc = run_cli("verify", "eq1-galois", "--mode", "exhaustive", "--max-size", "2,9")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: bounds (2, 9) give 2 sizes, but law 'eq1-galois' takes 1\n"
+    assert main(["verify", "lemma7", "--mode", "exhaustive", "--max-size", "2"]) == 0
+
+
 def test_verify_bad_max_size():
     assert main(["verify", "lemma7", "--max-size", "two"]) == 2
 

@@ -1,5 +1,8 @@
 """The two functors: object/morphism images against comprehension oracles."""
 
+import dataclasses
+import pickle
+
 from promrep import (
     FnMap,
     Preorder,
@@ -26,6 +29,8 @@ from promrep import (
     repmor_leq,
     repmor_to_prommor,
 )
+from promrep.functors import KEPT_POWERSET_SIZE
+from promrep.harness import enumerate_proms, enumerate_representations
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 
@@ -196,3 +201,35 @@ def test_image_prom_morphisms_valid_seeded():
     for seed in range(200):
         m = gen_rep_morphism(seed, 2)
         assert check_prom_morphism(repmor_to_prommor(m))
+
+
+# --- kept images --------------------------------------------------------------
+
+def image_inputs():
+    """Every prom and representation at bound 2, and seeded ones with 6 and 7
+    models, on both sides of the kept-powerset limit."""
+    proms = [*enumerate_proms(2, 2), *(gen_prom(seed, 3, b) for seed in range(3) for b in (6, 7))]
+    reps = [*enumerate_representations(2, 2), *(gen_representation(seed, m, 3) for seed in range(3) for m in (6, 7))]
+    return proms, reps
+
+
+def test_r_is_always_kept_and_m_exactly_below_the_limit():
+    proms, reps = image_inputs()
+    assert {len(p.B) for p in proms} >= {6, 7} and {len(r.M) for r in reps} >= {6, 7}
+    for p in proms:
+        assert prom_to_rep(p) is prom_to_rep(p)
+    for r in reps + [prom_to_rep(p) for p in proms]:
+        kept = 1 << len(r.M) <= KEPT_POWERSET_SIZE
+        assert (rep_to_prom(r) is rep_to_prom(r)) == kept and kept == (len(r.M) <= 6)
+        assert rep_to_prom(r) == rep_to_prom(r)
+
+
+def test_kept_images_stay_out_of_equality_hashing_and_copies():
+    proms, reps = image_inputs()
+    for obj, image in [*((p, prom_to_rep) for p in proms), *((r, rep_to_prom) for r in reps)]:
+        apart = dataclasses.replace(obj)
+        kept = image(obj)
+        assert obj == apart and hash(obj) == hash(apart)
+        for copy in (pickle.loads(pickle.dumps(obj)), dataclasses.replace(obj)):
+            assert copy == obj and hash(copy) == hash(obj)
+            assert image(copy) == kept

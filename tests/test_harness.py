@@ -297,6 +297,13 @@ def test_witness_documents_name_every_field_even_when_two_are_equal():
                 assert getattr(ws, sections[type(value)])[key] == value, (law, label, key)
 
 
+def test_witness_document_names_its_carrier_field():
+    """mem-residual-subset's field A is a carrier; the document records it
+    under A, not only under the carrier's own name M."""
+    doc = Witness("mem-residual-subset", 0, {"A": finset("M", 2, "m")}, "x").to_doc()
+    assert doc["structures"]["sets"] == {"A": ["m0", "m1"]}
+
+
 # --- search -----------------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["seeded", "exhaustive"])

@@ -77,7 +77,6 @@ ROOT = PACKAGE.parent.parent
 #: Exported names that need no caller outside their own module, each with its reason.
 EXPORTED_WITHOUT_CALLER = {
     "PowersetBundle": "the type `powerset` returns",
-    "HomPair": "the type `hom_pair` returns",
     "TriangleRepResult": "the type `triangle_rep` returns",
     "Witness": "the type of `SearchSummary.witness` and of `check_law`'s result",
     "SearchSummary": "the type `search` returns",
