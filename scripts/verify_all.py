@@ -2,13 +2,16 @@
 """Run every law in the catalog and print a one-line result per law.
 
 Exhaustive mode is used wherever a law supports it (at its hard enumeration
-limit); the rest run seeded trials.  Exits nonzero if any law is refuted,
-which would indicate a kernel bug.
+limit); the rest run seeded trials.  A law whose search raises is reported
+on an ERROR line, with its traceback on stderr, and the sweep goes on.
+Exits nonzero if any law is refuted or raised, which would indicate a
+kernel bug.
 """
 
 import argparse
 import sys
 import time
+import traceback
 
 from promrep import CATALOG, SearchConfig, search
 
@@ -28,7 +31,13 @@ def main() -> int:
         else:
             config = SearchConfig(law=law, trials=args.trials, seed=args.seed)
         started = time.monotonic()
-        summary = search(config)
+        try:
+            summary = search(config)
+        except Exception as e:
+            traceback.print_exc()
+            print(f"ERROR  {law} {type(e).__name__}: {e}")
+            failures += 1
+            continue
         elapsed = time.monotonic() - started
         status = "pass" if summary.passed else "FAIL"
         notes = " ".join(f"{k}={v}" for k, v in sorted(summary.notes.items()))

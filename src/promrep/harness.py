@@ -277,11 +277,9 @@ def enumerate_relations(src: FinSet, dst: FinSet) -> Iterator[Rel]:
     cells = len(src) * len(dst)
     if cells > MAX_REL_CELLS:
         raise ConfigError(f"cannot enumerate relations with {cells} cells (limit {MAX_REL_CELLS})")
-    width = len(dst)
-    mask = (1 << width) - 1
-    for code in range(1 << cells):
-        rows = tuple((code >> (i * width)) & mask for i in range(len(src)))
-        yield Rel(src, dst, rows)
+    # row 0 varies fastest, so the reversed product runs through ascending codes
+    for rows in product(range(1 << len(dst)), repeat=len(src)):
+        yield Rel(src, dst, rows[::-1])
 
 
 def enumerate_preorders(carrier: FinSet) -> Iterator[Preorder]:
@@ -924,11 +922,15 @@ def check_law(law: str, instance: dict) -> Witness | None:
 
 def _violation(spec: LawSpec, instance: dict) -> tuple[str | None, dict]:
     """The law's (violation | None, notes) on a generated or enumerated instance,
-    which is valid unless the kernel is broken: then its invalidity is the violation."""
+    which is valid unless the kernel is broken: then its invalidity is the
+    violation.  So is any other ValueError the check raises, such as a kernel
+    result that fails its constructor's shape or carrier check."""
     try:
         return spec.check(instance)
     except InvalidStructure as e:
         return f"instance is not valid: {e}", {}
+    except ValueError as e:
+        return f"check raised {type(e).__name__}: {e}", {}
 
 
 def replay(witness: Witness) -> bool:

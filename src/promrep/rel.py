@@ -57,10 +57,15 @@ harness's reference for ∈\\∈ builds its masks apart from this module on
 purpose.)
 
 Checking a law builds many tiny relations over few carriers, so kernel
-objects are made cheap to build and compare.  `Rel` and `FnMap` validate
-their rows or image with one `min`/`max` and keep a tuple argument as is.
-`FinSet` equality tests identity first and then compares labels, so equal
-carriers built apart stay interchangeable.  Two bounded caches hold
+objects are made cheap to build and compare, and every check is kept.
+`Rel` and `FnMap` validate their rows or image with one `min`/`max` and
+keep a tuple argument as is.  `Rel` is slotted, as are the structures'
+`Preorder` and morphisms: nothing is kept on them, so they need no
+`__dict__` and build faster without one.  `FinSet`, `FnMap` and the
+structures' `Prom` and `Representation` keep theirs, for the positions of
+a carrier's labels, a map's graphs, R(p) and M(r).  `FinSet` equality and
+inequality test identity first and then compare labels, each in one call,
+so equal carriers built apart stay interchangeable.  Two bounded caches hold
 immutable values: `finset` interns its carriers by (name, size, prefix),
 and `powerset` memoizes the bundle per base carrier, checking the cap on
 every call, before the memo.  The cap is the one constant `POWERSET_CAP`:
@@ -124,6 +129,13 @@ class FinSet:
             return NotImplemented
         return self.name == other.name and self.elements == other.elements
 
+    def __ne__(self, other):
+        if self is other:
+            return False
+        if other.__class__ is not FinSet:
+            return NotImplemented
+        return self.name != other.name or self.elements != other.elements
+
     def __hash__(self):
         return hash((self.name, self.elements))
 
@@ -154,7 +166,7 @@ def _interned_finset(name: str, size: int, prefix: str) -> FinSet:
     return FinSet(name, tuple(f"{prefix}{i}" for i in range(size)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel:
     """A binary relation src ⇸ dst as a packed bit matrix."""
 
@@ -314,7 +326,7 @@ def _lane_transpose(rows, width: int) -> list[int]:
 
 
 def converse(x: Rel) -> Rel:
-    return Rel(x.dst, x.src, tuple(_transpose(x.rows, len(x.dst))))
+    return Rel(x.dst, x.src, tuple(_transpose(x.rows, len(x.dst.elements))))
 
 
 def compose(x: Rel, y: Rel) -> Rel:
@@ -415,8 +427,8 @@ def left_residual(x: Rel, z: Rel) -> Rel:
     """
     if x.src != z.src:
         raise CarrierMismatch(f"residual sources differ: {x.src.name} vs {z.src.name}")
-    full_c = (1 << len(z.dst)) - 1
-    width = len(x.dst)
+    full_c = (1 << len(z.dst.elements)) - 1
+    width = len(x.dst.elements)
     k = len(x.rows)
     if width > 64 and k <= 16 and 1 << k <= width and 1 << k < x.count():
         meets = _meet_table(z.rows, full_c)

@@ -8,6 +8,11 @@ violated axiom together with a concrete witness, which `validate` raises
 as InvalidStructure.  Callers validate where input enters (`promrep
 check` and `apply`, and the harness on every law instance), so an invalid
 structure can still be held and reported.
+
+Each structure is a frozen dataclass compared by value.  `Preorder` and
+the two morphism classes are slotted, like `rel.Rel`, as nothing is kept
+on them; a `Prom` keeps its R(p) and a `Representation` its M(r) in their
+own `__dict__` (see `functors`).
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ def is_preorder(r: Rel) -> bool:
     return check_preorder(r).ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Preorder:
     rel: Rel
 
@@ -139,7 +144,7 @@ def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
     None means f carries x into y, that is f^*⨾x ≤ y⨾f^*.  Checked
     pointwise, so a failure comes with a readable witness.
     """
-    img, yrows, width = f.image, y.rows, len(x.dst)
+    img, yrows, width = f.image, y.rows, len(x.dst.elements)
     for i, row in enumerate(x.rows):
         target = yrows[img[i]]
         for j in row_bits(row, width):
@@ -156,7 +161,7 @@ def _preserves(axiom: str, f: FnMap, x: Preorder, y: Preorder) -> CheckResult:
     return CheckResult(False, axiom, tuple(f.src.elements[i] for i in bad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromMorphism:
     src: Prom
     dst: Prom
@@ -237,7 +242,7 @@ def check_representation(r: Representation) -> CheckResult:
     return OK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepMorphism:
     """A statement translation phi together with a model relation tau.
 

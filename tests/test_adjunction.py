@@ -665,6 +665,91 @@ def test_kernel_mutant_is_caught_by_the_default_catalog_run(monkeypatch, name, b
     assert killed == killers
 
 
+def power_transpose_past_its_carrier(transpose):
+    """Λ whose last image index is one past the powerset carrier."""
+    def mutant(x, mem):
+        f = transpose(x, mem)
+        return FnMap(f.src, f.dst, f.image[:-1] + (len(f.dst),) * bool(f.image))
+    return mutant
+
+
+def compose_past_its_destination(compose):
+    """x⨾y with the bit one past the destination set in its last row."""
+    def mutant(x, y):
+        r = compose(x, y)
+        return Rel(r.src, r.dst, r.rows[:-1] + tuple(row | 1 << len(r.dst) for row in r.rows[-1:]))
+    return mutant
+
+
+#: The laws whose default run draws its instances through `pullback`, which
+#: composes, so the compose mutant raises before any instance exists.
+_PULLBACK_DRAWN = [
+    "lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma8", "lemma9",
+    "lemma10", "lemma11", "triangle-repr", "triangle-pom", "unit-natural", "counit-natural",
+]
+
+
+@pytest.mark.parametrize(
+    "name, bug, message, killers, raisers",
+    [
+        (
+            "power_transpose",
+            power_transpose_past_its_carrier,
+            "image index outside destination carrier",
+            [
+                "lemma4", "lemma5", "lemma6", "lemma8", "lemma9", "lemma10", "triangle-repr",
+                "triangle-pom", "unit-natural", "counit-natural", "psi-characterization",
+            ],
+            [],
+        ),
+        (
+            "compose",
+            compose_past_its_destination,
+            "row mask exceeds destination carrier",
+            [
+                "eq1-galois", "dual-galois", "modular-tautology", "preorder-single-axiom",
+                "lemma7", "psi-characterization", "soundness-residual-equiv",
+            ],
+            _PULLBACK_DRAWN,
+        ),
+    ],
+    ids=["power-transpose-past-its-carrier", "compose-past-its-destination"],
+)
+def test_kernel_result_failing_its_shape_check_is_a_replaying_witness(monkeypatch, name, bug, message, killers, raisers):
+    """A kernel result that its constructor rejects inside a law check is that
+    law's violation, and replays; exactly `killers` refute the mutant.  Only
+    the instance generators in `raisers` still raise."""
+    patch_everywhere(monkeypatch, name, bug(getattr(rel_module, name)), rel_module)
+    killed, raised = [], []
+    for law in harness_module.CATALOG:
+        clear_caches()
+        try:
+            summary = search(SearchConfig(law))
+        except ValueError as e:
+            assert str(e) == message, law
+            raised.append(law)
+            continue
+        if not summary.passed:
+            assert summary.witness.violation == f"check raised ValueError: {message}", law
+            assert replay(summary.witness), law
+            killed.append(law)
+    assert killed == killers and raised == raisers
+
+
+def test_verify_reports_a_rejected_kernel_result_as_its_witness(monkeypatch, capsys):
+    """`promrep verify` exits 1, "refuted", with the witness document and no
+    traceback when a check's kernel result fails its shape check."""
+    patch_everywhere(monkeypatch, "compose", compose_past_its_destination(rel_module.compose), rel_module)
+    assert main(["verify", "eq1-galois", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    head, doc = out.split("\n{", 1)
+    assert head.splitlines()[-2:] == ["witnesses: 1", "result: fail"]
+    witness = json.loads("{" + doc)
+    assert witness["violation"] == "check raised ValueError: row mask exceeds destination carrier"
+    assert set(witness["structures"]["relations"]) == {"x", "y", "z"}
+    assert "Traceback" not in err
+
+
 # --- psi / tee --------------------------------------------------------------
 
 def test_psi_discrete_order_reads_tau_columns():

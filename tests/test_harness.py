@@ -27,6 +27,7 @@ from promrep import (
     check_prom_morphism,
     check_rep_morphism,
     check_representation,
+    clear_caches,
     compose,
     compose_maps,
     direct_image,
@@ -37,6 +38,7 @@ from promrep import (
     identity_rep_morphism,
     is_preorder,
     powerset,
+    preorder_closure,
     replay,
     search,
 )
@@ -111,6 +113,59 @@ def test_enumerate_relations_counts():
     assert sum(1 for _ in enumerate_relations(A, B)) == 16
     with pytest.raises(ConfigError):
         list(enumerate_relations(finset("A", 5, "a"), finset("B", 4, "b")))
+
+
+def test_enumerate_relations_lists_codes_in_ascending_order():
+    """Relation number `code` has row i = code >> (i·|dst|) & mask, for every
+    shape of at most 9 cells, empty carriers on either side included."""
+    for a, b in product(range(10), repeat=2):
+        if a * b > 9:
+            continue
+        src, dst = finset("A", a, "a"), finset("B", b, "b")
+        mask = (1 << b) - 1
+        want = [tuple(code >> (i * b) & mask for i in range(a)) for code in range(1 << a * b)]
+        got = list(enumerate_relations(src, dst))
+        assert [r.rows for r in got] == want, (a, b)
+        assert all(r.src is src and r.dst is dst for r in got)
+    four = finset("A", 4, "a")
+    assert sum(1 for _ in enumerate_relations(four, four)) == 65536
+
+
+def test_every_kernel_relation_runs_its_shape_check(monkeypatch):
+    """Each kernel builder's result, and each relation it builds on the way,
+    goes through `Rel.__post_init__`, counted as perfbench's `rel.rel_built`
+    counts it; none is made around it."""
+    A, B = finset("A", 3, "a"), finset("B", 2, "b")
+    x = Rel(A, B, (1, 3, 0))
+    y = Rel(B, B, (3, 2))
+    square = Rel(A, A, (2, 4, 0))
+    f = FnMap(A, B, (1, 0, 1))
+    runs = [0]
+    post_init = Rel.__post_init__
+
+    def counted(self):
+        runs[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Rel, "__post_init__", counted)
+    builds = [
+        (lambda: compose(x, y), 1),
+        (lambda: rel_module.left_residual(x, x), 1),
+        (lambda: rel_module.graph_lower(f), 1),
+        (lambda: rel_module.graph_upper(f), 1),
+        # y⨾f^* with f's graph already kept, then its rows at f's image
+        (lambda: rel_module.pullback(y, f), 2),
+        (lambda: preorder_closure(square), 1),
+        (lambda: list(enumerate_relations(B, B)), 16),
+    ]
+    for build, expected in builds:
+        before = runs[0]
+        build()
+        assert runs[0] - before == expected
+    clear_caches()
+    runs[0] = 0
+    assert search(SearchConfig("modular-tautology", mode="exhaustive", bounds=(1,))).checked == 34
+    assert runs[0] == 306
 
 
 def test_enumerate_preorders_count_on_two_points():

@@ -127,6 +127,23 @@ def test_equal_carriers_built_apart_are_interchangeable():
     assert FinSet("A", ("a0",)) != FinSet("B", ("a0",)) != FinSet("B", ("b0",))
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (A2, A2),
+        (FinSet("A", ("a0", "a1")), FinSet("A", ["a0", "a1"])),
+        (FinSet("A", ("a0",)), FinSet("B", ("a0",))),
+        (FinSet("A", ("a0",)), FinSet("A", ("a1",))),
+        (A2, ("A", ("a0", "a1"))),
+        (A2, "A"),
+    ],
+    ids=["same-object", "built-apart", "other-name", "other-labels", "tuple", "str"],
+)
+def test_finset_inequality_is_the_negated_equality(a, b):
+    assert (a != b) is (not (a == b))
+    assert (b != a) is (not (b == a))
+
+
 def test_finset_is_not_equal_to_other_types():
     assert (FinSet("x", ()) == "x") is False
     assert (A1 == ("A", ("a0",))) is False

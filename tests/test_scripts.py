@@ -1,12 +1,15 @@
 """The scripts under scripts/ run end to end against the package."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import promrep
+from promrep import CATALOG, CarrierMismatch
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +33,31 @@ def test_verify_all_rejects_negative_trials_before_any_sweep():
     assert proc.returncode == 2
     assert "error: --trials must be nonnegative, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def load_script(name):
+    """Import scripts/<name> as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_reports_a_law_that_raises_and_goes_on(monkeypatch, capsys):
+    verify_all = load_script("verify_all.py")
+
+    def no_instance(rng, bounds):
+        raise CarrierMismatch("cannot compose B with C")
+
+    monkeypatch.setitem(CATALOG, "lemma2", replace(CATALOG["lemma2"], generate=no_instance))
+    monkeypatch.setattr(verify_all, "CATALOG", {law: CATALOG[law] for law in ("lemma2", "unit-natural")})
+    monkeypatch.setattr(sys, "argv", ["verify_all.py", "--trials", "5"])
+    assert verify_all.main() == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "ERROR  lemma2 CarrierMismatch: cannot compose B with C"
+    assert lines[1].startswith("pass  unit-natural ") and len(lines) == 2
+    assert err.startswith("Traceback") and err.rstrip().endswith("CarrierMismatch: cannot compose B with C")
 
 
 def crossover_tables():

@@ -1,6 +1,8 @@
 """Structure axioms, carrier checks, validation, closure, morphism composition."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import sys
 from itertools import product
@@ -89,18 +91,32 @@ def test_constructors_check_carriers_even_without_axioms():
     p = Prom(Preorder(identity(A2)), Preorder(identity(B2)), FnMap(A2, B2, (0, 1)))
     r = Representation(rel(M1, B2), Preorder(identity(B2)))
     disconnected = [
-        lambda: Preorder(rel(A2, B2)),
-        lambda: Prom(p.x, p.y, FnMap(B2, B2, (0, 1))),
-        lambda: Prom(p.x, p.y, FnMap(A2, A2, (0, 1))),
-        lambda: Representation(rel(M1, B2), Preorder(identity(A2))),
-        lambda: PromMorphism(p, p, identity_map(B2), identity_map(B2)),
-        lambda: PromMorphism(p, p, identity_map(A2), identity_map(A2)),
-        lambda: RepMorphism(r, r, identity_map(M1), identity(M1)),
-        lambda: RepMorphism(r, r, identity_map(B2), identity(B2)),
+        (lambda: Preorder(rel(A2, B2)), "a preorder must be a square relation"),
+        (lambda: Prom(p.x, p.y, FnMap(B2, B2, (0, 1))), "prom map does not connect the two preordered carriers"),
+        (lambda: Prom(p.x, p.y, FnMap(A2, A2, (0, 1))), "prom map does not connect the two preordered carriers"),
+        (lambda: Representation(rel(M1, B2), Preorder(identity(A2))), "preorder carrier does not match the statement carrier"),
+        (lambda: PromMorphism(p, p, identity_map(B2), identity_map(B2)), "phi does not connect the source carriers"),
+        (lambda: PromMorphism(p, p, identity_map(A2), identity_map(A2)), "psi does not connect the target carriers"),
+        (lambda: RepMorphism(r, r, identity_map(M1), identity(M1)), "phi does not connect the statement carriers"),
+        (lambda: RepMorphism(r, r, identity_map(B2), identity(B2)), "tau does not connect the model carriers"),
     ]
-    for build in disconnected:
-        with pytest.raises(CarrierMismatch):
+    for build, message in disconnected:
+        with pytest.raises(CarrierMismatch, match=f"^{message}$"):
             build()
+
+
+def test_kernel_values_are_slotted_and_holders_of_kept_images_are_not():
+    """Rel, Preorder and the morphisms keep nothing, so they have no
+    `__dict__`; a carrier keeps its positions, a map its graphs, a prom R(p)
+    and a representation M(r).  Copies of a slotted value equal it."""
+    pm = gen_prom_morphism(11, 3)
+    rm = gen_rep_morphism(5, 2)
+    for value in (rm.tau, pm.src.x, pm, rm):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), dataclasses.replace(value)):
+            assert twin == value and hash(twin) == hash(value)
+    for holder in (A2, pm.phi, pm.src, rm.src):
+        assert isinstance(holder.__dict__, dict)
 
 
 def test_closure_of_empty_is_identity():
