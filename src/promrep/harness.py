@@ -7,7 +7,9 @@ serialized so the violation can be replayed.
 
 Each law family's instances are described once, as a `Schema`; its seeded
 generator and exhaustive enumerator are both derived from that description,
-so the two search modes range over the same instance space.
+so the two search modes range over the same instance space.  An exhaustive
+instance pays only for its enumeration, for validating the fields its schema
+declares structures, and for its law; the stream around it runs in C.
 
 Seeded runs are deterministic: trial i derives its own RNG from a 64-bit
 mix of (seed, i), so a run's result depends only on the seed and the trial
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import chain, product, repeat
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from . import workspace
@@ -41,7 +45,6 @@ from .rel import (
     right_residual,
 )
 from .structures import (
-    VALIDATION,
     CheckResult,
     InvalidStructure,
     Preorder,
@@ -274,12 +277,13 @@ MAX_TAU_CELLS = 9
 
 
 def enumerate_relations(src: FinSet, dst: FinSet) -> Iterator[Rel]:
+    """Every relation src ⇸ dst, lazily.  Row 0 varies fastest, so the reversed
+    product runs through ascending codes.  ConfigError comes at the call."""
     cells = len(src) * len(dst)
     if cells > MAX_REL_CELLS:
         raise ConfigError(f"cannot enumerate relations with {cells} cells (limit {MAX_REL_CELLS})")
-    # row 0 varies fastest, so the reversed product runs through ascending codes
-    for rows in product(range(1 << len(dst)), repeat=len(src)):
-        yield Rel(src, dst, rows[::-1])
+    codes = product(range(1 << len(dst)), repeat=len(src))
+    return map(Rel, repeat(src), repeat(dst), map(itemgetter(slice(None, None, -1)), codes))
 
 
 def enumerate_preorders(carrier: FinSet) -> Iterator[Preorder]:
@@ -441,15 +445,17 @@ class Schema:
         return self._instance(draw(rng, *args) for (draw, _), args in self._fields(sizes, bounds))
 
     def enumerate(self, bounds) -> Iterator[dict]:
+        """Every instance, streamed.  Rows of field values form in C, and so does each
+        flat instance, `dict(zip(keys, row))`; only a chain's goes through `_instance`."""
         fns = self._fn_positions()
         for sizes in product(*(range(bounds[bound] + 1) for _, _, bound in self.carriers)):
             if any(sizes[src] and not sizes[dst] for src, dst in fns):
                 continue
             first, *rest = [series(*args) for (_, series), args in self._fields(sizes, bounds)]
             pools = [tuple(values) for values in rest]
-            for value in first:
-                for others in product(*pools):
-                    yield self._instance((value, *others))
+            rows = chain.from_iterable(map(product, zip(first), *map(repeat, pools))) if pools else zip(first)
+            flat = self._flat_keys
+            yield from map(self._instance, rows) if flat is None else map(dict, map(zip, repeat(flat), rows))
 
     def _fields(self, sizes, bounds):
         """(_FIELD_KINDS entry, resolved arguments) of each field, at these carrier sizes."""
@@ -457,16 +463,19 @@ class Schema:
         for _, kind, *args in self.fields:
             yield _FIELD_KINDS[kind], [sets[a] if isinstance(a, str) else bounds[a] for a in args]
 
+    @cached_property
+    def _flat_keys(self) -> tuple[str, ...] | None:
+        """The field keys in declaration order; None when a chain's tuple key names its parts."""
+        keys = tuple(key for key, *_ in self.fields)
+        return None if any(isinstance(key, tuple) for key in keys) else keys
+
     def _instance(self, values) -> dict:
         """The instance holding these field values, in declaration order."""
-        inst = {}
-        for field, value in zip(self.fields, values):
-            key = field[0]
-            if isinstance(key, tuple):
-                inst.update(zip(key, value))
-            else:
-                inst[key] = value
-        return inst
+        if self._flat_keys is not None:
+            return dict(zip(self._flat_keys, values))
+        parts = [zip(key, value) if isinstance(key, tuple) else [(key, value)]
+                 for (key, *_), value in zip(self.fields, values)]
+        return dict(chain.from_iterable(parts))
 
 
 #: Schema field kind → (one random value given an RNG, every value lazily or
@@ -858,19 +867,20 @@ def _law(law, summary, check, schema, default_bounds=(3,), limit=None, powerset_
     `enumerate_rep_morphisms` lists, so that `search` rejects one whose
     square exceeds MAX_TAU_CELLS; None for a law that lists no τ.
 
-    The registered check first validates every structure-valued field, so
-    invalid input raises InvalidStructure instead of yielding a witness."""
-    enumerate_ = schema.enumerate if limit is not None else None
+    The registered check first validates the fields `schema` declares structures
+    (every kind but rel, fn and carrier; both parts of a chain), so invalid input
+    raises InvalidStructure instead of yielding a witness.  Without any, it is `check`."""
+    fields = [(key if isinstance(key, tuple) else (key,), kind) for key, kind, *_ in schema.fields]
+    keys = [part for parts, kind in fields if kind not in ("rel", "fn", "carrier") for part in parts]
 
     def validated(inst):
-        for value in inst.values():
-            if type(value) in VALIDATION:
-                validate(value)
+        for key in keys:
+            validate(inst[key])
         return check(inst)
 
-    CATALOG[law] = LawSpec(
-        law, summary, validated, schema.generate, enumerate_, default_bounds, limit, powerset_base, tau_bound
-    )
+    enumerate_ = schema.enumerate if limit is not None else None
+    CATALOG[law] = LawSpec(law, summary, validated if keys else check, schema.generate, enumerate_,
+                           default_bounds, limit, powerset_base, tau_bound)
 
 
 _law("eq1-galois", "y ≤ x\\z ⇔ x⨾y ≤ z", _check_eq1, _TRIPLE, (3,), (2,))
@@ -920,23 +930,32 @@ def check_law(law: str, instance: dict) -> Witness | None:
     return Witness(law, "manual", dict(instance), violation)
 
 
-def _violation(spec: LawSpec, instance: dict) -> tuple[str | None, dict]:
-    """The law's (violation | None, notes) on a generated or enumerated instance,
-    which is valid unless the kernel is broken: then its invalidity is the
-    violation.  So is any other ValueError the check raises, such as a kernel
-    result that fails its constructor's shape or carrier check."""
-    try:
-        return spec.check(instance)
-    except InvalidStructure as e:
-        return f"instance is not valid: {e}", {}
-    except ValueError as e:
-        return f"check raised {type(e).__name__}: {e}", {}
+def _run(spec: LawSpec, stream) -> tuple[int, dict[str, int], Witness | None]:
+    """The law on each (label, instance) of `stream` up to the first witness:
+    (instances checked, their notes summed with zeros kept, witness or None).
+    A generated or enumerated instance is valid unless the kernel is broken,
+    so its invalidity is a violation, as is any other ValueError the check
+    raises, such as a kernel result that fails its constructor's check."""
+    check, checked, totals = spec.check, 0, {}
+    for checked, (label, instance) in enumerate(stream, 1):
+        try:
+            violation, notes = check(instance)
+        except InvalidStructure as e:
+            violation, notes = f"instance is not valid: {e}", {}
+        except ValueError as e:
+            violation, notes = f"check raised {type(e).__name__}: {e}", {}
+        if notes:
+            for key, value in notes.items():
+                totals[key] = totals.get(key, 0) + value
+        if violation is not None:
+            return checked, totals, Witness(spec.law, label, dict(instance), violation)
+    return checked, totals, None
 
 
 def replay(witness: Witness) -> bool:
     """True iff re-running the law on the witness structures reproduces it."""
-    violation, _ = _violation(_spec(witness.law), witness.structures)
-    return violation == witness.violation
+    _, _, again = _run(_spec(witness.law), [(witness.seed, witness.structures)])
+    return again is not None and again.violation == witness.violation
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +1012,8 @@ def _normalize_bounds(spec: LawSpec, bounds) -> tuple[int, ...]:
 
 
 def search(config: SearchConfig) -> SearchSummary:
+    """Check the law on its seeded or exhaustive stream up to the first witness
+    (`_run`); exhaustive instances are labelled in C."""
     spec = _spec(config.law)
     if config.parallelism < 1:
         raise ConfigError(f"parallelism must be at least 1, got {config.parallelism}")
@@ -1023,20 +1044,11 @@ def search(config: SearchConfig) -> SearchSummary:
                 f"for law {spec.law!r}"
             )
         seed = None
-        stream = (("exhaustive", instance) for instance in spec.enumerate(bounds))
+        stream = zip(repeat("exhaustive"), spec.enumerate(bounds))
     elif config.mode == "seeded":
         seed = config.seed
         children = (mix_seed(seed, i) for i in range(config.trials))
         stream = ((child, spec.generate(random.Random(child), bounds)) for child in children)
     else:
         raise ConfigError(f"unknown mode {config.mode!r}")
-    summary = SearchSummary(spec.law, config.mode, bounds, seed, 0)
-    for label, instance in stream:
-        violation, notes = _violation(spec, instance)
-        summary.checked += 1
-        for key, value in notes.items():
-            summary.notes[key] = summary.notes.get(key, 0) + value
-        if violation is not None:
-            summary.witness = Witness(spec.law, label, dict(instance), violation)
-            break
-    return summary
+    return SearchSummary(spec.law, config.mode, bounds, seed, *_run(spec, stream))

@@ -63,19 +63,19 @@ keep a tuple argument as is.  `Rel` is slotted, as are the structures'
 `Preorder` and morphisms: nothing is kept on them, so they need no
 `__dict__` and build faster without one.  `FinSet`, `FnMap` and the
 structures' `Prom` and `Representation` keep theirs, for the positions of
-a carrier's labels, a map's graphs, R(p) and M(r).  `FinSet` equality and
-inequality test identity first and then compare labels, each in one call,
-so equal carriers built apart stay interchangeable.  Two bounded caches hold
-immutable values: `finset` interns its carriers by (name, size, prefix),
-and `powerset` memoizes the bundle per base carrier, checking the cap on
-every call, before the memo.  The cap is the one constant `POWERSET_CAP`:
-no construction, law or search takes a cap of its own, so the constructions
-above `powerset` fail with `PowersetCapExceeded` exactly when it does.
-`clear_caches` empties both, so that a test that patches a
-kernel builder sees the patched result instead of a cached one.  A map's
-graphs f_* and f^* are built once, into the immutable `FnMap`'s own dict
-(as `cached_property` would, without the lock Python 3.11's takes on every
-first read), and die with it, so `clear_caches` has nothing to empty there.
+a carrier's labels, a map's graphs, R(p) and M(r).  Carrier checks test
+identity inline before `!=` compares labels (`leq` and `eq` before their
+shape check), so equal carriers built apart stay interchangeable.  Two
+bounded caches hold immutable values: `finset` interns its carriers by
+(name, size, prefix), and `powerset` memoizes the bundle per base carrier,
+checking the cap on every call, before the memo.  The cap is the one
+constant `POWERSET_CAP`: no construction, law or search takes a cap of its
+own, so the constructions above `powerset` fail with `PowersetCapExceeded`
+exactly when it does.  `clear_caches` empties both, so that a test that
+patches a kernel builder sees the patched result, not a cached one.  A
+map's graphs f_* and f^* are built once, into the immutable `FnMap`'s own
+dict (as `cached_property` would, without the lock Python 3.11's takes on
+every first read), and die with it: `clear_caches` has nothing to empty.
 """
 
 from __future__ import annotations
@@ -333,12 +333,12 @@ def compose(x: Rel, y: Rel) -> Rel:
     """Sequential composition x⨾y: (a,c) iff some b with (a,b)∈x, (b,c)∈y.
 
     Row a is the OR of y's rows at the bits of x's row a, listed through
-    `row_bits`.  When y has more than 64 rows and some of them are empty,
-    x's row is first ANDed with the mask of y's nonzero rows, so a bit that
-    selects an empty row of y is never listed; otherwise the row is listed
-    as it is.
+    `row_bits` unless the row is empty.  When y has more than 64 rows and
+    some of them are empty, x's row is first ANDed with the mask of y's
+    nonzero rows, so a bit that selects an empty row of y is never listed;
+    otherwise the row is listed as it is.
     """
-    if x.dst != y.src:
+    if x.dst is not y.src and x.dst != y.src:
         raise CarrierMismatch(f"cannot compose {x.dst.name} with {y.src.name}")
     xrows, yrows = x.rows, y.rows
     width = len(yrows)  # x.dst is y.src
@@ -347,8 +347,9 @@ def compose(x: Rel, y: Rel) -> Rel:
     rows = []
     for row in xrows:
         acc = 0
-        for j in row_bits(row, width):
-            acc |= yrows[j]
+        if row:
+            for j in row_bits(row, width):
+                acc |= yrows[j]
         rows.append(acc)
     return Rel(x.src, y.dst, tuple(rows))
 
@@ -373,7 +374,8 @@ def _require_same_shape(x: Rel, y: Rel):
 
 def leq(x: Rel, y: Rel) -> bool:
     """Set inclusion x ≤ y.  Comparing across carriers is an error, not False."""
-    _require_same_shape(x, y)
+    if x.src is not y.src or x.dst is not y.dst:
+        _require_same_shape(x, y)
     return all(rx & ~ry == 0 for rx, ry in zip(x.rows, y.rows))
 
 
@@ -388,7 +390,7 @@ def is_transitive(x: Rel) -> bool:
     no test.  On ⊆ over 2^n only the covers are tested, n·2^(n-1) tests
     against 3^n ORs for x⨾x.
     """
-    if x.src != x.dst:
+    if x.src is not x.dst and x.src != x.dst:
         raise CarrierMismatch("transitivity needs a square relation")
     rows = x.rows
     for a in range(len(rows) - 1, -1, -1):
@@ -408,7 +410,8 @@ def is_transitive(x: Rel) -> bool:
 
 
 def eq(x: Rel, y: Rel) -> bool:
-    _require_same_shape(x, y)
+    if x.src is not y.src or x.dst is not y.dst:
+        _require_same_shape(x, y)
     return x.rows == y.rows
 
 
@@ -422,10 +425,10 @@ def left_residual(x: Rel, z: Rel) -> Rel:
     ANDs, and row b is the entry at column b of x read as a mask (∈\\∈ over
     2^12: 4,096 ANDs, where one per pair of ∈ is 24,576).  The table has no
     more entries than the result has rows.  Otherwise the loop costs one
-    AND per pair of x, listed through `row_bits`.  An empty source carrier
-    makes the universal vacuous: the result is full.
+    AND per pair of x, listed through `row_bits` from x's nonempty rows.
+    An empty source carrier makes the universal vacuous: the result is full.
     """
-    if x.src != z.src:
+    if x.src is not z.src and x.src != z.src:
         raise CarrierMismatch(f"residual sources differ: {x.src.name} vs {z.src.name}")
     full_c = (1 << len(z.dst.elements)) - 1
     width = len(x.dst.elements)
@@ -434,7 +437,7 @@ def left_residual(x: Rel, z: Rel) -> Rel:
         meets = _meet_table(z.rows, full_c)
         return Rel(x.dst, z.dst, tuple(map(meets.__getitem__, _transpose(x.rows, width))))
     rows = [full_c] * width
-    for xr, zr in zip(x.rows, z.rows):
+    for xr, zr in compress(zip(x.rows, z.rows), x.rows):
         for j in row_bits(xr, width):
             rows[j] &= zr
     return Rel(x.dst, z.dst, tuple(rows))

@@ -61,7 +61,7 @@ def check_preorder(r: Rel) -> CheckResult:
     Transitivity is decided by `is_transitive`; r⨾r is composed and scanned
     only after that test fails, to name the witness.
     """
-    if r.src != r.dst:
+    if r.src is not r.dst and r.src != r.dst:
         raise CarrierMismatch("a preorder must be a square relation")
     for i, row in enumerate(r.rows):
         if not row >> i & 1:

@@ -430,6 +430,12 @@ def test_verify_seeded_with_notes(capsys):
     assert "note.strict:" in out
 
 
+def test_verify_prints_a_note_that_sums_to_zero(capsys):
+    # every lemma9 instance within size 1 reports strict_t_psi 0
+    assert main(["verify", "lemma9", "--mode", "exhaustive", "--max-size", "1"]) == 0
+    assert "note.strict_t_psi: 0\n" in capsys.readouterr().out
+
+
 def test_verify_infeasible_bounds(capsys):
     assert main(["verify", "eq1-galois", "--mode", "exhaustive", "--max-size", "3"]) == 2
 

@@ -148,9 +148,13 @@ def test_every_kernel_relation_runs_its_shape_check(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Rel, "__post_init__", counted)
+    empty = Rel(A, B, (0, 0, 0))
     builds = [
+        # x's last row is empty, and every row of `empty` is
         (lambda: compose(x, y), 1),
+        (lambda: compose(empty, y), 1),
         (lambda: rel_module.left_residual(x, x), 1),
+        (lambda: rel_module.left_residual(empty, x), 1),
         (lambda: rel_module.graph_lower(f), 1),
         (lambda: rel_module.graph_upper(f), 1),
         # y⨾f^* with f's graph already kept, then its rows at f's image
@@ -166,6 +170,18 @@ def test_every_kernel_relation_runs_its_shape_check(monkeypatch):
     runs[0] = 0
     assert search(SearchConfig("modular-tautology", mode="exhaustive", bounds=(1,))).checked == 34
     assert runs[0] == 306
+    # the first field streams: the first 4-point instance follows the 531
+    # relations on 0..3 points, never the 65,536 on four
+    runs[0] = 0
+    for inst in CATALOG["preorder-single-axiom"].enumerate((4,)):
+        if len(inst["r"].src) == 4:
+            break
+    assert runs[0] == 1 + 2 + 2**4 + 2**9 + 1
+
+
+def test_enumerate_relations_checks_its_cell_limit_at_the_call():
+    with pytest.raises(ConfigError, match="cannot enumerate relations with 20 cells"):
+        enumerate_relations(finset("A", 5, "a"), finset("B", 4, "b"))
 
 
 def test_enumerate_preorders_count_on_two_points():
@@ -306,6 +322,25 @@ def test_check_law_rejects_invalid_input_instead_of_witnessing():
                 check_law(law, {**inst, key: bad})
             assert exc.value.kind == STRUCTURE_KINDS[type(bad)], (law, key)
     assert laws == 15
+
+
+def test_laws_without_structure_fields_register_their_check_itself():
+    """Only declared structure fields are validated, so a law with none runs
+    its check unwrapped, with the same verdict on a manual instance."""
+    plain = [law for law, spec in CATALOG.items() if spec.check.__name__ != "validated"]
+    assert plain == [
+        "eq1-galois", "dual-galois", "modular-tautology", "preorder-single-axiom",
+        "mem-residual-subset", "lemma7", "soundness-residual-equiv",
+    ]
+    for law in plain:
+        spec = CATALOG[law]
+        assert spec.check.__name__.startswith("_check_"), law
+        for i in range(20):
+            inst = spec.generate(random.Random(mix_seed(1, i)), spec.default_bounds)
+            assert all(type(value) not in STRUCTURE_KINDS for value in inst.values()), law
+            assert check_law(law, inst) is None, law
+    A = finset("A", 2, "a")
+    assert check_law("preorder-single-axiom", {"r": Rel(A, A, (2, 1))}) is None  # not reflexive
 
 
 def test_witness_pipeline_via_injected_law():

@@ -37,6 +37,7 @@ from promrep import (
     pullback,
     right_residual,
 )
+from promrep.structures import check_preorder, preorder_closure
 
 A1 = finset("A", 1, "a")
 A2 = finset("A", 2, "a")
@@ -333,6 +334,36 @@ def test_live_rows_mask_marks_nonzero_rows():
     for n in (1, 2, 8, 65, 300):
         rows = [rng.choice((0, 0, 1, 5, 1 << 70)) for _ in range(n)]
         assert rel_module._live_rows(rows) == sum(1 << i for i, row in enumerate(rows) if row)
+
+
+#: Each kernel carrier check, called with carriers a and b that must be
+#: equal, and its CarrierMismatch message when b differs (b's name is {b}).
+CARRIER_CHECKS = {
+    "compose": (lambda a, b: compose(identity(a), identity(b)), "cannot compose A with {b}"),
+    "left_residual": (
+        lambda a, b: left_residual(identity(a), identity(b)), "residual sources differ: A vs {b}"
+    ),
+    "right_residual": (
+        lambda a, b: right_residual(identity(a), identity(b)), "residual targets differ: A vs {b}"
+    ),
+    "leq": (lambda a, b: leq(identity(a), identity(b)), "relations over A⇸A and {b}⇸{b} are not comparable"),
+    "eq": (lambda a, b: eq(identity(a), identity(b)), "relations over A⇸A and {b}⇸{b} are not comparable"),
+    "is_transitive": (lambda a, b: is_transitive(Rel(a, b, (1, 2))), "transitivity needs a square relation"),
+    "check_preorder": (lambda a, b: check_preorder(Rel(a, b, (1, 2))), "a preorder must be a square relation"),
+}
+
+
+@pytest.mark.parametrize("name", CARRIER_CHECKS)
+def test_carrier_checks_accept_equal_carriers_built_apart(name):
+    """Identity is tested first, but equal labels still match and others
+    still raise the same CarrierMismatch."""
+    call, message = CARRIER_CHECKS[name]
+    a = FinSet("A", ("a0", "a1"))
+    assert call(a, FinSet("A", ["a0", "a1"])) == call(a, a)
+    for b in (FinSet("Z", ("a0", "a1")), FinSet("A", ("a1", "a0"))):
+        with pytest.raises(CarrierMismatch) as exc:
+            call(a, b)
+        assert str(exc.value) == message.format(b=b.name)
 
 
 def test_compose_carrier_mismatch():
@@ -846,3 +877,74 @@ def test_residuals_match_oracles(xyz):
     x, y, z = xyz
     assert set(left_residual(x, z).pairs()) == oracle_left_residual(x, z)
     assert set(right_residual(z, y).pairs()) == oracle_right_residual(z, y)
+
+
+# --- relabelling ------------------------------------------------------------
+#
+# Every kernel operation commutes with re-encoding a carrier, that is with
+# listing the same labels in another order.  Most kernel bugs damage a
+# position (the last row, the top bit), not a label, so comparing the two
+# encodings label by label catches them with no reference implementation.
+# Pair sets are drawn in plain Python and results are read back bit by bit,
+# so neither side goes through `row_bits`.
+
+def _encodings(rng, name, size):
+    """One carrier in two encodings: its labels in order, and shuffled."""
+    labels = [f"{name.lower()}{i}" for i in range(size)]
+    shuffled = rng.sample(labels, size)
+    return FinSet(name, tuple(labels)), FinSet(name, tuple(shuffled))
+
+
+def _draw_pairs(rng, src, dst, density):
+    return {(a, b) for a in src for b in dst if rng.random() < density}
+
+
+def _encode(pairs, src, dst):
+    rows = [0] * len(src)
+    for a, b in pairs:
+        rows[src.elements.index(a)] |= 1 << dst.elements.index(b)
+    return Rel(src, dst, tuple(rows))
+
+
+def _decode(r):
+    return {(a, b) for row, a in zip(r.rows, r.src) for j, b in enumerate(r.dst) if row >> j & 1}
+
+
+def _kernel_by_label(rng, sizes, density):
+    """compose, left_residual, converse, leq, is_transitive and
+    preorder_closure on one draw of label pairs, in each encoding."""
+    carriers = [_encodings(rng, name, size) for name, size in zip("ABC", sizes)]
+    A, B, C = (pair[0] for pair in carriers)
+    x, y, z = _draw_pairs(rng, A, B, density), _draw_pairs(rng, B, C, density), _draw_pairs(rng, A, C, density)
+    below = x - set(rng.sample(sorted(x), min(len(x), 1))) | _draw_pairs(rng, A, B, density / 4)
+    square = _draw_pairs(rng, A, A, density / 2)
+    results = []
+    for A, B, C in zip(*carriers):
+        xr = _encode(x, A, B)
+        results.append((
+            _decode(compose(xr, _encode(y, B, C))),
+            _decode(left_residual(xr, _encode(z, A, C))),
+            _decode(converse(xr)),
+            leq(xr, _encode(below, A, B)),
+            is_transitive(_encode(square, A, A)),
+            _decode(preorder_closure(_encode(square, A, A)).rel),
+        ))
+    return results
+
+
+def test_kernel_commutes_with_relabelling_narrow():
+    rng = random.Random(13)
+    for trial in range(300):
+        sizes = [rng.randint(1, 9) for _ in range(3)]
+        ordered, shuffled = _kernel_by_label(rng, sizes, rng.uniform(0.2, 0.6))
+        assert ordered == shuffled, (trial, sizes)
+
+
+def test_kernel_commutes_with_relabelling_wide():
+    """2-6 rows of 65-160 columns reach `_scan`, the lane transpose, the
+    meet table and compose's live-row mask."""
+    rng = random.Random(14)
+    for trial in range(40):
+        sizes = [rng.randint(2, 6), rng.randint(65, 160), rng.randint(2, 9)]
+        ordered, shuffled = _kernel_by_label(rng, sizes, rng.uniform(0.35, 0.6))
+        assert ordered == shuffled, (trial, sizes)
