@@ -186,11 +186,14 @@ class Rel:
 
     @classmethod
     def from_pairs(cls, src: FinSet, dst: FinSet, pairs) -> "Rel":
+        """The relation holding the (a, b) label pairs given, in any order, each
+        ORing in its column's bit from a table built once a call."""
         rows = [0] * len(src)
         at, bit = src._positions, dst._positions
+        powers = [1 << j for j in range(len(dst.elements))]
         for a, b in pairs:
             try:
-                rows[at[a]] |= 1 << bit[b]
+                rows[at[a]] |= powers[bit[b]]
             except (KeyError, TypeError):  # let index raise its KeyError
                 src.index(a)
                 dst.index(b)

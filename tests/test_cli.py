@@ -133,12 +133,16 @@ def test_check_unreadable_file():
     assert main(["check", "/no/such/file.json", "p"]) == 2
 
 
+def child_env():
+    """The environment in which a child process imports this promrep."""
+    src = str(Path(promrep.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args, stdout=subprocess.PIPE):
     """The CLI in its own process, so exit code and stderr are the real ones."""
-    src = str(Path(promrep.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "promrep.cli", *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env
+        [sys.executable, "-m", "promrep.cli", *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=child_env()
     )
 
 
@@ -545,6 +549,53 @@ def test_laws_listing(capsys):
     assert len(lines) == 22
     assert "lemma9: ΨT(φ,ψ) = (φ,ψ)" in out
     assert any(l.startswith("eq1-galois") for l in lines)
+
+
+# --- one process, many commands ---------------------------------------------
+
+def test_main_builds_its_parser_once_per_process():
+    """Not at import, and once for any number of in-process calls."""
+    script = """
+import argparse, contextlib, io
+built, init = [], argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counting_init
+from promrep.cli import main
+counts = [built.count("promrep")]
+for _ in range(5):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["laws"])
+    counts.append(built.count("promrep"))
+print(counts)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[0, 1, 1, 1, 1, 1]\n"), proc.stderr
+
+
+def test_in_process_commands_match_fresh_processes(sample_file, capsys):
+    """Each command of one process's sequence, the parser reused, prints the
+    stdout and exit status it gives alone in a fresh process."""
+    sequence = [
+        (["laws"], 0),
+        (["verify", "lemma7", "--mode", "exhaustive", "--max-size", "1,1"], 0),
+        (["check", sample_file, "p"], 0),
+        (["check", sample_file, "notpre"], 1),
+        (["apply", "M", sample_file, "R0"], 0),
+        (["verify", "no-such-law"], 2),
+        (["apply", "tee", sample_file, "p"], 2),
+        (["check", sample_file, "p"], 0),
+    ]
+    for argv, status in sequence:
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            got = exc.code
+        out = capsys.readouterr().out
+        alone = run_cli(*argv)
+        assert (got, out) == (alone.returncode, alone.stdout), argv
+        assert got == status, argv
 
 
 # --- closed stdout ----------------------------------------------------------

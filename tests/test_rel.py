@@ -114,6 +114,28 @@ def test_from_pairs_names_the_first_non_member(pair, message):
     assert exc.value.args == (message,)
 
 
+@pytest.mark.parametrize(
+    "dst, pairs, rows, bad, message",
+    [
+        (B2, [("a0", "b1"), ("a1", "b0"), ("a0", "b1"), ("a1", "b0")], (0b10, 0b01),
+         ("a1", "b2"), "'b2' is not an element of 'B'"),
+        (B2, [("a1", "b1"), ("a0", "b1"), ("a1", "b0"), ("a0", "b0")], (0b11, 0b11),
+         ("a2", "b0"), "'a2' is not an element of 'A'"),
+        (finset("B", 0, "b"), [], (0, 0), ("a0", "b0"), "'b0' is not an element of 'B'"),
+        (finset("W", 65, "w"), [("a1", "w64"), ("a0", "w0"), ("a1", "w63"), ("a0", "w64")],
+         (1 | 1 << 64, 1 << 63 | 1 << 64), ("a0", "w65"), "'w65' is not an element of 'W'"),
+    ],
+    ids=["duplicated", "out-of-order", "empty-destination", "65-columns"],
+)
+def test_from_pairs_rows_and_errors(dst, pairs, rows, bad, message):
+    """The rows and error texts `from_pairs` has always given, whatever the
+    pairs' order, repeats or the destination's width."""
+    assert Rel.from_pairs(A2, dst, pairs).rows == rows
+    with pytest.raises(KeyError) as exc:
+        Rel.from_pairs(A2, dst, [*pairs, bad])
+    assert exc.value.args == (message,)
+
+
 def test_finset_positions_stay_out_of_equality():
     a, b = FinSet("A", ("a0", "a1")), FinSet("A", ("a0", "a1"))
     a.index("a1")
