@@ -60,7 +60,6 @@ from .functors import (
 from .adjunction import (
     TriangleRepResult,
     counit,
-    counit_natural,
     lift,
     lower,
     recover_by_membership,
@@ -68,14 +67,8 @@ from .adjunction import (
     triangle_prom,
     triangle_rep,
     unit,
-    unit_natural,
 )
-from .exactness import (
-    exactness_is_identity,
-    is_exact,
-    is_order_reflecting,
-    reflection_is_identity,
-)
+from .exactness import is_exact, is_order_reflecting
 from .harness import (
     CATALOG,
     ConfigError,

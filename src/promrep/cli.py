@@ -164,7 +164,7 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"--max-size wants comma-separated integers, got {text!r}") from None
-    if not sizes or any(s < 0 for s in sizes):
+    if any(s < 0 for s in sizes):
         raise InputError("--max-size wants nonnegative integers")
     return sizes
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .rel import eq, left_residual, leq, pullback
+from .rel import left_residual, leq, pullback
 from .structures import Prom, Representation
 
 
@@ -14,13 +14,3 @@ def is_exact(r: Representation) -> bool:
 def is_order_reflecting(p: Prom) -> bool:
     """f_*⨾y⨾f^* ≤ x: comparability downstairs forces comparability upstairs."""
     return leq(pullback(p.y.rel, p.f), p.x.rel)
-
-
-def exactness_is_identity(r: Representation) -> bool:
-    """For exact representations the defining inequation is an equality."""
-    return eq(left_residual(r.sat, r.sat), r.ord.rel)
-
-
-def reflection_is_identity(p: Prom) -> bool:
-    """For order-reflecting proms, x equals the pullback of y along f."""
-    return eq(p.x.rel, pullback(p.y.rel, p.f))

@@ -16,7 +16,6 @@ from promrep import (
     clear_caches,
     compose,
     counit,
-    counit_natural,
     direct_image,
     eq,
     finset,
@@ -39,7 +38,6 @@ from promrep import (
     triangle_prom,
     triangle_rep,
     unit,
-    unit_natural,
 )
 from promrep.adjunction import _triangle_prom_composite, map_to_rel
 from promrep.cli import main
@@ -105,7 +103,7 @@ def test_unit_is_valid_morphism_seeded():
 
 def test_unit_naturality_seeded():
     for seed in range(100):
-        assert unit_natural(gen_prom_morphism(seed, 3))
+        assert check_law("unit-natural", {"m": gen_prom_morphism(seed, 3)}) is None
 
 
 # --- counit -----------------------------------------------------------------
@@ -128,7 +126,7 @@ def test_counit_is_valid_morphism_seeded():
 
 def test_counit_naturality_seeded():
     for seed in range(100):
-        assert counit_natural(gen_rep_morphism(seed, 2))
+        assert check_law("counit-natural", {"m": gen_rep_morphism(seed, 2)}) is None
 
 
 def patch_everywhere(monkeypatch, name, replacement, home=adjunction_module):
@@ -154,12 +152,17 @@ def count_image_builds(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("law", ["unit-natural", "counit-natural"])
 def test_naturality_checks_build_each_image_once_per_end(monkeypatch, law):
-    """The units or counits, their morphism checks and the square all read
-    the R and M that each end keeps."""
+    """Each end's unit or counit is built once, and its morphism check and
+    the square composed from it read the R and M that the end keeps."""
     built = count_image_builds(monkeypatch)
+    for name in ("unit", "counit"):
+        def build(x, construct=getattr(adjunction_module, name), name=name):
+            built[name] += 1
+            return construct(x)
+        patch_everywhere(monkeypatch, name, build)
     summary = search(SearchConfig(law, trials=20))
     assert summary.passed and summary.checked == 20
-    assert built == {"R": 2 * summary.checked, "M": 2 * summary.checked}
+    assert built == {"R": 2 * summary.checked, "M": 2 * summary.checked, law.split("-")[0]: 2 * summary.checked}
 
 
 @pytest.mark.parametrize("law, bounds, pools", [("lemma5", (2, 2), 2), ("lemma6", (2, 1), 3)])

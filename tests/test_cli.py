@@ -457,10 +457,11 @@ def test_verify_bad_max_size():
 
 
 def test_verify_empty_max_size_is_input_error():
-    proc = run_cli("verify", "lemma7", "--max-size", "")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: --max-size wants comma-separated integers")
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    for text in ("", ","):
+        proc = run_cli("verify", "lemma7", "--max-size", text)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --max-size wants comma-separated integers")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_verify_over_the_powerset_cap_is_input_error():

@@ -7,7 +7,6 @@ from promrep import (
     Rel,
     Representation,
     eq,
-    exactness_is_identity,
     finset,
     full,
     identity,
@@ -17,7 +16,6 @@ from promrep import (
     leq,
     prom_to_rep,
     pullback,
-    reflection_is_identity,
     rep_to_prom,
 )
 from seeded import gen_prom, gen_representation
@@ -58,7 +56,7 @@ def test_order_reflection_pullback_construction():
     p = gen_prom(1, 3, 3)
     reflecting = Prom(Preorder(pullback(p.y.rel, p.f)), p.y, p.f)
     assert is_order_reflecting(reflecting)
-    assert reflection_is_identity(reflecting)
+    assert eq(reflecting.x.rel, pullback(reflecting.y.rel, reflecting.f))
 
 
 def test_constant_map_collapse_is_not_reflecting():
@@ -77,7 +75,7 @@ def test_exactness_identity_for_exact_instances():
     for seed in range(100):
         r = gen_representation(seed, 3, 3)
         if is_exact(r):
-            assert exactness_is_identity(r)
+            assert eq(left_residual(r.sat, r.sat), r.ord.rel)
         # soundness is equivalent to ≤ ≤ ⊨\⊨ for every representation
         assert leq(r.ord.rel, left_residual(r.sat, r.sat))
 
@@ -89,4 +87,4 @@ def test_transfer_equivalences_seeded():
         p = gen_prom(seed, 3, 3)
         assert is_order_reflecting(p) == is_exact(prom_to_rep(p))
         if is_order_reflecting(p):
-            assert reflection_is_identity(p)
+            assert eq(p.x.rel, pullback(p.y.rel, p.f))

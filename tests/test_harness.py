@@ -11,6 +11,7 @@ import promrep.rel as rel_module
 from promrep import workspace
 from promrep import (
     CATALOG,
+    CarrierMismatch,
     ConfigError,
     FnMap,
     InvalidStructure,
@@ -45,6 +46,8 @@ from promrep import (
 from promrep.harness import (
     LawSpec,
     Schema,
+    _gen_prom_chain,
+    _gen_rep_chain,
     enumerate_fnmaps,
     enumerate_preorders,
     enumerate_prom_morphisms,
@@ -276,6 +279,23 @@ def test_check_law_pass_returns_none():
 def test_check_law_unknown_law():
     with pytest.raises(ConfigError):
         check_law("no-such-law", {})
+
+
+@pytest.mark.parametrize(
+    "law, draw, match",
+    [
+        ("lemma3", lambda rng: _gen_prom_chain(rng, 3), "prom morphisms do not share a middle prom"),
+        ("lemma6", lambda rng: _gen_rep_chain(rng, 2, 2), "representation morphisms do not share a middle object"),
+    ],
+    ids=["lemma3", "lemma6"],
+)
+def test_functoriality_on_a_non_composable_pair_raises_carrier_mismatch(law, draw, match):
+    """The composition the law states refuses the pair; the check adds no
+    guard of its own."""
+    m1, m2 = draw(random.Random(1))[0], draw(random.Random(3))[1]
+    assert m1.dst != m2.src
+    with pytest.raises(CarrierMismatch, match=match):
+        check_law(law, {"m1": m1, "m2": m2})
 
 
 #: Structure class → the kind an InvalidStructure for it names.
