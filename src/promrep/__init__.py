@@ -38,9 +38,7 @@ from .structures import (
     RepMorphism,
     check_preorder,
     check_prom,
-    check_prom_morphism,
     check_rep_morphism,
-    check_representation,
     compose_prom_morphisms,
     compose_rep_morphisms,
     identity_prom_morphism,

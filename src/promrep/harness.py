@@ -45,17 +45,13 @@ from .rel import (
     right_residual,
 )
 from .structures import (
-    CheckResult,
+    VALIDATION,
     InvalidStructure,
     Preorder,
     Prom,
     PromMorphism,
     Representation,
     RepMorphism,
-    check_prom,
-    check_prom_morphism,
-    check_rep_morphism,
-    check_representation,
     compose_prom_morphisms,
     compose_rep_morphisms,
     identity_prom_morphism,
@@ -523,12 +519,11 @@ class LawSpec:
     tau_bound: int | None = None  # bound index that caps both carriers of every enumerated τ
 
 
-def _ok() -> tuple[None, dict]:
-    return None, {}
-
-
-def _fmt(res: CheckResult) -> str:
-    return f"{res.axiom} violated at {res.witness}"
+def _invalid(what: str, obj) -> str | None:
+    """None if obj is a valid structure, else why `what` is not one of obj's kind."""
+    kind, check = VALIDATION[type(obj)]
+    res = check(obj)
+    return None if res else f"{what} is not a {kind}: {res.axiom} violated at {res.witness}"
 
 
 # --- relation-algebra laws -------------------------------------------------
@@ -539,7 +534,7 @@ def _check_eq1(inst):
     rhs = leq(compose(x, y), z)
     if lhs != rhs:
         return f"residuation equivalence broken: y≤x\\z is {lhs} but x⨾y≤z is {rhs}", {}
-    return _ok()
+    return None, {}
 
 
 def _check_dual(inst):
@@ -548,7 +543,7 @@ def _check_dual(inst):
     rhs = leq(compose(x, y), z)
     if lhs != rhs:
         return f"dual residuation broken: x≤z/y is {lhs} but x⨾y≤z is {rhs}", {}
-    return _ok()
+    return None, {}
 
 
 _TRIPLE = Schema(
@@ -563,7 +558,7 @@ def _check_modular(inst):
     rhs = left_residual(compose(x, graph_upper(f)), compose(y, graph_upper(g)))
     if not eq(lhs, rhs):
         return "modular tautology broken: f_*⨾(x\\y)⨾g^* ≠ (x⨾f^*)\\(y⨾g^*)", {}
-    return _ok()
+    return None, {}
 
 
 _MODULAR = Schema(
@@ -607,7 +602,7 @@ def _check_mem_subset(inst):
     direct = Rel(bundle.carrier, bundle.carrier, _superset_masks(len(base)))
     if not eq(computed, direct):
         return "∈\\∈ differs from the subset order", {}
-    return _ok()
+    return None, {}
 
 
 _POWERSET_BASE = Schema((("M", "m", 0),), (("A", "carrier", "M"),))
@@ -617,7 +612,7 @@ def _check_lemma7(inst):
     x = inst["x"]
     if not eq(recover_by_membership(x), x):
         return "∈⨾(∈\\x) differs from x", {}
-    return _ok()
+    return None, {}
 
 
 _LEMMA7 = Schema((("A", "a", 0), ("B", "b", 1)), (("x", "rel", "A", "B"),))
@@ -628,7 +623,7 @@ def _check_psi_char(inst):
     mem = powerset(tau.src).mem
     if not eq(compose(mem, graph_upper(rel_to_map(tau, y, mem))), compose(tau, y.rel)):
         return "characterization ∈⨾(Ψτ)^* = τ⨾y broken", {}
-    return _ok()
+    return None, {}
 
 
 _PSI = Schema((("M", "m", 0), ("B", "b", 1)), (("tau", "rel", "M", "B"), ("y", "preorder", "B")))
@@ -640,7 +635,7 @@ def _check_soundness_equiv(inst):
     residual = leq(ord_rel, left_residual(sat, sat))
     if sound != residual:
         return f"soundness is {sound} but ≤ ≤ ⊨\\⊨ is {residual}", {}
-    return _ok()
+    return None, {}
 
 
 _SOUNDNESS = Schema(
@@ -652,22 +647,14 @@ _SOUNDNESS = Schema(
 # --- functor laws ----------------------------------------------------------
 
 def _check_lemma1(inst):
-    p = inst["p"]
-    res = check_representation(prom_to_rep(p))
-    if not res:
-        return "image is not a representation: " + _fmt(res), {}
-    return _ok()
+    return _invalid("image", prom_to_rep(inst["p"])), {}
 
 
 _PROM = Schema((), (("p", "prom", 0, 1),))
 
 
 def _check_lemma2(inst):
-    m = inst["m"]
-    res = check_rep_morphism(prommor_to_repmor(m))
-    if not res:
-        return "image is not a representation morphism: " + _fmt(res), {}
-    return _ok()
+    return _invalid("image", prommor_to_repmor(inst["m"])), {}
 
 
 _PROMMOR = Schema((), (("m", "prommor", 0),))
@@ -695,23 +682,19 @@ _PROMMOR_CHAIN = Schema((), ((("m1", "m2"), "prommor-chain", 0),))
 def _check_lemma4(inst):
     r = inst["R"]
     mp = rep_to_prom(r)
-    res = check_prom(mp)
-    if not res:
-        return "image is not a prom: " + _fmt(res), {}
+    bad = _invalid("image", mp)
+    if bad:
+        return bad, {}
     if not eq(compose(powerset(r.M).mem, graph_upper(mp.f)), r.sat):
         return "∈⨾f^* differs from ⊨", {}
-    return _ok()
+    return None, {}
 
 
 _REP = Schema((), (("R", "rep", 0, 1),))
 
 
 def _check_lemma5(inst):
-    m = inst["m"]
-    res = check_prom_morphism(repmor_to_prommor(m))
-    if not res:
-        return "image is not a prom morphism: " + _fmt(res), {}
-    return _ok()
+    return _invalid("image", repmor_to_prommor(inst["m"])), {}
 
 
 _REPMOR = Schema((), (("m", "repmor", 0, 1),))
@@ -729,7 +712,7 @@ def _check_lemma6(inst):
     pieces = compose_prom_morphisms(repmor_to_prommor(m2), repmor_to_prommor(m1))
     if composite != pieces:
         return "M(m2∘m1) differs from M(m2)∘M(m1)", {}
-    return _ok()
+    return None, {}
 
 
 _REPMOR_CHAIN = Schema((), ((("m1", "m2"), "repmor-chain", 0, 1),))
@@ -751,33 +734,31 @@ def _check_triangle_pom(inst):
     r = inst["R"]
     if not triangle_prom(r):
         return "M(ε)∘η is not the identity", {}
-    return _ok()
+    return None, {}
 
 
 def _check_unit_natural(inst):
     m = inst["m"]
     eta_src, eta_dst = unit(m.src), unit(m.dst)
-    for eta in (eta_src, eta_dst):
-        res = check_prom_morphism(eta)
-        if not res:
-            return "unit is not a prom morphism: " + _fmt(res), {}
+    bad = _invalid("unit", eta_src) or _invalid("unit", eta_dst)
+    if bad:
+        return bad, {}
     lhs = compose_prom_morphisms(eta_dst, m)
     if lhs != compose_prom_morphisms(repmor_to_prommor(prommor_to_repmor(m)), eta_src):
         return "unit naturality square does not commute", {}
-    return _ok()
+    return None, {}
 
 
 def _check_counit_natural(inst):
     m = inst["m"]
     eps_src, eps_dst = counit(m.src), counit(m.dst)
-    for eps in (eps_src, eps_dst):
-        res = check_rep_morphism(eps)
-        if not res:
-            return "counit is not a representation morphism: " + _fmt(res), {}
+    bad = _invalid("counit", eps_src) or _invalid("counit", eps_dst)
+    if bad:
+        return bad, {}
     lhs = compose_rep_morphisms(eps_dst, prommor_to_repmor(repmor_to_prommor(m)))
     if lhs != compose_rep_morphisms(m, eps_src):
         return "counit naturality square does not commute", {}
-    return _ok()
+    return None, {}
 
 
 def _hom_sets(inst):
@@ -790,13 +771,13 @@ def _hom_sets(inst):
 def _check_lemma8(inst):
     p, r, rep_homs, prom_homs = _hom_sets(inst)
     for m in rep_homs:
-        res = check_prom_morphism(lift(m, p))
-        if not res:
-            return "Ψ image is not a prom morphism: " + _fmt(res), {}
+        bad = _invalid("Ψ image", lift(m, p))
+        if bad:
+            return bad, {}
     for m in prom_homs:
-        res = check_rep_morphism(lower(m, r))
-        if not res:
-            return "T image is not a representation morphism: " + _fmt(res), {}
+        bad = _invalid("T image", lower(m, r))
+        if bad:
+            return bad, {}
     return None, {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs)}
 
 

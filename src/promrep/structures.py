@@ -69,12 +69,15 @@ def check_preorder(r: Rel) -> CheckResult:
             return CheckResult(False, "reflexivity", (a, a))
     if is_transitive(r):
         return OK
-    rr = compose(r, r)
-    for i, (sq, row) in enumerate(zip(rr.rows, r.rows)):
-        extra = sq & ~row
-        if extra:
-            j = (extra & -extra).bit_length() - 1
-            return CheckResult(False, "transitivity", (r.src.elements[i], r.src.elements[j]))
+    extra = (sq & ~row for sq, row in zip(compose(r, r).rows, r.rows))
+    return _first_pair("transitivity", extra, r.src, r.src)
+
+
+def _first_pair(axiom: str, rows, src: FinSet, dst: FinSet) -> CheckResult:
+    """OK, or `axiom` failing at the first set bit of `rows` in row-major order, named by src's and dst's labels."""
+    for i, row in enumerate(rows):
+        if row:
+            return CheckResult(False, axiom, (src.elements[i], dst.elements[(row & -row).bit_length() - 1]))
     return OK
 
 
@@ -233,13 +236,10 @@ def check_representation(r: Representation) -> CheckResult:
     res = check_preorder(r.ord.rel)
     if not res:
         return res
-    closed = compose(r.sat, r.ord.rel)
-    for i, (cl, row) in enumerate(zip(closed.rows, r.sat.rows)):
-        extra = cl & ~row
-        if extra:
-            j = (extra & -extra).bit_length() - 1
-            return CheckResult(False, "soundness", (r.M.elements[i], r.S.elements[j]))
-    return OK
+    closed, rows = compose(r.sat, r.ord.rel).rows, r.sat.rows
+    if closed == rows:
+        return OK
+    return _first_pair("soundness", (cl & ~row for cl, row in zip(closed, rows)), r.M, r.S)
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,16 +268,11 @@ def check_rep_morphism(m: RepMorphism) -> CheckResult:
     )
     if not res:
         return res
-    lhs = compose(m.tau, m.src.sat)
-    rhs = compose(m.dst.sat, graph_upper(m.phi))
-    for i, (l, r) in enumerate(zip(lhs.rows, rhs.rows)):
-        diff = l ^ r
-        if diff:
-            j = (diff & -diff).bit_length() - 1
-            return CheckResult(
-                False, "commuting square", (m.dst.M.elements[i], m.src.S.elements[j])
-            )
-    return OK
+    lhs = compose(m.tau, m.src.sat).rows
+    rhs = compose(m.dst.sat, graph_upper(m.phi)).rows
+    if lhs == rhs:
+        return OK
+    return _first_pair("commuting square", (l ^ r for l, r in zip(lhs, rhs)), m.dst.M, m.src.S)
 
 
 #: Structure class → (the kind InvalidStructure names, its axiom check).

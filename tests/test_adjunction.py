@@ -11,7 +11,6 @@ from promrep import (
     PowersetBundle,
     Prom,
     Rel,
-    check_prom_morphism,
     check_rep_morphism,
     clear_caches,
     compose,
@@ -53,6 +52,7 @@ from promrep.harness import (
     replay,
     search,
 )
+from promrep.structures import check_prom_morphism
 import promrep.adjunction as adjunction_module
 import promrep.functors as functors_module
 import promrep.harness as harness_module
@@ -651,8 +651,25 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
                 "soundness-residual-equiv",
             ],
         ),
+        (
+            # reads row f(a) of y with no ⨾f^*, masked to A's width so that
+            # the result is a relation on A
+            "pullback",
+            lambda pullback: lambda y, f: Rel(
+                f.src, f.src, tuple(y.rows[i] & ((1 << len(f.src)) - 1) for i in f.image)
+            ),
+            [
+                "lemma1", "lemma2", "lemma3", "lemma8", "lemma9", "lemma10", "lemma11",
+                "triangle-repr", "unit-natural",
+            ],
+        ),
     ],
-    ids=["leq-skipping-last-row", "converse-zeroing-last-row", "residual-empty-over-empty-source"],
+    ids=[
+        "leq-skipping-last-row",
+        "converse-zeroing-last-row",
+        "residual-empty-over-empty-source",
+        "pullback-forgetting-f-upper",
+    ],
 )
 def test_kernel_mutant_is_caught_by_the_default_catalog_run(monkeypatch, name, bug, killers):
     """`bug` maps the correct kernel function to its mutant; exactly the

@@ -2,16 +2,21 @@
 
 import dataclasses
 import pickle
+import random
+
+import pytest
 
 from promrep import (
+    CATALOG,
     FnMap,
     Preorder,
     Prom,
+    PromMorphism,
     Rel,
+    RepMorphism,
+    check_law,
     check_prom,
-    check_prom_morphism,
     check_rep_morphism,
-    check_representation,
     compose,
     direct_image,
     eq,
@@ -31,6 +36,8 @@ from promrep import (
 )
 from promrep.functors import KEPT_POWERSET_SIZE
 from promrep.harness import enumerate_proms, enumerate_representations
+from promrep.structures import check_prom_morphism, check_representation
+import promrep.harness as harness_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
 
@@ -233,3 +240,55 @@ def test_kept_images_stay_out_of_equality_hashing_and_copies():
         for copy in (pickle.loads(pickle.dumps(obj)), dataclasses.replace(obj)):
             assert copy == obj and hash(copy) == hash(obj)
             assert image(copy) == kept
+
+
+# --- a functor law reports an invalid image -----------------------------------
+
+def _unsound_rep():
+    """One model m0 ⊨ s0 with s0 ≤ s1, but not m0 ⊨ s1."""
+    M, S = finset("M", 1, "m"), finset("S", 2, "s")
+    return Representation(rel(M, S, ("m0", "s0")), chain2(S))
+
+
+def _rep_square_breaking():
+    """The identity on m0 ⊨ s0, but with τ empty: τ⨾⊨ misses (m0, s0)."""
+    M, S = finset("M", 1, "m"), finset("S", 1, "s")
+    r = Representation(rel(M, S, ("m0", "s0")), Preorder(identity(S)))
+    return RepMorphism(r, r, identity_map(S), rel(M, M))
+
+
+def _intransitive_prom():
+    """y holds b0 ≤ b1 and b1 ≤ b2 but not b0 ≤ b2; A is empty."""
+    A, B = finset("A", 0, "a"), finset("B", 3, "b")
+    y = rel(B, B, ("b0", "b0"), ("b1", "b1"), ("b2", "b2"), ("b0", "b1"), ("b1", "b2"))
+    return Prom(Preorder(identity(A)), Preorder(y), FnMap(A, B, ()))
+
+
+def _prom_square_breaking():
+    """ψ sends both points of a discrete B to b1, so ψ∘f sends a0 to b1 but f∘φ to b0."""
+    A, B = finset("A", 1, "a"), finset("B", 2, "b")
+    p = Prom(Preorder(identity(A)), Preorder(identity(B)), FnMap(A, B, (0,)))
+    return PromMorphism(p, p, identity_map(A), FnMap(B, B, (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "law, functor, image, violation",
+    [
+        ("lemma1", "prom_to_rep", _unsound_rep,
+         "image is not a representation: soundness violated at ('m0', 's1')"),
+        ("lemma2", "prommor_to_repmor", _rep_square_breaking,
+         "image is not a representation morphism: commuting square violated at ('m0', 's0')"),
+        ("lemma4", "rep_to_prom", _intransitive_prom,
+         "image is not a prom: y transitivity violated at ('b0', 'b2')"),
+        ("lemma5", "repmor_to_prommor", _prom_square_breaking,
+         "image is not a prom morphism: commuting square violated at ('a0', 'b1', 'b0')"),
+    ],
+    ids=["lemma1", "lemma2", "lemma4", "lemma5"],
+)
+def test_functor_law_names_the_broken_axiom_of_its_image(monkeypatch, law, functor, image, violation):
+    """With the functor the law calls patched to return an invalid structure,
+    the law's violation names what the image is not and its first failed axiom."""
+    spec = CATALOG[law]
+    instance = spec.generate(random.Random(0), spec.default_bounds)
+    monkeypatch.setattr(harness_module, functor, lambda *args: image())
+    assert check_law(law, instance).violation == violation

@@ -25,9 +25,7 @@ from promrep import (
     Witness,
     check_law,
     check_prom,
-    check_prom_morphism,
     check_rep_morphism,
-    check_representation,
     clear_caches,
     compose,
     compose_maps,
@@ -57,6 +55,7 @@ from promrep.harness import (
     enumerate_representations,
     mix_seed,
 )
+from promrep.structures import check_prom_morphism, check_representation
 from seeded import (
     gen_preorder,
     gen_prom,

@@ -78,6 +78,7 @@ ROOT = PACKAGE.parent.parent
 EXPORTED_WITHOUT_CALLER = {
     "PowersetBundle": "the type `powerset` returns",
     "TriangleRepResult": "the type `triangle_rep` returns",
+    "CheckResult": "the type every `check_*` returns",
     "Witness": "the type of `SearchSummary.witness` and of `check_law`'s result",
     "SearchSummary": "the type `search` returns",
     "replay": "user-facing: re-runs a law on a witness",

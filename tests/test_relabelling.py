@@ -11,13 +11,19 @@ reference implementation.  A bug at the last point of a powerset is not
 positional: that point is the whole carrier in every encoding, so the
 direct image zeroing its last entry passes here and is left to the laws.
 The kernel operations have the same test in test_rel.py.
+
+Every law is invariant too: a seeded instance, with each of its carriers
+re-encoded by one shuffled label order shared by all its fields, gets the
+same verdict and notes.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from promrep import (
+    CATALOG,
     FinSet,
     FnMap,
     Preorder,
@@ -32,6 +38,7 @@ from promrep import (
     unit,
 )
 from promrep.adjunction import map_to_rel, rel_to_map
+from promrep.harness import mix_seed
 
 
 def _draw_pairs(rng, src, dst, density):
@@ -173,3 +180,41 @@ def test_construction_commutes_with_relabelling(name):
         data, encodings = _draw(rng)
         ordered, shuffled = (build(data, E) for E in encodings)
         assert ordered == shuffled, (trial, [E["M"].elements for E in encodings])
+
+
+# --- the laws ---------------------------------------------------------------
+
+def _reencode(value, carrier):
+    """value rebuilt, by label, on the carriers `carrier` maps each of its own to."""
+    if isinstance(value, FinSet):
+        return carrier(value)
+    if isinstance(value, Rel):
+        return _rel(_pairs(value), carrier(value.src), carrier(value.dst))
+    if isinstance(value, FnMap):
+        return _map(_mapping(value), carrier(value.src), carrier(value.dst))
+    fields = (getattr(value, field.name) for field in dataclasses.fields(value))
+    return type(value)(*(_reencode(part, carrier) for part in fields))
+
+
+def _shuffler(rng):
+    """carrier → the same carrier with its labels in an order drawn on first sight."""
+    orders = {}
+
+    def carrier(c):
+        if c not in orders:
+            orders[c] = FinSet(c.name, tuple(rng.sample(c.elements, len(c))))
+        return orders[c]
+
+    return carrier
+
+
+@pytest.mark.parametrize("law", CATALOG)
+def test_law_verdict_and_notes_commute_with_relabelling(law):
+    spec = CATALOG[law]
+    rng = random.Random(13)
+    for trial in range(20):
+        instance = spec.generate(random.Random(mix_seed(0, trial)), spec.default_bounds)
+        carrier = _shuffler(rng)
+        shuffled = {key: _reencode(value, carrier) for key, value in instance.items()}
+        verdict = spec.check(instance)
+        assert verdict[0] is None and spec.check(shuffled) == verdict, trial

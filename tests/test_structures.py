@@ -22,9 +22,7 @@ from promrep import (
     RepMorphism,
     check_preorder,
     check_prom,
-    check_prom_morphism,
     check_rep_morphism,
-    check_representation,
     clear_caches,
     compose_prom_morphisms,
     compose,
@@ -44,6 +42,7 @@ from promrep import (
     validate,
 )
 from promrep.harness import CATALOG, SearchConfig, random_rel, replay, search
+from promrep.structures import check_prom_morphism, check_representation
 import promrep.structures as structures_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
 
