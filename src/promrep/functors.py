@@ -7,10 +7,10 @@ functorial.
 
 Each image is built once per structure and kept in the structure's own
 dict under the function's name, as a map keeps its graphs, so it dies with
-the structure and changes none of its equality, hashing or copies.  R(p) is
-always kept: its relation has |B|·|A| cells, no more than p holds itself.
-M(r) is kept only while 2^|M| ≤ `KEPT_POWERSET_SIZE`, since it holds ⊆ over
-2^M; above that it is rebuilt on every call.
+the structure and changes none of its equality, hashing or copies.  Both
+are always kept: R(p)'s relation has |B|·|A| cells, no more than p holds,
+and M(r)'s ⊆ wraps the rows `rel.subset_rows` shares among all bases of
+size |M|, so a kept M(r) adds no copy of ⊆ over 2^M.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .rel import (
     Rel,
     compose,
     graph_upper,
-    left_residual,
     power_transpose,
     powerset,
+    subset_rows,
 )
 from .structures import (
     Preorder,
@@ -31,13 +31,6 @@ from .structures import (
     Representation,
     RepMorphism,
 )
-
-#: Largest powerset 2^|M| whose M(r) a representation keeps.  Up to 64
-#: subsets every row of ⊆ fits in one machine word, the narrow side of the
-#: 64-column boundary in `rel`; a kept M(r) at the powerset cap would hold
-#: ⊆ over 4,096 subsets for as long as r lives.
-KEPT_POWERSET_SIZE = 64
-
 
 def prom_to_rep(p: Prom) -> Representation:
     """⟨B, A, y⨾f^*, x⟩, built once per prom.  Always a sound representation."""
@@ -54,14 +47,13 @@ def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
 
 
 def rep_to_prom(r: Representation) -> Prom:
-    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, and Λ(⊨) is the theory
-    map s ↦ {m | m ⊨ s}.  Kept in r while 2^|M| ≤ `KEPT_POWERSET_SIZE`."""
+    """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, its rows shared per
+    |M|, and Λ(⊨) is the theory map s ↦ {m | m ⊨ s}.  Built once per r."""
     mr = r.__dict__.get("rep_to_prom")
     if mr is None:
-        mem = powerset(r.M).mem
-        mr = Prom(r.ord, Preorder(left_residual(mem, mem)), power_transpose(r.sat, mem))
-        if 1 << len(r.M) <= KEPT_POWERSET_SIZE:
-            r.__dict__["rep_to_prom"] = mr
+        b = powerset(r.M)
+        subset = Preorder(Rel(b.carrier, b.carrier, subset_rows(b.mem)))
+        mr = r.__dict__["rep_to_prom"] = Prom(r.ord, subset, power_transpose(r.sat, b.mem))
     return mr
 
 

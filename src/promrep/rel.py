@@ -65,15 +65,17 @@ keep a tuple argument as is.  `Rel` is slotted, as are the structures'
 structures' `Prom` and `Representation` keep theirs, for the positions of
 a carrier's labels, a map's graphs, R(p) and M(r).  Carrier checks test
 identity inline before `!=` compares labels (`leq` and `eq` before their
-shape check), so equal carriers built apart stay interchangeable.  Two
+shape check), so equal carriers built apart stay interchangeable.  Three
 bounded caches hold immutable values: `finset` interns its carriers by
-(name, size, prefix), and `powerset` memoizes the bundle per base carrier,
-checking the cap on every call, before the memo.  The cap is the one
+(name, size, prefix), `powerset` memoizes the bundle per base carrier,
+checking the cap on every call, before the memo, and `subset_rows` keeps
+⊆'s rows per value of ∈'s rows, which depend only on |base|: every base of
+a size shares one of at most POWERSET_CAP + 1 entries.  The cap is the one
 constant `POWERSET_CAP`: no construction, law or search takes a cap of its
 own, so the constructions above `powerset` fail with `PowersetCapExceeded`
-exactly when it does.  `clear_caches` empties both, so that a test that
-patches a kernel builder sees the patched result, not a cached one.  A
-map's graphs f_* and f^* are built once, into the immutable `FnMap`'s own
+exactly when it does.  `clear_caches` empties all three, so that a test
+that patches a kernel builder sees the patched result, not a cached one.
+A map's graphs f_* and f^* are built once, into the immutable `FnMap`'s own
 dict (as `cached_property` would, without the lock Python 3.11's takes on
 every first read), and die with it: `clear_caches` has nothing to empty.
 """
@@ -577,10 +579,26 @@ def _build_powerset(base: FinSet) -> PowersetBundle:
     return PowersetBundle(base, carrier, Rel(base, carrier, tuple(rows)))
 
 
+_SUBSET_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}  # ∈'s rows ↦ ⊆'s
+
+
+def subset_rows(mem: Rel) -> tuple[int, ...]:
+    """The rows of ∈\\∈, the subset order on mem's powerset, built by
+    `left_residual` once per value of mem.rows: one per size of a correct ∈,
+    so the memo starts again empty only past POWERSET_CAP + 1 entries."""
+    rows = _SUBSET_ROWS.get(mem.rows)
+    if rows is None:
+        if len(_SUBSET_ROWS) > POWERSET_CAP:
+            _SUBSET_ROWS.clear()
+        rows = _SUBSET_ROWS[mem.rows] = left_residual(mem, mem).rows
+    return rows
+
+
 def clear_caches() -> None:
-    """Empty the `finset` and `powerset` caches."""
+    """Empty the `finset`, `powerset` and `subset_rows` caches."""
     _interned_finset.cache_clear()
     _cached_powerset.cache_clear()
+    _SUBSET_ROWS.clear()
 
 
 def power_transpose(x: Rel, mem: Rel) -> FnMap:

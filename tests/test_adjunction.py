@@ -418,6 +418,38 @@ def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
     assert replay(summary.witness)
 
 
+def residual_empty_over_empty_source(residual):
+    """The left residual, empty instead of full over an empty source."""
+    return lambda x, z: residual(x, z) if len(x.src) else Rel(x.dst, z.dst, (0,) * len(x.dst))
+
+
+def subset_order_without_empty_below_full(memo):
+    """The rows of ⊆ without the pair ({}, M) once 2^|M| ≥ 4."""
+    def mutant(mem):
+        rows = memo(mem)
+        if len(rows) < 4:
+            return rows
+        return (rows[0] & ~(1 << len(rows) - 1),) + rows[1:]
+    return mutant
+
+
+def test_subset_rows_memo_hides_a_residual_mutant_until_cleared(monkeypatch):
+    """The memo keeps the ⊆ rows the correct residual built, so M(r) stays
+    right after `left_residual` is broken, until `clear_caches` empties it."""
+    r = gen_representation(0, 0, 2)
+    assert len(r.M) == 0 and rep_to_prom(r).y.rel.rows == (1,)
+    assert search(SearchConfig("lemma4")).passed  # fills the memo with correct rows
+    patch_everywhere(monkeypatch, "left_residual", residual_empty_over_empty_source(rel_module.left_residual), rel_module)
+    mem = powerset(r.M).mem
+    assert rel_module.left_residual(mem, mem).rows == (0,)
+    assert rep_to_prom(gen_representation(1, 0, 2)).y.rel.rows == (1,)
+    assert search(SearchConfig("lemma4")).passed  # the memo hides the mutant
+    clear_caches()
+    summary = search(SearchConfig("lemma4"))
+    assert not summary.passed
+    assert replay(summary.witness)
+
+
 def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     """∈ on 2^8 is 256 columns wide with 128 bits a row, so its rows are
     scanned, not peeled.
@@ -638,7 +670,7 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
         ("converse", lambda converse: lambda x: _zero_last_row(converse(x)), ["dual-galois"]),
         (
             "left_residual",
-            lambda residual: lambda x, z: residual(x, z) if len(x.src) else Rel(x.dst, z.dst, (0,) * len(x.dst)),
+            residual_empty_over_empty_source,
             [
                 "eq1-galois",
                 "dual-galois",
@@ -650,6 +682,11 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
                 "unit-natural",
                 "soundness-residual-equiv",
             ],
+        ),
+        (
+            "subset_rows",
+            subset_order_without_empty_below_full,
+            ["lemma4", "lemma5", "lemma8", "lemma10", "unit-natural", "counit-natural"],
         ),
         (
             # reads row f(a) of y with no ⨾f^*, masked to A's width so that
@@ -668,6 +705,7 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
         "leq-skipping-last-row",
         "converse-zeroing-last-row",
         "residual-empty-over-empty-source",
+        "subset-order-without-empty-below-full",
         "pullback-forgetting-f-upper",
     ],
 )

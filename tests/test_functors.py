@@ -34,8 +34,7 @@ from promrep import (
     repmor_leq,
     repmor_to_prommor,
 )
-from promrep.functors import KEPT_POWERSET_SIZE
-from promrep.harness import enumerate_proms, enumerate_representations
+from promrep.harness import _superset_masks, enumerate_proms, enumerate_representations
 from promrep.structures import check_prom_morphism, check_representation
 import promrep.harness as harness_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
@@ -214,21 +213,28 @@ def test_image_prom_morphisms_valid_seeded():
 
 def image_inputs():
     """Every prom and representation at bound 2, and seeded ones with 6 and 7
-    models, on both sides of the kept-powerset limit."""
+    models."""
     proms = [*enumerate_proms(2, 2), *(gen_prom(seed, 3, b) for seed in range(3) for b in (6, 7))]
     reps = [*enumerate_representations(2, 2), *(gen_representation(seed, m, 3) for seed in range(3) for m in (6, 7))]
     return proms, reps
 
 
-def test_r_is_always_kept_and_m_exactly_below_the_limit():
+def test_every_image_is_kept_and_m_shares_its_subset_rows_per_size():
+    """Every R(p) and M(r) is kept.  M(r) at |M| = 7 and M(R p) at |B| = 7
+    hold one ⊆ rows tuple, and M of a new representation of that size
+    reuses it."""
     proms, reps = image_inputs()
     assert {len(p.B) for p in proms} >= {6, 7} and {len(r.M) for r in reps} >= {6, 7}
     for p in proms:
         assert prom_to_rep(p) is prom_to_rep(p)
     for r in reps + [prom_to_rep(p) for p in proms]:
-        kept = 1 << len(r.M) <= KEPT_POWERSET_SIZE
-        assert (rep_to_prom(r) is rep_to_prom(r)) == kept and kept == (len(r.M) <= 6)
-        assert rep_to_prom(r) == rep_to_prom(r)
+        assert rep_to_prom(r) is rep_to_prom(r)
+    sevens = [r for r in reps if len(r.M) == 7] + [prom_to_rep(p) for p in proms if len(p.B) == 7]
+    assert {r.M.name for r in sevens} == {"M", "B"}
+    shared = rep_to_prom(sevens[0]).y.rel.rows
+    assert shared == _superset_masks(7)
+    assert all(rep_to_prom(r).y.rel.rows is shared for r in sevens)
+    assert rep_to_prom(gen_representation(3, 7, 3)).y.rel.rows is shared
 
 
 def test_kept_images_stay_out_of_equality_hashing_and_copies():

@@ -554,7 +554,7 @@ def test_is_transitive_matches_composition_on_near_preorders(near_preorders):
     assert 0 < verdicts.count(False) < len(verdicts) // 2
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 9])
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 12])
 def test_is_transitive_on_subset_order(n):
     bundle = powerset(finset("M", n, "m"))
     subset = left_residual(bundle.mem, bundle.mem)
