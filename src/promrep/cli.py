@@ -184,15 +184,8 @@ def cmd_verify(args) -> int:
     except (ConfigError, PowersetCapExceeded) as e:
         raise InputError(str(e)) from None
     elapsed = time.monotonic() - started
-    lines = summary.lines()
-    if args.pretty:
-        width = max(len(line.split(":", 1)[0]) for line in lines)
-        for line in lines:
-            key, value = line.split(":", 1)
-            print(f"  {key.ljust(width)} {value.strip()}")
-    else:
-        for line in lines:
-            print(line)
+    for line in summary.lines():
+        print(line)
     if summary.witness is not None:
         print(json.dumps(summary.witness.to_doc(), indent=2))
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
@@ -230,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--jobs", type=int, default=1, help="at least 1; trials run serially for now")
-    p_verify.add_argument("--pretty", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_laws = sub.add_parser("laws", help="list the law catalog")

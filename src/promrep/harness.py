@@ -146,47 +146,39 @@ def _gen_sub_pullback(rng: random.Random, y: Rel, f: FnMap) -> Preorder:
     return preorder_closure(_thin(rng, pull))
 
 
-def _gen_prom(
-    rng: random.Random,
-    size_a: int,
-    size_b: int,
-    a: tuple[str, str] = ("A", "a"),
-    b: tuple[str, str] = ("B", "b"),
-) -> Prom:
+#: The carriers of chain objects 0, 1 and 2, as (name, label prefix) pairs:
+#: a witness document records each carrier once by name, so no two objects
+#: of one chain or hom-set share one.  Object 0 is a morphism's source.
+PROM_CARRIERS = ((("A", "a"), ("B", "b")), (("A2", "c"), ("B2", "d")), (("A3", "u"), ("B3", "v")))
+REP_CARRIERS = ((("M", "m"), ("S", "s")), (("M2", "n"), ("S2", "t")), (("M3", "o"), ("S3", "u")))
+
+
+def _carriers(table, at: int, *sizes: int) -> list[FinSet]:
+    """The carriers of chain object `at` in `table`, of these sizes."""
+    return [finset(name, size, prefix) for (name, prefix), size in zip(table[at], sizes)]
+
+
+def _gen_prom(rng: random.Random, size_a: int, size_b: int, at: int = 0) -> Prom:
     """A random prom; x is a sub-pullback of y along f, so f is order-preserving."""
     if size_b == 0:
         size_a = 0  # no map into an empty carrier
-    A = finset(a[0], size_a, a[1])
-    B = finset(b[0], size_b, b[1])
+    A, B = _carriers(PROM_CARRIERS, at, size_a, size_b)
     y = _gen_preorder(rng, B)
     f = random_fnmap(rng, A, B)
     return Prom(_gen_sub_pullback(rng, y.rel, f), y, f)
 
 
-def _gen_representation(
-    rng: random.Random,
-    size_m: int,
-    size_s: int,
-    m: tuple[str, str] = ("M", "m"),
-    s: tuple[str, str] = ("S", "s"),
-) -> Representation:
+def _gen_representation(rng: random.Random, size_m: int, size_s: int, at: int = 0) -> Representation:
     """A random sound representation: sat is a random relation post-composed
     with the preorder, so soundness holds by transitivity."""
-    M = finset(m[0], size_m, m[1])
-    S = finset(s[0], size_s, s[1])
+    M, S = _carriers(REP_CARRIERS, at, size_m, size_s)
     ord_ = _gen_preorder(rng, S)
     sat = compose(random_rel(rng, M, S), ord_.rel)
     return Representation(sat, ord_)
 
 
-def _gen_prom_morphism_into(
-    rng: random.Random,
-    dst: Prom,
-    max_size: int,
-    a: tuple[str, str] = ("A", "a"),
-    b: tuple[str, str] = ("B", "b"),
-) -> PromMorphism:
-    """A random prom morphism with the given destination.
+def _gen_prom_morphism_into(rng: random.Random, dst: Prom, max_size: int, at: int) -> PromMorphism:
+    """A random prom morphism with the given destination, from chain object `at`.
 
     psi is built surjective so every source point of f' has a fiber to pick
     f from; x and y are (sub-)pullbacks along phi and psi, which makes all
@@ -195,8 +187,7 @@ def _gen_prom_morphism_into(
     size_a = rng.randint(0, max_size) if len(dst.A) > 0 else 0
     size_b2 = len(dst.B)
     size_b = size_b2 + rng.randint(0, max(0, max_size - size_b2)) if size_b2 > 0 else 0
-    A = finset(a[0], size_a, a[1])
-    B = finset(b[0], size_b, b[1])
+    A, B = _carriers(PROM_CARRIERS, at, size_a, size_b)
     phi = random_fnmap(rng, A, dst.A)
     targets = list(range(size_b2))
     rng.shuffle(targets)
@@ -213,49 +204,41 @@ def _gen_prom_morphism_into(
     return PromMorphism(src, dst, phi, psi)
 
 
-def _gen_prom_morphism(rng: random.Random, max_size: int) -> PromMorphism:
-    dst = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), ("A2", "c"), ("B2", "d"))
-    return _gen_prom_morphism_into(rng, dst, max_size)
-
-
-def _gen_prom_chain(rng: random.Random, max_size: int) -> tuple[PromMorphism, PromMorphism]:
-    """A random composable pair m1: p → p2, m2: p2 → p3, drawn from p3 back."""
-    dst2 = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), ("A3", "u"), ("B3", "v"))
-    m2 = _gen_prom_morphism_into(rng, dst2, max_size, ("A2", "c"), ("B2", "d"))
-    m1 = _gen_prom_morphism_into(rng, m2.src, max_size)
-    return m1, m2
-
-
 def _gen_rep_morphism_into(
-    rng: random.Random,
-    dst: Representation,
-    max_m: int,
-    max_s: int,
-    m: tuple[str, str] = ("M", "m"),
-    s: tuple[str, str] = ("S", "s"),
+    rng: random.Random, dst: Representation, max_m: int, max_s: int, at: int
 ) -> RepMorphism:
     """A random representation morphism into dst, chosen uniformly from the
-    hom-set out of a random source; the source is redrawn while that hom-set
-    is empty.  The empty representation has exactly one morphism into every
-    dst, so a source with one is always in reach."""
+    hom-set out of a random source at chain object `at`; the source is
+    redrawn while that hom-set is empty.  The empty representation has
+    exactly one morphism into every dst, so a source with one is always in
+    reach."""
     while True:
-        src = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), m, s)
+        src = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), at)
         homs = list(enumerate_rep_morphisms(src, dst))
         if homs:
             return rng.choice(homs)
 
 
-def _gen_rep_morphism(rng: random.Random, max_m: int, max_s: int) -> RepMorphism:
-    dst = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M2", "n"), ("S2", "t"))
-    return _gen_rep_morphism_into(rng, dst, max_m, max_s)
+def _gen_prom_chain(rng: random.Random, max_size: int, length: int) -> tuple[PromMorphism, ...]:
+    """A random composable chain p → p2 → ... of `length` prom morphisms,
+    drawn from the last target back."""
+    dst = _gen_prom(rng, rng.randint(0, max_size), rng.randint(0, max_size), length)
+    morphisms: tuple = ()
+    for at in reversed(range(length)):
+        m = _gen_prom_morphism_into(rng, dst, max_size, at)
+        morphisms, dst = (m, *morphisms), m.src
+    return morphisms
 
 
-def _gen_rep_chain(rng: random.Random, max_m: int, max_s: int) -> tuple[RepMorphism, RepMorphism]:
-    """A random composable pair m1: r1 → r2, m2: r2 → r3, drawn from r3 back."""
-    r3 = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), ("M3", "o"), ("S3", "u"))
-    m2 = _gen_rep_morphism_into(rng, r3, max_m, max_s, ("M2", "n"), ("S2", "t"))
-    m1 = _gen_rep_morphism_into(rng, m2.src, max_m, max_s)
-    return m1, m2
+def _gen_rep_chain(rng: random.Random, max_m: int, max_s: int, length: int) -> tuple[RepMorphism, ...]:
+    """A random composable chain r1 → r2 → ... of `length` representation
+    morphisms, drawn from the last target back."""
+    dst = _gen_representation(rng, rng.randint(0, max_m), rng.randint(0, max_s), length)
+    morphisms: tuple = ()
+    for at in reversed(range(length)):
+        m = _gen_rep_morphism_into(rng, dst, max_m, max_s, at)
+        morphisms, dst = (m, *morphisms), m.src
+    return morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +270,11 @@ def enumerate_fnmaps(src: FinSet, dst: FinSet) -> Iterator[FnMap]:
         yield FnMap(src, dst, image)
 
 
-def enumerate_proms(
-    max_a: int,
-    max_b: int,
-    a: tuple[str, str] = ("A", "a"),
-    b: tuple[str, str] = ("B", "b"),
-) -> Iterator[Prom]:
+def enumerate_proms(max_a: int, max_b: int, at: int = 0) -> Iterator[Prom]:
+    """Every prom on the carriers of chain object `at` within the bounds."""
     for size_a in range(max_a + 1):
         for size_b in range(max_b + 1):
-            A = finset(a[0], size_a, a[1])
-            B = finset(b[0], size_b, b[1])
+            A, B = _carriers(PROM_CARRIERS, at, size_a, size_b)
             for y in enumerate_preorders(B):
                 for f in enumerate_fnmaps(A, B):
                     for x in enumerate_preorders(A):
@@ -304,16 +282,11 @@ def enumerate_proms(
                             yield Prom(x, y, f)
 
 
-def enumerate_representations(
-    max_m: int,
-    max_s: int,
-    m: tuple[str, str] = ("M", "m"),
-    s: tuple[str, str] = ("S", "s"),
-) -> Iterator[Representation]:
+def enumerate_representations(max_m: int, max_s: int, at: int = 0) -> Iterator[Representation]:
+    """Every sound representation on the carriers of chain object `at` within the bounds."""
     for size_m in range(max_m + 1):
         for size_s in range(max_s + 1):
-            M = finset(m[0], size_m, m[1])
-            S = finset(s[0], size_s, s[1])
+            M, S = _carriers(REP_CARRIERS, at, size_m, size_s)
             for ord_ in enumerate_preorders(S):
                 for sat in enumerate_relations(M, S):
                     if leq(compose(sat, ord_.rel), sat):
@@ -368,17 +341,14 @@ def enumerate_prom_morphisms(p1: Prom, p2: Prom) -> Iterator[PromMorphism]:
 
 def _enumerate_rep_morphisms_within(max_m: int, max_s: int) -> Iterator[RepMorphism]:
     """Every morphism r1 → r2 between representations within the bounds, r1 outermost."""
-    reps = list(enumerate_representations(max_m, max_s))
-    reps2 = list(enumerate_representations(max_m, max_s, ("M2", "n"), ("S2", "t")))
+    reps, reps2 = (list(enumerate_representations(max_m, max_s, at)) for at in range(2))
     for r1, r2 in product(reps, reps2):
         yield from enumerate_rep_morphisms(r1, r2)
 
 
 def _enumerate_rep_chains(max_m: int, max_s: int) -> Iterator[tuple[RepMorphism, RepMorphism]]:
     """Every composable pair r1 → r2 → r3 within the bounds, r2 outermost."""
-    reps = list(enumerate_representations(max_m, max_s))
-    reps2 = list(enumerate_representations(max_m, max_s, ("M2", "n"), ("S2", "t")))
-    reps3 = list(enumerate_representations(max_m, max_s, ("M3", "o"), ("S3", "u")))
+    reps, reps2, reps3 = (list(enumerate_representations(max_m, max_s, at)) for at in range(3))
     for r2 in reps2:
         incoming = [m for r1 in reps for m in enumerate_rep_morphisms(r1, r2)]
         outgoing = [m for r3 in reps3 for m in enumerate_rep_morphisms(r2, r3)]
@@ -409,6 +379,10 @@ class Schema:
     - ("repmor", i, j): a representation morphism between two "rep" values;
     - ("prommor-chain", i), ("repmor-chain", i, j): a composable pair of
       such morphisms, under a tuple key ("m1", "m2") that names its parts.
+
+    A single morphism is a chain of one.  A "prom" or "rep" value is chain
+    object 0, and each object of a chain takes its carriers from its
+    position in PROM_CARRIERS or REP_CARRIERS.
 
     `generate` draws the carrier sizes, then the fields, in declaration
     order; `enumerate` ranges over every size and field value, so each
@@ -480,10 +454,10 @@ _FIELD_KINDS = {
         lambda rng, i, j: _gen_representation(rng, rng.randint(0, i), rng.randint(0, j)),
         enumerate_representations,
     ),
-    "prommor": (_gen_prom_morphism, None),
-    "repmor": (_gen_rep_morphism, _enumerate_rep_morphisms_within),
-    "prommor-chain": (_gen_prom_chain, None),
-    "repmor-chain": (_gen_rep_chain, _enumerate_rep_chains),
+    "prommor": (lambda rng, n: _gen_prom_chain(rng, n, 1)[0], None),
+    "repmor": (lambda rng, i, j: _gen_rep_chain(rng, i, j, 1)[0], _enumerate_rep_morphisms_within),
+    "prommor-chain": (lambda rng, n: _gen_prom_chain(rng, n, 2), None),
+    "repmor-chain": (lambda rng, i, j: _gen_rep_chain(rng, i, j, 2), _enumerate_rep_chains),
 }
 
 

@@ -58,13 +58,13 @@ import promrep.functors as functors_module
 import promrep.harness as harness_module
 import promrep.rel as rel_module
 import random
-import sys
 from seeded import (
     gen_preorder,
     gen_prom,
     gen_prom_morphism,
     gen_rep_morphism,
     gen_representation,
+    patch_everywhere,
 )
 
 
@@ -129,15 +129,6 @@ def test_counit_naturality_seeded():
         assert check_law("counit-natural", {"m": gen_rep_morphism(seed, 2)}) is None
 
 
-def patch_everywhere(monkeypatch, name, replacement, home=adjunction_module):
-    """Bind `replacement` in place of `home`'s `name` in every promrep module."""
-    original = getattr(home, name)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "promrep" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
-    return original
-
-
 def count_image_builds(monkeypatch) -> Counter:
     """Count R and M images as they are built, by wrapping the constructors
     that `prom_to_rep` and `rep_to_prom` call."""
@@ -159,7 +150,7 @@ def test_naturality_checks_build_each_image_once_per_end(monkeypatch, law):
         def build(x, construct=getattr(adjunction_module, name), name=name):
             built[name] += 1
             return construct(x)
-        patch_everywhere(monkeypatch, name, build)
+        patch_everywhere(monkeypatch, name, build, adjunction_module)
     summary = search(SearchConfig(law, trials=20))
     assert summary.passed and summary.checked == 20
     assert built == {"R": 2 * summary.checked, "M": 2 * summary.checked, law.split("-")[0]: 2 * summary.checked}
@@ -204,7 +195,7 @@ def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mut
     """A broken unit or counit is reported with the message of the first
     end whose morphism check fails, the source before the destination: at
     seed 0 the source's unit fails, at seed 1 the destination's."""
-    patch_everywhere(monkeypatch, name, mutant)
+    patch_everywhere(monkeypatch, name, mutant, adjunction_module)
     summary = search(SearchConfig(law, seed=seed))
     assert summary.witness.violation == violation
     assert replay(summary.witness)
@@ -369,9 +360,7 @@ def test_compose_dropping_last_bit_is_caught_by_the_default_catalog_run(monkeypa
         """compose's row loop, skipping the highest set bit of each row of x."""
         return compose(Rel(x.src, x.dst, tuple(row ^ (1 << row.bit_length() >> 1) for row in x.rows)), y)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "promrep" and getattr(module, "compose", None) is compose:
-            monkeypatch.setattr(module, "compose", mutant)
+    patch_everywhere(monkeypatch, "compose", mutant, rel_module)
     survivors = []
     for law in harness_module.CATALOG:
         clear_caches()
@@ -391,9 +380,7 @@ def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
         f = transpose(x, mem)
         return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "promrep" and getattr(module, "power_transpose", None) is transpose:
-            monkeypatch.setattr(module, "power_transpose", drop_last_column)
+    patch_everywhere(monkeypatch, "power_transpose", drop_last_column, rel_module)
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert replay(summary.witness)
@@ -588,10 +575,7 @@ def absorb_untested_closed_rows(x):
 )
 def test_untested_row_absorption_is_caught_by_single_axiom_law(monkeypatch, config):
     assert search(config).passed
-    is_transitive = rel_module.is_transitive
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "promrep" and getattr(module, "is_transitive", None) is is_transitive:
-            monkeypatch.setattr(module, "is_transitive", absorb_untested_closed_rows)
+    patch_everywhere(monkeypatch, "is_transitive", absorb_untested_closed_rows, rel_module)
     summary = search(config)
     assert not summary.passed
     assert summary.witness.violation == "preorder axioms give True but r = r\\r gives False"
@@ -650,9 +634,7 @@ def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
     # the laws compare whole morphisms, so one wrong entry of ψ must show
     correct = direct_image
     assert search(SearchConfig(law)).passed
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "promrep" and getattr(module, "direct_image", None) is correct:
-            monkeypatch.setattr(module, "direct_image", lambda *args: _zero_last_image_entry(correct(*args)))
+    patch_everywhere(monkeypatch, "direct_image", lambda *args: _zero_last_image_entry(correct(*args)), functors_module)
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert summary.witness.violation == violation

@@ -529,12 +529,6 @@ def test_verify_jobs_do_not_change_stdout(capsys):
     assert first == second
 
 
-def test_verify_pretty_layout(capsys):
-    assert main(["verify", "lemma7", "--mode", "exhaustive", "--pretty"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("  law")
-
-
 def test_unknown_law_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "not-a-law"])

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -42,6 +42,8 @@ from promrep import (
     search,
 )
 from promrep.harness import (
+    PROM_CARRIERS,
+    REP_CARRIERS,
     LawSpec,
     Schema,
     _gen_prom_chain,
@@ -221,7 +223,7 @@ def test_enumerate_rep_morphisms_contains_identity():
 def test_enumerate_prom_morphisms_matches_brute_force():
     """Every φ×ψ candidate filtered by check_prom_morphism, in the same order."""
     small = list(enumerate_proms(2, 1))
-    large = list(enumerate_proms(2, 2, ("A2", "c"), ("B2", "d")))
+    large = list(enumerate_proms(2, 2, 1))
     found = 0
     for p1, p2 in [*product(small, large), *product(large, small)]:
         brute = [
@@ -239,7 +241,7 @@ def test_enumerate_prom_morphisms_matches_brute_force():
 def test_enumerate_rep_morphisms_matches_brute_force():
     """Every φ×τ candidate filtered by check_rep_morphism, in the same order."""
     small = list(enumerate_representations(2, 1))
-    large = list(enumerate_representations(2, 2, ("M2", "n"), ("S2", "t")))
+    large = list(enumerate_representations(2, 2, 1))
     found = 0
     for r1, r2 in [*product(small, large), *product(large, small)]:
         brute = [
@@ -258,6 +260,38 @@ def test_enumerate_rep_morphisms_bound_guard():
     big = gen_representation(0, 4, 1)
     with pytest.raises(ConfigError):
         list(enumerate_rep_morphisms(big, big))
+
+
+# --- chain positions --------------------------------------------------------
+
+def _names(table, count):
+    """The carrier names of chain objects 0..count-1 in a position table."""
+    return {name for carriers in table[:count] for name, _ in carriers}
+
+
+#: Morphism law → the carrier names of the chain or hom-set its instances span.
+CHAIN_CARRIERS = {
+    **dict.fromkeys(("lemma2", "unit-natural"), _names(PROM_CARRIERS, 2)),
+    "lemma3": _names(PROM_CARRIERS, 3),
+    **dict.fromkeys(("lemma5", "counit-natural"), _names(REP_CARRIERS, 2)),
+    "lemma6": _names(REP_CARRIERS, 3),
+    **dict.fromkeys(("lemma8", "lemma9"), _names(PROM_CARRIERS, 1) | _names(REP_CARRIERS, 1)),
+}
+
+
+@pytest.mark.parametrize("law", CHAIN_CARRIERS)
+def test_chain_objects_name_their_carriers_by_position(law):
+    """Each object of a chain or hom-set takes its carriers from its
+    position's row of the table, so 50 seeded instances and the first 50
+    enumerated ones each build into one workspace with exactly those names.
+    Two positions sharing a name would leave fewer names, or two different
+    carriers under one."""
+    spec = CATALOG[law]
+    instances = [spec.generate(random.Random(mix_seed(11, i)), spec.default_bounds) for i in range(50)]
+    if spec.enumerate is not None:
+        instances += islice(spec.enumerate(spec.exhaustive_limit), 50)
+    for inst in instances:
+        assert set(workspace.build(inst).sets) == CHAIN_CARRIERS[law]
 
 
 # --- law catalog / check_law ------------------------------------------------
@@ -283,8 +317,8 @@ def test_check_law_unknown_law():
 @pytest.mark.parametrize(
     "law, draw, match",
     [
-        ("lemma3", lambda rng: _gen_prom_chain(rng, 3), "prom morphisms do not share a middle prom"),
-        ("lemma6", lambda rng: _gen_rep_chain(rng, 2, 2), "representation morphisms do not share a middle object"),
+        ("lemma3", lambda rng: _gen_prom_chain(rng, 3, 2), "prom morphisms do not share a middle prom"),
+        ("lemma6", lambda rng: _gen_rep_chain(rng, 2, 2, 2), "representation morphisms do not share a middle object"),
     ],
     ids=["lemma3", "lemma6"],
 )

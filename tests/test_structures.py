@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import pickle
 import random
-import sys
 from itertools import product
 
 import pytest
@@ -44,7 +43,7 @@ from promrep import (
 from promrep.harness import CATALOG, SearchConfig, random_rel, replay, search
 from promrep.structures import check_prom_morphism, check_representation
 import promrep.structures as structures_module
-from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
+from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation, patch_everywhere
 
 A2 = finset("A", 2, "a")
 A3 = finset("A", 3, "a")
@@ -195,10 +194,7 @@ def test_closure_skipping_last_pivot_is_caught_by_the_default_catalog_run(monkey
     or only preorders on at most two points, where every pivot but the
     last already closes every path (lemma5, lemma6, lemma8, lemma9,
     counit-natural)."""
-    closure = structures_module.preorder_closure
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "promrep" and getattr(module, "preorder_closure", None) is closure:
-            monkeypatch.setattr(module, "preorder_closure", closure_skipping_last_pivot)
+    patch_everywhere(monkeypatch, "preorder_closure", closure_skipping_last_pivot, structures_module)
     killed = []
     for law in CATALOG:
         clear_caches()
