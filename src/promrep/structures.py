@@ -18,6 +18,7 @@ own `__dict__` (see `functors`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rel import (
     CarrierMismatch,
@@ -65,12 +66,18 @@ def check_preorder(r: Rel) -> CheckResult:
         raise CarrierMismatch("a preorder must be a square relation")
     for i, row in enumerate(r.rows):
         if not row >> i & 1:
-            a = r.src.elements[i]
-            return CheckResult(False, "reflexivity", (a, a))
+            return _not_reflexive_at(r.src.elements[i])
     if is_transitive(r):
         return OK
     extra = (sq & ~row for sq, row in zip(compose(r, r).rows, r.rows))
     return _first_pair("transitivity", extra, r.src, r.src)
+
+
+@lru_cache(maxsize=256)
+def _not_reflexive_at(a: str) -> CheckResult:
+    """The one reflexivity failure at label a: most relations an exhaustive
+    preorder law lists fail here, and a CheckResult is immutable."""
+    return CheckResult(False, "reflexivity", (a, a))
 
 
 def _first_pair(axiom: str, rows, src: FinSet, dst: FinSet) -> CheckResult:

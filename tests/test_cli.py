@@ -94,6 +94,26 @@ def test_check_names_transitivity_witness_on_subset_order(tmp_path, capsys):
     ]
 
 
+def test_check_subset_order_where_transitivity_takes_single_bit_extensions(tmp_path, capsys):
+    """M(r) at |M| = 7, the first size where ⊆'s transitivity ORs each row's
+    single-bit extensions: valid as built, and refuted with the pair
+    ({m0}, {m1}) added, which misses ({m0}, {m1,m2})."""
+    p = rep_to_prom(gen_representation(3, 7, 3))
+    y = p.y.rel
+    rows = (y.rows[0], y.rows[1] | 1 << 2) + y.rows[2:]
+    bad = Prom(p.x, Preorder(Rel(y.src, y.dst, rows)), p.f)
+    path = tmp_path / "ws.json"
+    path.write_text(workspace.dumps(workspace.build({"p": p, "bad": bad})))
+    assert main(["check", str(path), "p"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["order preservation: ok", "result: ok"]
+    assert main(["check", str(path), "bad"]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "axiom: y transitivity",
+        "witness: ('{m0}', '{m1,m2}')",
+        "result: fail",
+    ]
+
+
 def test_check_morphism_names_a_broken_end(tmp_path, capsys):
     """Identity morphisms on a prom whose f breaks order and on an unsound
     representation: only the ends are invalid."""

@@ -2,9 +2,11 @@
 plus hypothesis property tests for the algebraic laws."""
 
 import dataclasses
+import inspect
 import pickle
 import random
 import sys
+import textwrap
 import threading
 from itertools import product
 
@@ -554,7 +556,7 @@ def test_is_transitive_matches_composition_on_near_preorders(near_preorders):
     assert 0 < verdicts.count(False) < len(verdicts) // 2
 
 
-@pytest.mark.parametrize("n", [0, 1, 4, 9, 12])
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 8, 9, 12])
 def test_is_transitive_on_subset_order(n):
     bundle = powerset(finset("M", n, "m"))
     subset = left_residual(bundle.mem, bundle.mem)
@@ -562,6 +564,97 @@ def test_is_transitive_on_subset_order(n):
     # without ({}, M), transitivity fails once a subset lies strictly between
     rows = (subset.rows[0] & ~(1 << (1 << n) - 1),) + subset.rows[1:]
     assert is_transitive(Rel(subset.src, subset.dst, rows)) == (n < 2)
+
+
+def _toggled(x, pairs):
+    rows = list(x.rows)
+    for a, b in pairs:
+        rows[a] ^= 1 << b
+    return Rel(x.src, x.dst, tuple(rows))
+
+
+def _relabelled(x, perm):
+    """x with point i renamed perm[i], on the same carrier."""
+    rows = [0] * len(perm)
+    for a, row in enumerate(x.rows):
+        rows[perm[a]] = sum(1 << perm[b] for b in range(len(perm)) if row >> b & 1)
+    return Rel(x.src, x.dst, tuple(rows))
+
+
+def _pinned_subset_order_plus_pair():
+    """⊆ over 2^7 plus ({m0}, {m1}): not transitive, as ({m0}, {m1,m2}) is
+    missing, and row {m0}'s extensions all lie inside it."""
+    bundle = powerset(finset("M", 7, "m"))
+    return _toggled(left_residual(bundle.mem, bundle.mem), [(1, 2)])
+
+
+@pytest.fixture(scope="module")
+def wide_transitivity_cases():
+    """Relations on 128 and 256 points, the first sizes where `is_transitive`
+    ORs each row's single-bit extensions, each with its verdict by
+    composition: ⊆ with 1-3 toggled pairs; closures of ⊆ plus one pair; ⊆
+    relabelled at random, so the union misses and the whole row is walked,
+    as is and with one toggled pair; sparse random relations, their
+    closures, and those closures with one toggled pair."""
+    rng = random.Random(20261020)
+    cases = [_pinned_subset_order_plus_pair()]
+    for k in (7, 8):
+        n = 1 << k
+        bundle = powerset(finset("M", k, "m"))
+        subset = left_residual(bundle.mem, bundle.mem)
+        outside = [(a, b) for a, row in enumerate(subset.rows) for b in range(n) if not row >> b & 1]
+
+        def pairs(count):
+            return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+        for _ in range(8):
+            cases.append(_toggled(subset, pairs(rng.randint(1, 3))))
+            cases.append(preorder_closure(_toggled(subset, [rng.choice(outside)])).rel)
+            relabelled = _relabelled(subset, rng.sample(range(n), n))
+            cases += [relabelled, _toggled(relabelled, pairs(1))]
+            sparse = Rel(subset.src, subset.dst, tuple(sum(1 << b for b in rng.sample(range(n), 2)) for _ in range(n)))
+            closed = preorder_closure(sparse).rel
+            cases += [sparse, closed, _toggled(closed, pairs(1))]
+    return [(x, leq(compose(x, x), x)) for x in cases]
+
+
+def _transitivity_misses(is_transitive, cases):
+    return [i for i, (x, want) in enumerate(cases) if is_transitive(x) != want]
+
+
+def test_is_transitive_matches_composition_on_wide_relations(wide_transitivity_cases):
+    assert _transitivity_misses(is_transitive, wide_transitivity_cases) == []
+    verdicts = [want for _, want in wide_transitivity_cases]
+    assert len(verdicts) // 3 < verdicts.count(True) < 2 * len(verdicts) // 3
+    assert not wide_transitivity_cases[0][1]
+
+
+def _mutant_is_transitive(edits):
+    """`rel.is_transitive` with each text `old` in `edits` replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(rel_module.is_transitive))
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, dict(vars(rel_module)), namespace)
+    return namespace["is_transitive"]
+
+
+@pytest.mark.parametrize(
+    "edits, pinned",
+    [
+        ((("if above | row == row:", "if True:"), ("row ^ above", "row & ~above")), False),
+        ((("rest = row ^ above", "rest = 0"),), True),
+    ],
+    ids=["union-absorbed-untested", "row-cleared-once-union-fits"],
+)
+def test_single_bit_extension_mutants_are_caught(wide_transitivity_cases, edits, pinned):
+    """Absorbing the union of a row's extensions without testing that it
+    lies in the row, or dropping the whole row once it does, misjudges
+    some wide case; the pinned ⊆ plus ({m0}, {m1}) catches the second."""
+    misses = _transitivity_misses(_mutant_is_transitive(edits), wide_transitivity_cases)
+    assert misses
+    assert (0 in misses) == pinned
 
 
 def test_is_transitive_needs_a_square_relation():

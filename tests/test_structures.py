@@ -286,6 +286,22 @@ def test_check_preorder_matches_reference_on_near_preorders(near_preorders):
     assert {axiom for _, axiom, _ in got} == {None, "transitivity"}
 
 
+def test_every_non_reflexive_relation_fails_at_its_first_missing_loop():
+    """On at most 3 points, in two carriers, a non-reflexive relation gets
+    the result a fresh CheckResult would hold, one shared result per label."""
+    shared = {}
+    for n, prefix in product(range(4), "ab"):
+        carrier = finset(prefix.upper(), n, prefix)
+        for rows in product(range(1 << n), repeat=n):
+            missing = [i for i, row in enumerate(rows) if not row >> i & 1]
+            if missing:
+                a = carrier.elements[missing[0]]
+                got = check_preorder(Rel(carrier, carrier, rows))
+                assert got == CheckResult(False, "reflexivity", (a, a)) and not got
+                assert shared.setdefault(a, got) is got
+    assert sorted(shared) == ["a0", "a1", "a2", "b0", "b1", "b2"]
+
+
 def without_empty_below_top(p):
     """p with the pair (∅, M) taken out of ⊆ on its subset carrier 2^M."""
     y = p.y.rel
