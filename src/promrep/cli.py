@@ -28,6 +28,7 @@ from .functors import prom_to_rep, rep_to_prom
 from .harness import CATALOG, ConfigError, SearchConfig, search
 from .rel import PowersetCapExceeded
 from .structures import (
+    AXIOMS,
     InvalidStructure,
     Prom,
     PromMorphism,
@@ -35,23 +36,6 @@ from .structures import (
     RepMorphism,
     validate,
 )
-
-#: Structure kind → its axioms in check order.
-_CHECKS = {
-    "preorder": ("reflexivity", "transitivity"),
-    "prom": ("x preorder", "y preorder", "order preservation"),
-    "representation": ("ord preorder", "soundness"),
-    "prom_morphism": (
-        "src x preorder", "src y preorder", "src order preservation",
-        "dst x preorder", "dst y preorder", "dst order preservation",
-        "phi order preservation", "psi order preservation", "commuting square",
-    ),
-    "rep_morphism": (
-        "src ord preorder", "src soundness", "dst ord preorder", "dst soundness",
-        "phi order preservation", "commuting square",
-    ),
-}
-
 
 class InputError(Exception):
     """Anything that should terminate with exit code 2."""
@@ -91,7 +75,7 @@ def cmd_check(args) -> int:
         print(f"witness: {e.result.witness}")
         print("result: fail")
         return 1
-    for axiom in _CHECKS[kind]:
+    for axiom in AXIOMS[type(obj)]:
         print(f"{axiom}: ok")
     print("result: ok")
     return 0
@@ -176,7 +160,6 @@ def cmd_verify(args) -> int:
         bounds=None if args.max_size is None else _parse_sizes(args.max_size),
         trials=args.trials,
         seed=args.seed,
-        parallelism=args.jobs,
     )
     started = time.monotonic()
     try:
@@ -222,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-size", default=None, metavar="N[,N...]")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=1, help="at least 1; trials run serially for now")
     p_verify.set_defaults(func=cmd_verify)
 
     p_laws = sub.add_parser("laws", help="list the law catalog")

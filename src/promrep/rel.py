@@ -216,9 +216,6 @@ class Rel:
                 out.append((self.src.elements[i], self.dst.elements[j]))
         return out
 
-    def holds(self, a: str, b: str) -> bool:
-        return bool(self.rows[self.src.index(a)] >> self.dst.index(b) & 1)
-
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
@@ -509,9 +506,6 @@ class FnMap:
         if extra:
             raise ValueError(f"function defined outside its source on {sorted(extra)}")
         return cls(src, dst, tuple(dst.index(mapping[a]) for a in src.elements))
-
-    def of(self, label: str) -> str:
-        return self.dst.elements[self.image[self.src.index(label)]]
 
     def as_dict(self) -> dict:
         return {a: self.dst.elements[self.image[i]] for i, a in enumerate(self.src.elements)}

@@ -5,7 +5,8 @@ square, a prom's map runs between its two carriers, and so on) and raises
 CarrierMismatch otherwise.  `validate` is the one place that checks the
 axioms: every axiom has a check_* function that reports the first
 violated axiom together with a concrete witness, which `validate` raises
-as InvalidStructure.  Callers validate where input enters (`promrep
+as InvalidStructure; `AXIOMS` lists each kind's axioms in the order its
+check tests them.  Callers validate where input enters (`promrep
 check` and `apply`, and the harness on every law instance), so an invalid
 structure can still be held and reported.
 
@@ -242,7 +243,7 @@ class Representation:
 def check_representation(r: Representation) -> CheckResult:
     res = check_preorder(r.ord.rel)
     if not res:
-        return res
+        return CheckResult(False, "ord " + res.axiom, res.witness)
     closed, rows = compose(r.sat, r.ord.rel).rows, r.sat.rows
     if closed == rows:
         return OK
@@ -290,6 +291,24 @@ VALIDATION = {
     Representation: ("representation", check_representation),
     RepMorphism: ("representation morphism", check_rep_morphism),
 }
+
+#: Structure class → the axioms its check tests, in order, as `promrep check`
+#: lists them.  A "<field> preorder" entry fails as "<field> reflexivity" or
+#: "<field> transitivity".
+AXIOMS = {
+    Preorder: ("reflexivity", "transitivity"),
+    Prom: ("x preorder", "y preorder", "order preservation"),
+    Representation: ("ord preorder", "soundness"),
+}
+
+
+def _ends_then(end: type, *own: str) -> tuple[str, ...]:
+    """A morphism's axioms: its ends', named as `_ends` names them, then its maps' own."""
+    return tuple(f"{side} {axiom}" for side in ("src", "dst") for axiom in AXIOMS[end]) + own
+
+
+AXIOMS[PromMorphism] = _ends_then(Prom, "phi order preservation", "psi order preservation", "commuting square")
+AXIOMS[RepMorphism] = _ends_then(Representation, "phi order preservation", "commuting square")
 
 
 def validate(obj) -> None:

@@ -137,6 +137,18 @@ def test_check_morphism_names_a_broken_end(tmp_path, capsys):
     assert out[-2:] == ["commuting square: ok", "result: ok"]
 
 
+def test_check_names_a_representations_broken_order_ord(tmp_path, capsys):
+    """A representation's order fails as `ord …`, and a representation
+    morphism's end as `src ord …`, as a prom's orders fail as `x …` and `y …`."""
+    M, S = finset("M", 1, "m"), finset("S", 2, "s")
+    r = Representation(Rel(M, S, (0,)), Preorder(Rel(S, S, (1, 0))))
+    path = tmp_path / "ws.json"
+    path.write_text(workspace.dumps(workspace.build({"r": r, "rm": identity_rep_morphism(r)})))
+    for name, axiom in (("r", "ord reflexivity"), ("rm", "src ord reflexivity")):
+        assert main(["check", str(path), name]) == 1
+        assert capsys.readouterr().out.splitlines()[2:] == [f"axiom: {axiom}", "witness: ('s1', 's1')", "result: fail"]
+
+
 def test_check_missing_name(sample_file):
     assert main(["check", sample_file, "ghost"]) == 2
 
@@ -534,19 +546,13 @@ def test_negative_trials_is_input_error_in_every_mode(mode):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_verify_rejects_jobs_below_one(capsys, jobs):
-    assert main(["verify", "lemma1", "--trials", "5", "--jobs", jobs]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "error: parallelism must be at least 1" in captured.err
-
-
-def test_verify_jobs_do_not_change_stdout(capsys):
-    assert main(["verify", "lemma1", "--trials", "150", "--seed", "3", "--jobs", "1"]) == 0
-    first = capsys.readouterr().out
-    assert main(["verify", "lemma1", "--trials", "150", "--seed", "3", "--jobs", "8"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+def test_jobs_option_is_gone():
+    """Trials always ran serially, so `--jobs` is no longer accepted."""
+    proc = run_cli("verify", "lemma1", "--jobs", "2")
+    assert proc.returncode == 2
+    assert "error: unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert "--jobs" not in run_cli("verify", "--help").stdout
 
 
 def test_unknown_law_is_usage_error():

@@ -210,9 +210,6 @@ def verify_argv(draw):
     elif shape == "malformed":
         argv.append(f"--max-size={draw(st.sampled_from(('', ',', '1,', 'x', '1.5')))}")
     argv.append(f"--trials={draw(st.integers(-1, 5))}")
-    jobs = draw(st.integers(0, 3) | st.none())
-    if jobs is not None:
-        argv.append(f"--jobs={jobs}")
     return argv
 
 

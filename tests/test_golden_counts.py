@@ -220,6 +220,51 @@ def test_hom_set_notes_match_the_definition(key):
     assert notes == GOLDEN["exhaustive"][key]
 
 
+def exact(r) -> bool:
+    """⊨\\⊨ ≤ ≤: statements s, s' whose sets of models nest, models(s) ⊆
+    models(s'), are ordered s ≤ s'."""
+    order, sat = r
+    models = [sum(1 << k for k, row in enumerate(sat) if row >> s & 1) for s in range(len(order))]
+    return all(order[s] >> t & 1 for s, ms in enumerate(models) for t, mt in enumerate(models) if ms & mt == ms)
+
+
+def reflecting(p) -> bool:
+    """f_*⨾y⨾f^* ≤ x: (f a, f a') ∈ y implies (a, a') ∈ x."""
+    x, y, f = p
+    return all(x[a] >> b & 1 for a, fa in enumerate(f) for b, fb in enumerate(f) if y[fa] >> fb & 1)
+
+
+def split(instances, holds, yes: str, no: str) -> dict[str, int]:
+    count = sum(map(holds, instances))
+    return {f"note.{yes}": count, f"note.{no}": len(instances) - count}
+
+
+#: Law → its notes at the bounds named in a golden key, for the laws whose
+#: notes sort each instance by one of the paper's predicates.
+SORTED_NOTES = {
+    "lemma10": lambda nm, ns: split(within(rep_list, nm, ns), exact, "exact", "non_exact"),
+    "lemma11": lambda na, nb: split(within(prom_list, na, nb), reflecting, "reflecting", "non_reflecting"),
+    # strict when y is not the identity, so that (id, y) lies strictly above id
+    "triangle-repr": lambda na, nb: {
+        "note.strict": sum(y != tuple(1 << i for i in range(len(y))) for _, y, _ in within(prom_list, na, nb))
+    },
+}
+
+
+@pytest.mark.parametrize("key", [key for key in DERIVED if _split(key)[0] in SORTED_NOTES])
+def test_sorted_notes_match_the_definition(key):
+    """lemma10 sorts representations by exactness, lemma11 proms by order
+    reflection, and triangle-repr counts the proms whose y is not discrete."""
+    law, bounds = _split(key)
+    notes = {k: v for k, v in GOLDEN["exhaustive"][key].items() if k != "checked"}
+    assert notes == SORTED_NOTES[law](*bounds)
+
+
+def test_every_golden_note_is_derived():
+    noted = {_split(key)[0] for key, entry in GOLDEN["exhaustive"].items() if set(entry) != {"checked"}}
+    assert noted == {"preorder-single-axiom", "lemma8", "lemma9", *SORTED_NOTES}
+
+
 def test_preorder_count_matches_the_definition():
     note = GOLDEN["exhaustive"]["preorder-single-axiom@4"]["note.preorders"]
     assert [len(preorders(n)) for n in range(5)] == [1, 1, 4, 29, 355]

@@ -1,8 +1,11 @@
 """Every module of the package uses every name it imports, and every
 module-level private name it defines; every exported name has a caller
-outside its module, and every function the benchmark times by name exists."""
+outside its module, every public function and method has a caller, and
+every function the benchmark times by name, or keyword it passes to
+`SearchConfig`, exists."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from collections import Counter
@@ -45,17 +48,25 @@ def private_definitions(tree):
                 yield name, node
 
 
-def references(node) -> Counter:
-    """Loads of a name, attribute reads and `from … import` names under node."""
+def reads(node) -> Counter:
+    """Attribute reads and `from … import` names under node."""
     refs = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            refs[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             refs.update(alias.name for alias in sub.names)
     return refs
+
+
+def names(node) -> Counter:
+    """Loads of a bare name under node."""
+    return Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+
+
+def references(node) -> Counter:
+    """Loads of a name, attribute reads and `from … import` names under node."""
+    return reads(node) + names(node)
 
 
 def test_module_private_names_are_referenced():
@@ -111,6 +122,55 @@ def test_exported_names_have_a_caller_outside_their_module():
     ]
     assert sorted(set(uncalled) - set(EXPORTED_WITHOUT_CALLER)) == []
     assert sorted(set(EXPORTED_WITHOUT_CALLER) - set(uncalled)) == []  # no stale entry
+
+
+def public_definitions(tree):
+    """(name, node, is_method) for each public function of the module body
+    and each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub.name, sub, True
+
+
+def test_public_functions_and_methods_have_a_caller():
+    """Every public function and method is reached from outside its own
+    body: by an attribute read or an import in the package (its exports
+    included), its scripts or its benchmark, or, for a module function, by
+    its bare name in its own module.  A bare name elsewhere is no caller:
+    `scripts/strictness_demo.py` has a parameter called `holds`."""
+    paths = [*PACKAGE.glob("*.py"), *ROOT.glob("scripts/*.py"), *ROOT.glob("perfbench/**/*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reached = sum((reads(tree) for tree in trees.values()), Counter())
+    uncalled = []
+    for path in MODULES:
+        tree = trees[path]
+        for name, node, method in public_definitions(tree):
+            callers = reached[name] - reads(node)[name]
+            if not method:
+                callers += names(tree)[name] - names(node)[name]
+            if callers == 0:
+                uncalled.append(f"{path.name}:{name}")
+    assert uncalled == []
+
+
+def test_benchmark_search_configs_name_only_its_fields():
+    """Every keyword that a `SearchConfig(...)` call under perfbench/ passes
+    is a field of `promrep.SearchConfig`, `parallelism` among them; the
+    benchmark's own tests are not part of tier-1."""
+    fields = {field.name for field in dataclasses.fields(promrep.SearchConfig)}
+    keywords = set()
+    for path in ROOT.glob("perfbench/**/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "SearchConfig":
+                    keywords.update(kw.arg for kw in node.keywords)
+    assert "parallelism" in keywords
+    assert sorted(keywords - fields) == []
 
 
 def per_layer_metrics():

@@ -54,29 +54,32 @@ def rel(src, dst, *pairs):
 # --- pointwise oracles ------------------------------------------------------
 
 def oracle_compose(x: Rel, y: Rel) -> set:
+    xp, yp = set(x.pairs()), set(y.pairs())
     return {
         (a, c)
         for a in x.src
         for c in y.dst
-        if any(x.holds(a, b) and y.holds(b, c) for b in x.dst)
+        if any((a, b) in xp and (b, c) in yp for b in x.dst)
     }
 
 
 def oracle_left_residual(x: Rel, z: Rel) -> set:
+    xp, zp = set(x.pairs()), set(z.pairs())
     return {
         (b, c)
         for b in x.dst
         for c in z.dst
-        if all(z.holds(a, c) for a in x.src if x.holds(a, b))
+        if all((a, c) in zp for a in x.src if (a, b) in xp)
     }
 
 
 def oracle_right_residual(z: Rel, y: Rel) -> set:
+    zp, yp = set(z.pairs()), set(y.pairs())
     return {
         (a, b)
         for a in z.src
         for b in y.src
-        if all(z.holds(a, c) for c in y.dst if y.holds(b, c))
+        if all((a, c) in zp for c in y.dst if (b, c) in yp)
     }
 
 
@@ -729,9 +732,9 @@ def every_small_map():
 
 def test_graphs_are_built_once_and_match_their_pairs():
     for f in every_small_map():
-        lower, upper = graph_lower(f), graph_upper(f)
-        assert set(lower.pairs()) == {(a, f.of(a)) for a in f.src}
-        assert set(upper.pairs()) == {(f.of(a), a) for a in f.src}
+        lower, upper, of = graph_lower(f), graph_upper(f), f.as_dict()
+        assert set(lower.pairs()) == set(of.items())
+        assert set(upper.pairs()) == {(fa, a) for a, fa in of.items()}
         assert (lower.src, lower.dst, upper.src, upper.dst) == (f.src, f.dst, f.dst, f.src)
         assert graph_lower(f) is lower and graph_upper(f) is upper
 
@@ -847,7 +850,7 @@ def test_singleton_map_unit():
     M = finset("M", 2, "m")
     bundle = powerset(M)
     eta = power_transpose(identity(M), bundle.mem)
-    assert eta.of("m0") == "{m0}" and eta.of("m1") == "{m1}"
+    assert eta.as_dict()["m0"] == "{m0}" and eta.as_dict()["m1"] == "{m1}"
     assert eq(compose(bundle.mem, graph_upper(eta)), identity(M))
 
 
@@ -864,7 +867,8 @@ def test_power_transpose_matches_pointwise_definition():
             f = power_transpose(x, bundle.mem)
             assert (f.src, f.dst) == (x.dst, bundle.carrier)
             # Λx(b) is column b of x, read as a mask over the source
-            columns = tuple(sum(1 << i for i, a in enumerate(x.src) if x.holds(a, b)) for b in x.dst)
+            pairs = set(x.pairs())
+            columns = tuple(sum(1 << i for i, a in enumerate(x.src) if (a, b) in pairs) for b in x.dst)
             assert f.image == columns
             assert eq(compose(bundle.mem, graph_upper(f)), x)
 
@@ -881,9 +885,11 @@ def test_pullback_matches_pointwise_definition():
     for k, n in product(range(3), range(4)):
         B, A = finset("B", k, "b"), finset("A", n, "a")
         for y in all_relations(B, B):
+            pairs = set(y.pairs())
             for image in product(range(k), repeat=n):
                 f = FnMap(A, B, image)
-                expected = {(a, a2) for a in A for a2 in A if y.holds(f.of(a), f.of(a2))}
+                of = f.as_dict()
+                expected = {(a, a2) for a in A for a2 in A if (of[a], of[a2]) in pairs}
                 assert set(pullback(y, f).pairs()) == expected
 
 

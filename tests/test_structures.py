@@ -128,7 +128,7 @@ def test_closure_one_step_chain():
 
 def test_closure_adds_transitive_pair():
     got = preorder_closure(rel(A3, A3, ("a0", "a1"), ("a1", "a2")))
-    assert got.rel.holds("a0", "a2")
+    assert ("a0", "a2") in got.rel.pairs()
 
 
 def test_closure_idempotent_and_valid():
@@ -217,41 +217,129 @@ def test_closure_skipping_last_pivot_is_caught_by_the_default_catalog_run(monkey
     ]
 
 
+def invalid_structures():
+    """(structure, kind, axiom, witness): one invalid structure per axiom
+    that `AXIOMS` lists for each of the five kinds, a "<field> preorder"
+    entry broken once, by reflexivity or by transitivity."""
+    M1, B3 = finset("M", 1, "m"), finset("B", 3, "b")
+    f = FnMap(A2, B2, (0, 1))
+    disc = Prom(Preorder(identity(A2)), Preorder(identity(B2)), f)
+    gappy = Preorder(rel(B3, B3, ("b0", "b0"), ("b1", "b1"), ("b2", "b2"), ("b0", "b1"), ("b1", "b2")))
+    x_bad = Prom(Preorder(rel(A2, A2, ("a0", "a1"))), disc.y, f)
+    y_bad = Prom(disc.x, gappy, FnMap(A2, B3, (0, 1)))
+    unordered = Prom(Preorder(full(A2, A2)), chain2(B2), FnMap(A2, B2, (1, 0)))
+    ordered = Prom(disc.x, chain2(B2), unordered.f)
+    sound = Representation(rel(M1, B2, ("m0", "b0"), ("m0", "b1")), chain2(B2))
+    ord_gappy = Representation(rel(M1, B3), gappy)
+    ord_bad = Representation(rel(M1, B2), Preorder(rel(B2, B2, ("b0", "b0"))))
+    unsound = Representation(rel(M1, B2, ("m0", "b0")), chain2(B2))
+    at_a, at_b, at_m = ("a0", "a0"), ("b0", "b2"), ("m0", "b1")
+    return [
+        (Preorder(rel(A2, A2, ("a0", "a1"))), "preorder", "reflexivity", at_a),
+        (gappy, "preorder", "transitivity", at_b),
+        (x_bad, "prom", "x reflexivity", at_a),
+        (y_bad, "prom", "y transitivity", at_b),
+        (unordered, "prom", "order preservation", ("a0", "a1")),
+        (identity_prom_morphism(x_bad), "prom morphism", "src x reflexivity", at_a),
+        (identity_prom_morphism(y_bad), "prom morphism", "src y transitivity", at_b),
+        (identity_prom_morphism(unordered), "prom morphism", "src order preservation", ("a0", "a1")),
+        (PromMorphism(disc, x_bad, identity_map(A2), identity_map(B2)), "prom morphism", "dst x reflexivity", at_a),
+        (PromMorphism(disc, y_bad, identity_map(A2), FnMap(B2, B3, (0, 1))), "prom morphism", "dst y transitivity", at_b),
+        (
+            PromMorphism(ordered, unordered, identity_map(A2), identity_map(B2)),
+            "prom morphism", "dst order preservation", ("a0", "a1"),
+        ),
+        (
+            PromMorphism(Prom(Preorder(full(A2, A2)), Preorder(full(B2, B2)), f), disc, identity_map(A2), identity_map(B2)),
+            "prom morphism", "phi order preservation", ("a0", "a1"),
+        ),
+        (
+            PromMorphism(Prom(disc.x, Preorder(full(B2, B2)), f), disc, identity_map(A2), identity_map(B2)),
+            "prom morphism", "psi order preservation", ("b0", "b1"),
+        ),
+        (
+            PromMorphism(disc, disc, identity_map(A2), FnMap(B2, B2, (1, 0))),
+            "prom morphism", "commuting square", ("a0", "b1", "b0"),
+        ),
+        (ord_gappy, "representation", "ord transitivity", at_b),
+        (unsound, "representation", "soundness", at_m),
+        (identity_rep_morphism(ord_gappy), "representation morphism", "src ord transitivity", at_b),
+        (identity_rep_morphism(unsound), "representation morphism", "src soundness", at_m),
+        (
+            RepMorphism(sound, ord_bad, identity_map(B2), identity(M1)),
+            "representation morphism", "dst ord reflexivity", ("b1", "b1"),
+        ),
+        (RepMorphism(sound, unsound, identity_map(B2), identity(M1)), "representation morphism", "dst soundness", at_m),
+        (
+            RepMorphism(
+                Representation(rel(M1, B2), Preorder(full(B2, B2))),
+                Representation(rel(M1, B2), Preorder(identity(B2))),
+                identity_map(B2),
+                identity(M1),
+            ),
+            "representation morphism", "phi order preservation", ("b0", "b1"),
+        ),
+        (
+            RepMorphism(sound, sound, identity_map(B2), rel(M1, M1)),
+            "representation morphism", "commuting square", ("m0", "b0"),
+        ),
+    ]
+
+
 def test_constructors_hold_axiom_violations_that_validate_reports():
     """A constructor checks carriers only: each value below breaks an axiom
     yet constructs, and `validate` raises InvalidStructure with its kind,
     axiom and witness.  No constructor takes a `check` flag."""
-    M1 = finset("M", 1, "m")
-    disc = Prom(Preorder(identity(A2)), Preorder(identity(B2)), FnMap(A2, B2, (0, 1)))
-    sound = Representation(rel(M1, B2, ("m0", "b0"), ("m0", "b1")), chain2(B2))
-    cases = [
-        (Preorder(rel(A2, A2, ("a0", "a1"))), ("preorder", "reflexivity", ("a0", "a0"))),
-        (
-            Prom(Preorder(full(A2, A2)), chain2(B2), FnMap(A2, B2, (1, 0))),
-            ("prom", "order preservation", ("a0", "a1")),
-        ),
-        (
-            PromMorphism(disc, disc, identity_map(A2), FnMap(B2, B2, (1, 0))),
-            ("prom morphism", "commuting square", ("a0", "b1", "b0")),
-        ),
-        (
-            Representation(rel(M1, B2, ("m0", "b0")), chain2(B2)),
-            ("representation", "soundness", ("m0", "b1")),
-        ),
-        (
-            RepMorphism(sound, sound, identity_map(B2), rel(M1, M1)),
-            ("representation morphism", "commuting square", ("m0", "b0")),
-        ),
-    ]
-    assert [type(bad) for bad, _ in cases] == list(structures_module.VALIDATION)
-    for bad, expected in cases:
+    cases = invalid_structures()
+    assert {type(bad) for bad, *_ in cases} == set(structures_module.VALIDATION)
+    for bad, *expected in cases:
         with pytest.raises(InvalidStructure) as exc:
             validate(bad)
-        assert (exc.value.kind, exc.value.result.axiom, exc.value.result.witness) == expected
+        assert [exc.value.kind, exc.value.result.axiom, exc.value.result.witness] == expected
         fields = [getattr(bad, f.name) for f in dataclasses.fields(bad)]
         for flag in (False, True):
             with pytest.raises(TypeError):
                 type(bad)(*fields, check=flag)
+
+
+def reportable(axioms):
+    """The axioms a check may report for a kind that lists `axioms`: each
+    entry, with "<field> preorder" read as "<field> reflexivity" or
+    "<field> transitivity"."""
+    out = set()
+    for axiom in axioms:
+        field, _, last = axiom.rpartition(" ")
+        out |= {f"{field} reflexivity", f"{field} transitivity"} if last == "preorder" else {axiom}
+    return out
+
+
+def test_every_reported_axiom_is_listed_for_its_kind():
+    """Each kind's check reports only axioms its `AXIOMS` entry lists, and
+    some invalid structure reports each entry.  Reports come from the cases
+    above, and from every preorder, prom and representation whose relations
+    are any of the 16 on two points, with their identity morphisms."""
+    axioms = structures_module.AXIOMS
+    assert set(axioms) == set(structures_module.VALIDATION)
+    reported = {cls: set() for cls in axioms}
+    for bad, _, axiom, _ in invalid_structures():
+        reported[type(bad)].add(axiom)
+    M1 = finset("M", 1, "m")
+    squares = [Preorder(Rel(A2, A2, rows)) for rows in product(range(4), repeat=2)]
+    proms = [
+        Prom(x, Preorder(Rel(B2, B2, y.rel.rows)), FnMap(A2, B2, image))
+        for x, y in product(squares, repeat=2)
+        for image in product(range(2), repeat=2)
+    ]
+    reps = [Representation(Rel(M1, A2, (row,)), order) for order in squares for row in range(4)]
+    ends = [*proms, *reps]
+    morphisms = [identity_prom_morphism(p) for p in proms] + [identity_rep_morphism(r) for r in reps]
+    for obj in [*squares, *ends, *morphisms]:
+        res = structures_module.VALIDATION[type(obj)][1](obj)
+        if not res:
+            reported[type(obj)].add(res.axiom)
+    for cls, listed in axioms.items():
+        assert reported[cls] <= reportable(listed), cls
+        assert all(reportable([entry]) & reported[cls] for entry in listed), cls
 
 
 def reference_check_preorder(r):

@@ -45,7 +45,7 @@ def test_parse_sample():
     ws = workspace.parse(SAMPLE)
     assert isinstance(ws.structures["p"], Prom)
     assert isinstance(ws.structures["ord_b"], Preorder)
-    assert ws.structures["p"].f.of("a0") == "b0"
+    assert ws.structures["p"].f.as_dict()["a0"] == "b0"
 
 
 def test_round_trip_is_identity():
