@@ -742,16 +742,24 @@ def _hom_sets(inst):
     return p, r, rep_homs, list(enumerate_prom_morphisms(p, rep_to_prom(r)))
 
 
+def _maps(m) -> tuple:
+    """A morphism's key within its hom-set, whose ends are fixed: its maps."""
+    return m.phi.image, m.psi.image if isinstance(m, PromMorphism) else m.tau.rows
+
+
 def _check_lemma8(inst):
     p, r, rep_homs, prom_homs = _hom_sets(inst)
+    listed_prom, listed_rep = {_maps(m) for m in prom_homs}, {_maps(m) for m in rep_homs}
     for m in rep_homs:
-        bad = _invalid("Ψ image", lift(m, p))
-        if bad:
-            return bad, {}
+        image = lift(m, p)
+        bad = _invalid("Ψ image", image)
+        if bad or _maps(image) not in listed_prom:
+            return bad or "Ψ image is not in the listed Hom(p, M r)", {}
     for m in prom_homs:
-        bad = _invalid("T image", lower(m, r))
-        if bad:
-            return bad, {}
+        image = lower(m, r)
+        bad = _invalid("T image", image)
+        if bad or _maps(image) not in listed_rep:
+            return bad or "T image is not in the listed Hom(R p, r)", {}
     return None, {"rep_homs": len(rep_homs), "prom_homs": len(prom_homs)}
 
 
@@ -762,14 +770,19 @@ def _check_lemma9(inst):
         back = lift(lower(m, r), p)
         if back != m:
             return "ΨT is not the identity on prom morphisms", notes
+    listed_rep = {_maps(m) for m in rep_homs}
     for m in rep_homs:
         around = lower(lift(m, p), r)
         if not repmor_leq(m, around):
             return "TΨ does not dominate the identity", notes
         if not eq(around.tau, compose(m.tau, p.y.rel)):
             return "TΨ(τ) differs from τ⨾y", notes
+        if _maps(around) not in listed_rep:
+            return "TΨ image is not in the listed Hom(R p, r)", notes
         if not repmor_leq(around, m):
             notes["strict_t_psi"] += 1
+    if len(prom_homs) != len(rep_homs) - notes["strict_t_psi"]:
+        return "|Hom(p, M r)| differs from |Hom(R p, r)| less the strict TΨ", notes
     return None, notes
 
 

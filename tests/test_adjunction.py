@@ -8,17 +8,14 @@ import pytest
 from promrep import (
     FnMap,
     Preorder,
-    PowersetBundle,
     Prom,
     Rel,
     check_rep_morphism,
     clear_caches,
     compose,
     counit,
-    direct_image,
     eq,
     finset,
-    full,
     graph_upper,
     identity,
     identity_prom_morphism,
@@ -66,6 +63,7 @@ from seeded import (
     gen_representation,
     patch_everywhere,
 )
+from test_mutants import BY_ID, mutant_of, patch
 
 
 def rel(src, dst, *pairs):
@@ -312,18 +310,14 @@ def test_superset_masks_match_their_definition(n):
 
 # --- mutation: the checks catch injected kernel bugs -------------------------
 
-def full_residual(x, z):
-    return full(x.dst, z.dst)
+# Each mutant comes from `test_mutants.MUTANTS`, which records the default
+# law runs that kill it; the tests here check what those runs do not.
 
-
-def residual_skipping_last_row(x, z):
-    """Forgets the constraint from the last source element."""
-    keep = finset(x.src.name, len(x.src) - 1, "_")
-    return left_residual(Rel(keep, x.dst, x.rows[:-1]), Rel(keep, z.dst, z.rows[:-1]))
-
-
-@pytest.mark.parametrize("bug", [full_residual, residual_skipping_last_row])
-def test_residual_bug_is_caught_by_both_powerset_laws(monkeypatch, bug):
+@pytest.mark.parametrize(
+    "mutant_id", ["residual-full", "residual-skipping-last-row"], ids=["full_residual", "residual_skipping_last_row"]
+)
+def test_residual_bug_is_caught_by_both_powerset_laws(monkeypatch, mutant_id):
+    bug = mutant_of(mutant_id)
     monkeypatch.setattr(adjunction_module, "left_residual", bug)
     monkeypatch.setattr(harness_module, "left_residual", bug)
     assert not triangle_prom(gen_representation(1, 3, 2))
@@ -351,36 +345,9 @@ def test_dropped_column_is_caught_by_triangle_repr(monkeypatch):
     assert replay(witness)
 
 
-def test_compose_dropping_last_bit_is_caught_by_the_default_catalog_run(monkeypatch):
-    """Every law but mem-residual-subset, which composes nothing, kills the
-    mutant with a replaying witness."""
-    compose = rel_module.compose
-
-    def mutant(x, y):
-        """compose's row loop, skipping the highest set bit of each row of x."""
-        return compose(Rel(x.src, x.dst, tuple(row ^ (1 << row.bit_length() >> 1) for row in x.rows)), y)
-
-    patch_everywhere(monkeypatch, "compose", mutant, rel_module)
-    survivors = []
-    for law in harness_module.CATALOG:
-        clear_caches()
-        summary = search(SearchConfig(law))
-        if summary.passed:
-            survivors.append(law)
-        else:
-            assert replay(summary.witness), law
-    assert survivors == ["mem-residual-subset"]
-
-
 @pytest.mark.parametrize("law", ["lemma4", "psi-characterization", "triangle-pom"])
 def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
-    transpose = rel_module.power_transpose
-
-    def drop_last_column(x, mem):
-        f = transpose(x, mem)
-        return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
-
-    patch_everywhere(monkeypatch, "power_transpose", drop_last_column, rel_module)
+    patch(monkeypatch, "power-transpose-zeroing-last-entry")
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert replay(summary.witness)
@@ -388,36 +355,13 @@ def test_dropped_transpose_column_is_caught_by_catalog(monkeypatch, law):
 
 @pytest.mark.parametrize("law", ["lemma4", "mem-residual-subset", "triangle-pom"])
 def test_powerset_masks_in_wrong_order_are_caught_by_catalog(monkeypatch, law):
-    build = rel_module._build_powerset
-
-    def swap_first_two_subsets(base):
-        """Subsets 0 and 1 ({} and {first}) trade membership columns."""
-        b = build(base)
-        rows = tuple(row & ~3 | (row & 1) << 1 | (row & 2) >> 1 for row in b.mem.rows)
-        return PowersetBundle(b.base, b.carrier, Rel(b.base, b.carrier, rows))
-
     assert search(SearchConfig(law)).passed  # fills the cache with correct bundles
-    monkeypatch.setattr(rel_module, "_build_powerset", swap_first_two_subsets)
+    patch(monkeypatch, "powerset-swapping-first-two-subsets")
     assert search(SearchConfig(law)).passed  # the cache hides the mutant
     clear_caches()
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert replay(summary.witness)
-
-
-def residual_empty_over_empty_source(residual):
-    """The left residual, empty instead of full over an empty source."""
-    return lambda x, z: residual(x, z) if len(x.src) else Rel(x.dst, z.dst, (0,) * len(x.dst))
-
-
-def subset_order_without_empty_below_full(memo):
-    """The rows of ⊆ without the pair ({}, M) once 2^|M| ≥ 4."""
-    def mutant(mem):
-        rows = memo(mem)
-        if len(rows) < 4:
-            return rows
-        return (rows[0] & ~(1 << len(rows) - 1),) + rows[1:]
-    return mutant
 
 
 def test_subset_rows_memo_hides_a_residual_mutant_until_cleared(monkeypatch):
@@ -426,7 +370,7 @@ def test_subset_rows_memo_hides_a_residual_mutant_until_cleared(monkeypatch):
     r = gen_representation(0, 0, 2)
     assert len(r.M) == 0 and rep_to_prom(r).y.rel.rows == (1,)
     assert search(SearchConfig("lemma4")).passed  # fills the memo with correct rows
-    patch_everywhere(monkeypatch, "left_residual", residual_empty_over_empty_source(rel_module.left_residual), rel_module)
+    patch(monkeypatch, "residual-empty-over-empty-source")
     mem = powerset(r.M).mem
     assert rel_module.left_residual(mem, mem).rows == (0,)
     assert rep_to_prom(gen_representation(1, 0, 2)).y.rel.rows == (1,)
@@ -471,72 +415,30 @@ def test_scan_dropping_top_bit_is_caught_by_the_default_run(monkeypatch, capsys)
     assert replay(summary.witness)
 
 
-def dropping_top_lane(lane_transpose):
-    """The lane transpose with the byte lane of the last column zeroed."""
-    def mutant(rows, width):
-        columns = lane_transpose(rows, width)
-        columns[-1] = 0
-        return columns
-
-    return mutant
-
-
-def without_last_row(meet_table):
-    """The meet table built as if z's last row were full."""
-    return lambda rows, top: meet_table(rows[:-1] + (top,), top)
-
-
-@pytest.mark.parametrize("name, mutate", [("_lane_transpose", dropping_top_lane), ("_meet_table", without_last_row)])
-def test_wide_row_kernel_mutants_are_caught_by_the_default_catalog_run(monkeypatch, capsys, name, mutate):
+@pytest.mark.parametrize(
+    "mutant_id",
+    ["lane-transpose-dropping-top-lane", "meet-table-without-last-row"],
+    ids=["_lane_transpose-dropping_top_lane", "_meet_table-without_last_row"],
+)
+def test_wide_row_kernel_mutants_are_caught_by_the_default_catalog_run(monkeypatch, capsys, mutant_id):
     """∈ over 2^7 has 7 rows 128 columns wide, so the default
     mem-residual-subset run transposes it in byte lanes and takes ∈\\∈
-    from a meet table; a mutant in either must give a replaying witness."""
-    monkeypatch.setattr(rel_module, name, mutate(getattr(rel_module, name)))
-    killed = []
-    for law in harness_module.CATALOG:
-        clear_caches()
-        summary = search(SearchConfig(law))
-        if not summary.passed:
-            assert replay(summary.witness), law
-            killed.append(law)
-    assert "mem-residual-subset" in killed
-    clear_caches()
+    from a meet table; `promrep verify` must report either mutant."""
+    patch(monkeypatch, mutant_id)
     assert main(["verify", "mem-residual-subset"]) == 1
     assert capsys.readouterr().out.split("\n{", 1)[0].splitlines()[-1] == "result: fail"
 
 
-def test_byte_table_dropping_top_bit_is_caught_by_default_runs(monkeypatch):
-    """Rows below 2^8 list their bits from `rel._BYTE_BITS`, so default
-    seeded runs reach it; an entry for 0b11 that lost its top bit must
-    give a replaying witness."""
-    table = list(rel_module._BYTE_BITS)
-    table[0b11] = (0,)
-    monkeypatch.setattr(rel_module, "_BYTE_BITS", tuple(table))
-    for law in ("dual-galois", "psi-characterization"):
-        summary = search(SearchConfig(law))
-        assert not summary.passed, law
-        assert replay(summary.witness), law
-
-
 def test_byte_table_mutant_makes_invalid_instances_witnesses(monkeypatch, capsys):
-    """The same mutant breaks the structures the generators build: a
-    generated prom fails reflexivity.  Only a kernel bug builds an invalid
-    instance, so each run reports it as a replaying witness, and
+    """Rows below 2^8 list their bits from `rel._BYTE_BITS`; an entry for
+    0b11 that lost its top bit breaks the structures the generators build:
+    a generated prom fails reflexivity.  Only a kernel bug builds an invalid
+    instance, so the run reports it as a replaying witness, and
     `promrep verify` exits 1 with it instead of a traceback."""
-    table = list(rel_module._BYTE_BITS)
-    table[0b11] = (0,)
-    monkeypatch.setattr(rel_module, "_BYTE_BITS", tuple(table))
+    patch(monkeypatch, "byte-table-0b11-losing-top-bit")
     summary = search(SearchConfig("lemma1"))
     assert summary.witness.violation.startswith("instance is not valid: invalid prom: x reflexivity")
     assert replay(summary.witness)
-    killed = []
-    for law in harness_module.CATALOG:
-        clear_caches()
-        law_summary = search(SearchConfig(law))
-        if not law_summary.passed:
-            assert replay(law_summary.witness), law
-            killed.append(law)
-    assert len(killed) >= 16, killed
     clear_caches()
     assert main(["verify", "lemma1"]) == 1
     captured = capsys.readouterr()
@@ -545,24 +447,6 @@ def test_byte_table_mutant_makes_invalid_instances_witnesses(monkeypatch, capsys
     doc = json.loads("{" + witness)
     assert doc["law"] == "lemma1" and doc["violation"] == summary.witness.violation
     assert "Traceback" not in captured.err
-
-
-def absorb_untested_closed_rows(x):
-    """is_transitive that drops a closed row b > a's bits without testing
-    row b ⊆ row a first."""
-    rows = x.rows
-    for a in range(len(rows) - 1, -1, -1):
-        row = rows[a]
-        todo = row & ~(1 << a)
-        while todo:
-            low = todo & -todo
-            b = low.bit_length() - 1
-            todo ^= low
-            if b > a:
-                todo &= ~rows[b]
-            elif rows[b] | row != row:
-                return False
-    return True
 
 
 @pytest.mark.parametrize(
@@ -575,49 +459,38 @@ def absorb_untested_closed_rows(x):
 )
 def test_untested_row_absorption_is_caught_by_single_axiom_law(monkeypatch, config):
     assert search(config).passed
-    patch_everywhere(monkeypatch, "is_transitive", absorb_untested_closed_rows, rel_module)
+    patch(monkeypatch, "is-transitive-absorbing-untested-rows")
     summary = search(config)
     assert not summary.passed
     assert summary.witness.violation == "preorder axioms give True but r = r\\r gives False"
     assert replay(summary.witness)
 
 
-def _zero_last_image_entry(f):
-    return FnMap(f.src, f.dst, f.image[:-1] + (0,) * bool(f.image))
-
-
-def _zero_last_row(x):
-    return Rel(x.src, x.dst, x.rows[:-1] + (0,) * bool(x.rows))
-
-
 @pytest.mark.parametrize(
-    "law, name, bug, violation",
+    "law, mutant_id, violation",
     [
-        ("lemma8", "rel_to_map", _zero_last_image_entry, "Ψ image is not a prom morphism: "),
-        ("lemma8", "map_to_rel", _zero_last_row, "T image is not a representation morphism: "),
-        ("lemma9", "rel_to_map", _zero_last_image_entry, "ΨT is not the identity on prom morphisms"),
-        ("lemma9", "map_to_rel", _zero_last_row, "ΨT is not the identity on prom morphisms"),
+        ("lemma8", "psi-zeroing-last-entry", "Ψ image is not a prom morphism: "),
+        ("lemma8", "tee-zeroing-last-row", "T image is not a representation morphism: "),
+        ("lemma9", "psi-zeroing-last-entry", "ΨT is not the identity on prom morphisms"),
+        ("lemma9", "tee-zeroing-last-row", "ΨT is not the identity on prom morphisms"),
     ],
     ids=["lemma8-psi", "lemma8-tee", "lemma9-psi", "lemma9-tee"],
 )
-def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, name, bug, violation):
-    # Ψ and T have one body each; breaking it must show in both hom-set laws
-    correct = getattr(adjunction_module, name)
-    monkeypatch.setattr(adjunction_module, name, lambda *args: bug(correct(*args)))
+def test_broken_galois_map_is_caught_by_catalog(monkeypatch, law, mutant_id, violation):
+    # Ψ and T have one body each; breaking it in adjunction alone must show
+    # in both hom-set laws
+    monkeypatch.setattr(adjunction_module, BY_ID[mutant_id].name, mutant_of(mutant_id))
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert summary.witness.violation.startswith(violation)
     assert replay(summary.witness)
 
 
-@pytest.mark.parametrize(
-    "name, bug", [("rel_to_map", _zero_last_image_entry), ("map_to_rel", _zero_last_row)], ids=["psi", "tee"]
-)
-def test_broken_galois_map_is_caught_by_the_transposes_of_identities(monkeypatch, name, bug):
+@pytest.mark.parametrize("mutant_id", ["psi-zeroing-last-entry", "tee-zeroing-last-row"], ids=["psi", "tee"])
+def test_broken_galois_map_is_caught_by_the_transposes_of_identities(monkeypatch, mutant_id):
     """Of the default catalog run, only lemma8, lemma9 and (for Ψ)
     psi-characterization kill these mutants; the transposes check kills both."""
-    correct = getattr(adjunction_module, name)
-    monkeypatch.setattr(adjunction_module, name, lambda *args: bug(correct(*args)))
+    monkeypatch.setattr(adjunction_module, BY_ID[mutant_id].name, mutant_of(mutant_id))
     assert not all(transposes_of_identities())
 
 
@@ -632,154 +505,18 @@ def test_broken_galois_map_is_caught_by_the_transposes_of_identities(monkeypatch
 )
 def test_broken_direct_image_is_caught_by_catalog(monkeypatch, law, violation):
     # the laws compare whole morphisms, so one wrong entry of ψ must show
-    correct = direct_image
     assert search(SearchConfig(law)).passed
-    patch_everywhere(monkeypatch, "direct_image", lambda *args: _zero_last_image_entry(correct(*args)), functors_module)
+    patch(monkeypatch, "direct-image-zeroing-last-entry")
     summary = search(SearchConfig(law))
     assert not summary.passed
     assert summary.witness.violation == violation
     assert replay(summary.witness)
 
 
-@pytest.mark.parametrize(
-    "name, bug, killers",
-    [
-        (
-            "leq",
-            lambda leq: lambda x, y: leq(_zero_last_row(x), y),
-            ["eq1-galois", "lemma10", "lemma11", "soundness-residual-equiv"],
-        ),
-        ("converse", lambda converse: lambda x: _zero_last_row(converse(x)), ["dual-galois"]),
-        (
-            "left_residual",
-            residual_empty_over_empty_source,
-            [
-                "eq1-galois",
-                "dual-galois",
-                "mem-residual-subset",
-                "lemma4",
-                "lemma5",
-                "lemma8",
-                "lemma10",
-                "unit-natural",
-                "soundness-residual-equiv",
-            ],
-        ),
-        (
-            "subset_rows",
-            subset_order_without_empty_below_full,
-            ["lemma4", "lemma5", "lemma8", "lemma10", "unit-natural", "counit-natural"],
-        ),
-        (
-            # reads row f(a) of y with no ⨾f^*, masked to A's width so that
-            # the result is a relation on A
-            "pullback",
-            lambda pullback: lambda y, f: Rel(
-                f.src, f.src, tuple(y.rows[i] & ((1 << len(f.src)) - 1) for i in f.image)
-            ),
-            [
-                "lemma1", "lemma2", "lemma3", "lemma8", "lemma9", "lemma10", "lemma11",
-                "triangle-repr", "unit-natural",
-            ],
-        ),
-    ],
-    ids=[
-        "leq-skipping-last-row",
-        "converse-zeroing-last-row",
-        "residual-empty-over-empty-source",
-        "subset-order-without-empty-below-full",
-        "pullback-forgetting-f-upper",
-    ],
-)
-def test_kernel_mutant_is_caught_by_the_default_catalog_run(monkeypatch, name, bug, killers):
-    """`bug` maps the correct kernel function to its mutant; exactly the
-    laws in `killers` refute it, each with a replaying witness."""
-    patch_everywhere(monkeypatch, name, bug(getattr(rel_module, name)), rel_module)
-    killed = []
-    for law in harness_module.CATALOG:
-        clear_caches()
-        summary = search(SearchConfig(law))
-        if not summary.passed:
-            assert replay(summary.witness), law
-            killed.append(law)
-    assert killed == killers
-
-
-def power_transpose_past_its_carrier(transpose):
-    """Λ whose last image index is one past the powerset carrier."""
-    def mutant(x, mem):
-        f = transpose(x, mem)
-        return FnMap(f.src, f.dst, f.image[:-1] + (len(f.dst),) * bool(f.image))
-    return mutant
-
-
-def compose_past_its_destination(compose):
-    """x⨾y with the bit one past the destination set in its last row."""
-    def mutant(x, y):
-        r = compose(x, y)
-        return Rel(r.src, r.dst, r.rows[:-1] + tuple(row | 1 << len(r.dst) for row in r.rows[-1:]))
-    return mutant
-
-
-#: The laws whose default run draws its instances through `pullback`, which
-#: composes, so the compose mutant raises before any instance exists.
-_PULLBACK_DRAWN = [
-    "lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma8", "lemma9",
-    "lemma10", "lemma11", "triangle-repr", "triangle-pom", "unit-natural", "counit-natural",
-]
-
-
-@pytest.mark.parametrize(
-    "name, bug, message, killers, raisers",
-    [
-        (
-            "power_transpose",
-            power_transpose_past_its_carrier,
-            "image index outside destination carrier",
-            [
-                "lemma4", "lemma5", "lemma6", "lemma8", "lemma9", "lemma10", "triangle-repr",
-                "triangle-pom", "unit-natural", "counit-natural", "psi-characterization",
-            ],
-            [],
-        ),
-        (
-            "compose",
-            compose_past_its_destination,
-            "row mask exceeds destination carrier",
-            [
-                "eq1-galois", "dual-galois", "modular-tautology", "preorder-single-axiom",
-                "lemma7", "psi-characterization", "soundness-residual-equiv",
-            ],
-            _PULLBACK_DRAWN,
-        ),
-    ],
-    ids=["power-transpose-past-its-carrier", "compose-past-its-destination"],
-)
-def test_kernel_result_failing_its_shape_check_is_a_replaying_witness(monkeypatch, name, bug, message, killers, raisers):
-    """A kernel result that its constructor rejects inside a law check is that
-    law's violation, and replays; exactly `killers` refute the mutant.  Only
-    the instance generators in `raisers` still raise."""
-    patch_everywhere(monkeypatch, name, bug(getattr(rel_module, name)), rel_module)
-    killed, raised = [], []
-    for law in harness_module.CATALOG:
-        clear_caches()
-        try:
-            summary = search(SearchConfig(law))
-        except ValueError as e:
-            assert str(e) == message, law
-            raised.append(law)
-            continue
-        if not summary.passed:
-            assert summary.witness.violation == f"check raised ValueError: {message}", law
-            assert replay(summary.witness), law
-            killed.append(law)
-    assert killed == killers and raised == raisers
-
-
 def test_verify_reports_a_rejected_kernel_result_as_its_witness(monkeypatch, capsys):
     """`promrep verify` exits 1, "refuted", with the witness document and no
     traceback when a check's kernel result fails its shape check."""
-    patch_everywhere(monkeypatch, "compose", compose_past_its_destination(rel_module.compose), rel_module)
+    patch(monkeypatch, "compose-past-its-destination")
     assert main(["verify", "eq1-galois", "--seed", "7"]) == 1
     out, err = capsys.readouterr()
     head, doc = out.split("\n{", 1)
