@@ -64,10 +64,15 @@ purpose.)
 
 Checking a law builds many tiny relations over few carriers, so kernel
 objects are made cheap to build and compare, and every check is kept.
-`Rel` and `FnMap` validate their rows or image with one `min`/`max` and
-keep a tuple argument as is.  `Rel` is slotted, as are the structures'
-`Preorder` and morphisms: nothing is kept on them, so they need no
-`__dict__` and build faster without one.  `FinSet`, `FnMap` and the
+`Rel` and `FnMap` store their three fields in their own `__init__`: `Rel`
+through its slots' setters, bound once below the class, and `FnMap` into
+its `__dict__`, either way past the frozen `__setattr__` that the
+generated `__init__` would call once per field.  Each then calls
+`__post_init__`, still its one shape check, run once per object: it keeps
+a tuple argument as is, turns a list or generator into one, and tests the
+rows or image with one `min`/`max`.  `Rel` is slotted, as are the
+structures' `Preorder` and morphisms: nothing is kept on them, so they
+need no `__dict__` and build faster without one.  `FinSet`, `FnMap` and the
 structures' `Prom` and `Representation` keep theirs, for the positions of
 a carrier's labels, a map's graphs, R(p) and M(r).  Carrier checks test
 identity inline before `!=` compares labels (`leq` and `eq` before their
@@ -174,13 +179,19 @@ def _interned_finset(name: str, size: int, prefix: str) -> FinSet:
     return FinSet(name, tuple(f"{prefix}{i}" for i in range(size)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rel:
     """A binary relation src ⇸ dst as a packed bit matrix."""
 
     src: FinSet
     dst: FinSet
     rows: tuple[int, ...]
+
+    def __init__(self, src: FinSet, dst: FinSet, rows: Iterable[int]):
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_rows(self, rows)
+        self.__post_init__()
 
     def __post_init__(self):
         rows = self.rows
@@ -218,6 +229,11 @@ class Rel:
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
+
+
+# The slots' own setters, which `Rel.__init__` stores through past the frozen
+# `__setattr__`.
+_set_src, _set_dst, _set_rows = Rel.src.__set__, Rel.dst.__set__, Rel.rows.__set__
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -479,13 +495,20 @@ def right_residual(z: Rel, y: Rel) -> Rel:
     return converse(left_residual(converse(y), converse(z)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FnMap:
     """A total function src → dst, stored as destination indices."""
 
     src: FinSet
     dst: FinSet
     image: tuple[int, ...]
+
+    def __init__(self, src: FinSet, dst: FinSet, image: Iterable[int]):
+        fields = self.__dict__
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["image"] = image
+        self.__post_init__()
 
     def __post_init__(self):
         image = self.image

@@ -13,7 +13,12 @@ structure can still be held and reported.
 Each structure is a frozen dataclass compared by value.  `Preorder` and
 the two morphism classes are slotted, like `rel.Rel`, as nothing is kept
 on them; a `Prom` keeps its R(p) and a `Representation` its M(r) in their
-own `__dict__` (see `functors`).
+own `__dict__` (see `functors`).  Unlike `rel.Rel` and `rel.FnMap`, which
+store their fields in an `__init__` of their own and then call
+`__post_init__`, the structures keep the generated `__init__`: one
+exhaustive pass of the benchmark builds about 4,600 structures against
+300,000 relations.  Either way `__post_init__` is each value's one
+check, run once per object.
 """
 
 from __future__ import annotations

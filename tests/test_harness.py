@@ -56,6 +56,7 @@ from promrep.harness import (
     enumerate_rep_morphisms,
     enumerate_representations,
     mix_seed,
+    random_fnmap,
 )
 from promrep.structures import check_prom_morphism, check_representation
 from seeded import (
@@ -181,6 +182,39 @@ def test_every_kernel_relation_runs_its_shape_check(monkeypatch):
         if len(inst["r"].src) == 4:
             break
     assert runs[0] == 1 + 2 + 2**4 + 2**9 + 1
+
+
+def test_every_kernel_map_runs_its_shape_check(monkeypatch):
+    """Each map the kernel, the enumerator and the generator build goes through
+    `FnMap.__post_init__` once, as each relation goes through `Rel`'s; an
+    image or rows given as a list or a generator is kept as a tuple."""
+    A, B = finset("A", 3, "a"), finset("B", 2, "b")
+    f = FnMap(A, B, (1, 0, 1))
+    g = FnMap(B, A, (2, 0))
+    runs = [0]
+    post_init = FnMap.__post_init__
+
+    def counted(self):
+        runs[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FnMap, "__post_init__", counted)
+    builds = [
+        (lambda: [identity_map(A)], 1),
+        (lambda: [compose_maps(g, f)], 1),
+        (lambda: list(enumerate_fnmaps(A, B)), 8),
+        (lambda: [random_fnmap(random.Random(3), A, B)], 1),
+        (lambda: [FnMap.from_labels(B, A, {"b0": "a2", "b1": "a0"})], 1),
+    ]
+    for build, expected in builds:
+        before = runs[0]
+        maps = build()
+        assert runs[0] - before == expected == len(maps)
+        assert all(m.image.__class__ is tuple for m in maps)
+    for image in ([1, 0, 1], (i for i in (1, 0, 1))):
+        assert FnMap(A, B, image).image == (1, 0, 1)
+    for rows in ([1, 3, 0], (r for r in (1, 3, 0))):
+        assert Rel(A, B, rows).rows == (1, 3, 0)
 
 
 def test_enumerate_relations_checks_its_cell_limit_at_the_call():

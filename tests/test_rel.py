@@ -202,6 +202,46 @@ def test_rel_rejects_malformed_rows(src, dst, rows, message):
 
 
 @pytest.mark.parametrize(
+    "value, field, bad, message",
+    [
+        (Rel(A2, B2, (1, 3)), "rows", (1,), "row count does not match source carrier"),
+        (Rel(A2, B2, (1, 3)), "rows", [4, 1], "row mask exceeds destination carrier"),
+        (Rel(A2, B2, (1, 3)), "dst", A1, "row mask exceeds destination carrier"),
+        (FnMap(A2, B2, (1, 0)), "image", (0,), "function is not total on its source"),
+        (FnMap(A2, B2, (1, 0)), "dst", A1, "image index outside destination carrier"),
+    ],
+    ids=["rel-rows-short", "rel-rows-list-wide", "rel-dst", "fnmap-image", "fnmap-dst"],
+)
+def test_replace_runs_the_constructors_shape_check(value, field, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        type(value)(**{**{f.name: getattr(value, f.name) for f in dataclasses.fields(value)}, field: bad})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(value, **{field: bad})
+
+
+@pytest.mark.parametrize("cls, last, value", [(Rel, "rows", (1, 3)), (FnMap, "image", (1, 0))])
+def test_rel_and_fnmap_are_plain_frozen_dataclasses(cls, last, value):
+    """They build by keyword, list and match their three fields in order, and
+    refuse to assign or delete a field, as the generated dataclass would."""
+    names = ("src", "dst", last)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names == cls.__match_args__
+    assert all(f.init and f.repr and f.compare and f.hash is None for f in dataclasses.fields(cls))
+    built = cls(**dict(zip(names, (A2, B2, list(value)))))
+    assert built == cls(A2, B2, value) and getattr(built, last) == value
+    match built:
+        case cls(src, dst, held):
+            assert (src, dst, held) == (A2, B2, value)
+        case _:
+            pytest.fail("positional class pattern did not match")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, getattr(built, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+    assert built == cls(A2, B2, value)
+
+
+@pytest.mark.parametrize(
     "image, message",
     [
         ((0,), "function is not total on its source"),
