@@ -11,10 +11,11 @@ order, sorted names, pairs in row-major carrier order — so output files
 are byte-stable.
 
 `to_doc` gives the canonical document and `dumps` its text, byte-identical
-to `json.dumps(to_doc(ws), indent=2) + "\n"`.  `dumps` does not build the
-document's list of pairs: it writes each relation from its bit rows, as
-one shared fragment per source label and one per destination label, each
-escaped once by the same C escaper `json.dumps` uses.
+to `json.dumps(to_doc(ws), indent=2) + "\n"`.  `dumps` lets `json.dumps`
+lay out the document with a placeholder for each relation's pairs, and
+writes only the pair lists itself, from the bit rows, as one shared
+fragment per source label and one per destination label, each escaped
+once by the same C escaper `json.dumps` uses.
 """
 
 from __future__ import annotations
@@ -173,14 +174,14 @@ def loads(text: str) -> Workspace:
     return parse(doc)
 
 
-def _layout(ws: Workspace) -> dict:
-    """The canonical document, with each relation's `pairs` left as the Rel."""
+def _layout(ws: Workspace, pairs) -> dict:
+    """The canonical document, with `pairs(r)` as each relation r's `pairs`."""
     doc = {"sets": {}, "relations": {}, "functions": {}, "structures": {}}
     for name in sorted(ws.sets):
         doc["sets"][name] = list(ws.sets[name].elements)
     for name in sorted(ws.relations):
         r = ws.relations[name]
-        doc["relations"][name] = {"from": r.src.name, "to": r.dst.name, "pairs": r}
+        doc["relations"][name] = {"from": r.src.name, "to": r.dst.name, "pairs": pairs(r)}
     for name in sorted(ws.functions):
         f = ws.functions[name]
         doc["functions"][name] = {"from": f.src.name, "to": f.dst.name, "map": f.as_dict()}
@@ -191,51 +192,31 @@ def _layout(ws: Workspace) -> dict:
 
 
 def to_doc(ws: Workspace) -> dict:
-    doc = _layout(ws)
-    for rec in doc["relations"].values():
-        rec["pairs"] = [list(p) for p in rec["pairs"].pairs()]
-    return doc
+    return _layout(ws, lambda r: [list(p) for p in r.pairs()])
+
+
+#: A relation's `pairs` as json.dumps(indent=2) lays out the number 0.  Only
+#: a relation record has a `pairs` key at this depth, no other value in the
+#: document is a number, and json.dumps escapes a newline in any string.
+_PAIRS_MARK = '\n      "pairs": 0'
 
 
 def dumps(ws: Workspace) -> str:
-    """json.dumps(to_doc(ws), indent=2) + "\n", byte for byte, written from the bit rows."""
-    out: list[str] = []
-    _encode(_layout(ws), "", out)
+    """json.dumps(to_doc(ws), indent=2) + "\n", byte for byte, each relation's
+    pairs written from its bit rows."""
+    text = json.dumps(_layout(ws, lambda r: 0), indent=2)
+    rest = text.split(_PAIRS_MARK)
+    out = [rest[0]]
+    for name, after in zip(sorted(ws.relations), rest[1:]):
+        out.append(_PAIRS_MARK[:-1])
+        _encode_pairs(ws.relations[name], out)
+        out.append(after)
     out.append("\n")
     return "".join(out)
 
 
-def _encode(value, indent: str, out: list) -> None:
-    """Append `value` as json.dumps(..., indent=2) lays it out `indent` deep."""
-    if isinstance(value, str):
-        out.append(_string(value))
-    elif isinstance(value, Rel):
-        _encode_pairs(value, indent, out)
-    elif not isinstance(value, (dict, list)):
-        raise TypeError(f"cannot encode {type(value).__name__} in a workspace")
-    elif not value:
-        out.append("{}" if isinstance(value, dict) else "[]")
-    else:
-        inner = indent + "  "
-        sep = "\n" + inner
-        if isinstance(value, dict):
-            out.append("{")
-            for key, item in value.items():
-                out.append(sep + _string(key) + ": ")
-                _encode(item, inner, out)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "}")
-        else:
-            out.append("[")
-            for item in value:
-                out.append(sep)
-                _encode(item, inner, out)
-                sep = ",\n" + inner
-            out.append("\n" + indent + "]")
-
-
-def _encode_pairs(rel: Rel, indent: str, out: list) -> None:
-    """Append rel's pairs as the list of [a, b] lists to_doc would give.
+def _encode_pairs(rel: Rel, out: list) -> None:
+    """Append rel's pairs as json.dumps(to_doc(ws), indent=2) lays out its list.
 
     Each pair is two shared fragments: a head for its source label, which
     opens the pair, and a tail for its destination label, which closes it.
@@ -243,9 +224,8 @@ def _encode_pairs(rel: Rel, indent: str, out: list) -> None:
     if not any(rel.rows):
         out.append("[]")
         return
-    pair, label = indent + "  ", indent + "    "
-    heads = [f",\n{pair}[\n{label}{_string(a)},\n{label}" for a in rel.src.elements]
-    tails = [f"{_string(b)}\n{pair}]" for b in rel.dst.elements]
+    heads = [f",\n        [\n          {_string(a)},\n          " for a in rel.src.elements]
+    tails = [f"{_string(b)}\n        ]" for b in rel.dst.elements]
     out.append("[")
     first = len(out)
     width = len(tails)
@@ -253,7 +233,7 @@ def _encode_pairs(rel: Rel, indent: str, out: list) -> None:
         for j in row_bits(row, width):
             out += (head, tails[j])
     out[first] = out[first][1:]  # no separator before the first pair
-    out.append("\n" + indent + "]")
+    out.append("\n      ]")
 
 
 def _name_of(table: dict, obj, what: str) -> str:

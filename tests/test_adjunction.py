@@ -164,36 +164,22 @@ def test_exhaustive_functor_laws_build_m_once_per_representation(monkeypatch, la
     assert built["M"] == pools * reps == {"lemma5": 128, "lemma6": 30}[law]
 
 
-def unit_dropping_last_image(p):
-    """η with ψ sending the last point of B to the empty set."""
-    m = unit(p)
-    psi = FnMap(m.psi.src, m.psi.dst, m.psi.image[:-1] + (0,) * bool(m.psi.image))
-    return type(m)(m.src, m.dst, m.phi, psi)
-
-
-def counit_dropping_last_row(r):
-    """ε with the last row of τ emptied."""
-    m = counit(r)
-    tau = Rel(m.tau.src, m.tau.dst, m.tau.rows[:-1] + (0,) * bool(m.tau.rows))
-    return type(m)(m.src, m.dst, m.phi, tau)
-
-
 @pytest.mark.parametrize(
-    "law, name, mutant, seed, violation",
+    "law, mutant_id, seed, violation",
     [
-        ("unit-natural", "unit", unit_dropping_last_image, 0,
+        ("unit-natural", "unit-emptying-last-image", 0,
          "unit is not a prom morphism: psi order preservation violated at ('b0', 'b2')"),
-        ("unit-natural", "unit", unit_dropping_last_image, 1,
+        ("unit-natural", "unit-emptying-last-image", 1,
          "unit is not a prom morphism: psi order preservation violated at ('d0', 'd1')"),
-        ("counit-natural", "counit", counit_dropping_last_row, 0,
+        ("counit-natural", "counit-emptying-last-row", 0,
          "counit is not a representation morphism: commuting square violated at ('m1', 's0')"),
     ],
 )
-def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, name, mutant, seed, violation):
+def test_mutant_unit_and_counit_keep_their_witnesses(monkeypatch, law, mutant_id, seed, violation):
     """A broken unit or counit is reported with the message of the first
     end whose morphism check fails, the source before the destination: at
     seed 0 the source's unit fails, at seed 1 the destination's."""
-    patch_everywhere(monkeypatch, name, mutant, adjunction_module)
+    patch(monkeypatch, mutant_id)
     summary = search(SearchConfig(law, seed=seed))
     assert summary.witness.violation == violation
     assert replay(summary.witness)
@@ -388,11 +374,10 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     The law's reference for ∈\\∈ lists no bits through the kernel, and
     triangle_prom compares the composite's images with the identity's.
     """
-    scan = rel_module._scan
     config = SearchConfig("mem-residual-subset", mode="exhaustive", bounds=(8,))
     r = gen_representation(0, 8, 1)
     assert search(config).passed and triangle_prom(r)
-    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ (1 << row.bit_length() >> 1)))
+    patch(monkeypatch, "scan-dropping-top-bit")
     summary = search(config)
     assert not summary.passed
     assert summary.witness.violation == "∈\\∈ differs from the subset order"
@@ -400,30 +385,16 @@ def test_scan_dropping_top_bit_is_caught_at_width_256(monkeypatch):
     assert not triangle_prom(r)
 
 
-def test_scan_dropping_top_bit_is_caught_by_the_default_run(monkeypatch, capsys):
-    """mem-residual-subset's default bound draws |M| up to 7, where ∈ has
-    rows 128 columns wide with 64 bits each, which `row_bits` scans."""
-    scan = rel_module._scan
-    monkeypatch.setattr(rel_module, "_scan", lambda row: scan(row ^ (1 << row.bit_length() >> 1)))
-    clear_caches()
-    assert main(["verify", "mem-residual-subset"]) == 1
-    report, witness = capsys.readouterr().out.split("\n{", 1)
-    assert report.splitlines()[-1] == "result: fail"
-    summary = search(SearchConfig("mem-residual-subset"))
-    assert json.loads("{" + witness)["seed"] == summary.witness.seed
-    assert summary.witness.violation == "∈\\∈ differs from the subset order"
-    assert replay(summary.witness)
-
-
 @pytest.mark.parametrize(
     "mutant_id",
-    ["lane-transpose-dropping-top-lane", "meet-table-without-last-row"],
-    ids=["_lane_transpose-dropping_top_lane", "_meet_table-without_last_row"],
+    ["lane-transpose-dropping-top-lane", "meet-table-without-last-row", "scan-dropping-top-bit"],
+    ids=["_lane_transpose-dropping_top_lane", "_meet_table-without_last_row", "_scan-dropping_top_bit"],
 )
 def test_wide_row_kernel_mutants_are_caught_by_the_default_catalog_run(monkeypatch, capsys, mutant_id):
-    """∈ over 2^7 has 7 rows 128 columns wide, so the default
-    mem-residual-subset run transposes it in byte lanes and takes ∈\\∈
-    from a meet table; `promrep verify` must report either mutant."""
+    """∈ over 2^7 has 7 rows 128 columns wide with 64 bits each, so the
+    default mem-residual-subset run transposes it in byte lanes, takes
+    ∈\\∈ from a meet table and lists its rows' bits by `rel._scan`;
+    `promrep verify` must report each mutant."""
     patch(monkeypatch, mutant_id)
     assert main(["verify", "mem-residual-subset"]) == 1
     assert capsys.readouterr().out.split("\n{", 1)[0].splitlines()[-1] == "result: fail"

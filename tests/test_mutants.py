@@ -52,9 +52,28 @@ def zero_last_row(x):
     return Rel(x.src, x.dst, x.rows[:-1] + (0,) * bool(x.rows))
 
 
+def emptying_last_psi_image(m):
+    """A prom morphism whose ψ sends its last point to the empty set."""
+    return type(m)(m.src, m.dst, m.phi, zero_last_image_entry(m.psi))
+
+
+def emptying_last_tau_row(m):
+    """A representation morphism whose τ has its last row emptied."""
+    return type(m)(m.src, m.dst, m.phi, zero_last_row(m.tau))
+
+
+def without_top_bit(row):
+    return row ^ (1 << row.bit_length() >> 1)
+
+
+def dropping_top_bit(scan):
+    """`rel._scan` listing a row as if its highest set bit were clear."""
+    return lambda row: scan(without_top_bit(row))
+
+
 def dropping_last_bit_of_each_row_of_x(compose):
     """compose's row loop, skipping the highest set bit of each row of x."""
-    return lambda x, y: compose(Rel(x.src, x.dst, tuple(row ^ (1 << row.bit_length() >> 1) for row in x.rows)), y)
+    return lambda x, y: compose(Rel(x.src, x.dst, tuple(map(without_top_bit, x.rows))), y)
 
 
 def dropping_top_lane(lane_transpose):
@@ -205,6 +224,7 @@ MUTANTS = (
         "dual-galois, modular-tautology, lemma1, lemma2, lemma3, lemma4, lemma5, lemma6, lemma8, lemma9, lemma10, "
         "lemma11, triangle-repr, unit-natural, counit-natural, psi-characterization",
     ),
+    Mutant("scan-dropping-top-bit", rel_module, "_scan", dropping_top_bit, "mem-residual-subset"),
     Mutant(
         "leq-skipping-last-row", rel_module, "leq", lambda leq: lambda x, y: leq(zero_last_row(x), y),
         "eq1-galois, lemma9, lemma10, lemma11, soundness-residual-equiv",
@@ -277,6 +297,14 @@ MUTANTS = (
     Mutant(
         "direct-image-zeroing-last-entry", functors_module, "direct_image", after(zero_last_image_entry),
         "lemma5, lemma6, unit-natural, counit-natural",
+    ),
+    Mutant(
+        "unit-emptying-last-image", adjunction_module, "unit", after(emptying_last_psi_image),
+        "triangle-repr, unit-natural",
+    ),
+    Mutant(
+        "counit-emptying-last-row", adjunction_module, "counit", after(emptying_last_tau_row),
+        "triangle-repr, counit-natural",
     ),
     Mutant(
         "prom-hom-sets-losing-last-morphism", harness_module, "enumerate_prom_morphisms",

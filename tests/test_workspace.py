@@ -17,6 +17,7 @@ from promrep import (
     Workspace,
     WorkspaceError,
     prom_to_rep,
+    rep_to_prom,
     unit,
 )
 from promrep import workspace
@@ -148,8 +149,8 @@ def test_build_dedupes_shared_subobjects():
 
 #: Labels and names that need escaping or are easy to get wrong: empty,
 #: non-ASCII, a quote, a backslash, a newline, subset-like braces and commas,
-#: and a lone surrogate.
-AWKWARD = ("", "a", "é", "日本", '"', "\\", "\n", "{a,b}", "\ud800")
+#: a lone surrogate, and the key that `dumps` splits its text on.
+AWKWARD = ("", "a", "é", "日本", '"', "\\", "\n", "{a,b}", "\ud800", "pairs")
 awkward = st.sampled_from(AWKWARD) | st.text(max_size=2)
 
 
@@ -191,10 +192,18 @@ def workspaces(draw):
 WIDE = Rel(FinSet("A", ("a0", "a1", "a2", "a3")), FinSet("W", tuple(f"w{j}" for j in range(300))),
            (0, (1 << 300) - 1, 1 << 299 | 1, int("110" * 100, 2)))
 
+#: A set, relation, function and structure all named `pairs`, over a set
+#: with a label that reads like the text `dumps` splits on.
+PAIRS = Rel(FinSet("pairs", ('"pairs": 0', "b")), FinSet("pairs", ('"pairs": 0', "b")), (0b11, 0b10))
+
 
 @settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(ws=workspaces())
 @example(ws=Workspace())
 @example(ws=workspace.build({"wide": WIDE}))
+@example(ws=Workspace(sets={"pairs": PAIRS.src}, relations={"pairs": PAIRS},
+                      functions={"pairs": FnMap(PAIRS.src, PAIRS.src, (1, 0))},
+                      structures={"pairs": Preorder(PAIRS)}))
+@example(ws=workspace.build({"M": rep_to_prom(gen_representation(0, 8, 1))}))  # ⊆ over 256 subsets
 def test_dumps_matches_json_dumps(ws):
     assert workspace.dumps(ws) == json.dumps(workspace.to_doc(ws), indent=2) + "\n"
