@@ -275,9 +275,10 @@ def enumerate_proms(max_a: int, max_b: int, at: int = 0) -> Iterator[Prom]:
     for size_a in range(max_a + 1):
         for size_b in range(max_b + 1):
             A, B = _carriers(PROM_CARRIERS, at, size_a, size_b)
+            xs = list(enumerate_preorders(A))
             for y in enumerate_preorders(B):
                 for f in enumerate_fnmaps(A, B):
-                    for x in enumerate_preorders(A):
+                    for x in xs:
                         if order_violation(f, x.rel, y.rel) is None:
                             yield Prom(x, y, f)
 
@@ -287,8 +288,9 @@ def enumerate_representations(max_m: int, max_s: int, at: int = 0) -> Iterator[R
     for size_m in range(max_m + 1):
         for size_s in range(max_s + 1):
             M, S = _carriers(REP_CARRIERS, at, size_m, size_s)
+            sats = list(enumerate_relations(M, S))
             for ord_ in enumerate_preorders(S):
-                for sat in enumerate_relations(M, S):
+                for sat in sats:
                     if leq(compose(sat, ord_.rel), sat):
                         yield Representation(sat, ord_)
 

@@ -6,9 +6,10 @@ CarrierMismatch otherwise.  `validate` is the one place that checks the
 axioms: every axiom has a check_* function that reports the first
 violated axiom together with a concrete witness, which `validate` raises
 as InvalidStructure; `AXIOMS` lists each kind's axioms in the order its
-check tests them.  Callers validate where input enters (`promrep
-check` and `apply`, and the harness on every law instance), so an invalid
-structure can still be held and reported.
+check tests them.  `is_preorder` alone decides whether a relation is a
+preorder, and `check_preorder` only names its witness.  Callers validate
+where input enters (`promrep check` and `apply`, and the harness on every
+law instance), so an invalid structure can still be held and reported.
 
 Each structure is a frozen dataclass compared by value.  `Preorder` and
 the two morphism classes are slotted, like `rel.Rel`, as nothing is kept
@@ -24,7 +25,6 @@ check, run once per object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .rel import (
     CarrierMismatch,
@@ -62,28 +62,29 @@ class InvalidStructure(ValueError):
         super().__init__(f"invalid {kind}: {result.axiom} violated at {result.witness}")
 
 
-def check_preorder(r: Rel) -> CheckResult:
-    """Reflexivity, then transitivity, each with its first witness in row-major order.
-
-    Transitivity is decided by `is_transitive`; r⨾r is composed and scanned
-    only after that test fails, to name the witness.
-    """
+def is_preorder(r: Rel) -> bool:
+    """Whether r is reflexive and transitive: the one decision, with no witness built."""
     if r.src is not r.dst and r.src != r.dst:
         raise CarrierMismatch("a preorder must be a square relation")
     for i, row in enumerate(r.rows):
         if not row >> i & 1:
-            return _not_reflexive_at(r.src.elements[i])
-    if is_transitive(r):
+            return False
+    return is_transitive(r)
+
+
+def check_preorder(r: Rel) -> CheckResult:
+    """OK when `is_preorder` holds, else its first witness in row-major order:
+    the first missing loop, else the first pair of r⨾r outside r.  Only a
+    kernel that contradicts itself leaves no pair; r then fails transitivity
+    without a witness."""
+    if is_preorder(r):
         return OK
-    extra = (sq & ~row for sq, row in zip(compose(r, r).rows, r.rows))
-    return _first_pair("transitivity", extra, r.src, r.src)
-
-
-@lru_cache(maxsize=256)
-def _not_reflexive_at(a: str) -> CheckResult:
-    """The one reflexivity failure at label a: most relations an exhaustive
-    preorder law lists fail here, and a CheckResult is immutable."""
-    return CheckResult(False, "reflexivity", (a, a))
+    loops = (1 << i & ~row for i, row in enumerate(r.rows))
+    return (
+        _first_pair("reflexivity", loops, r.src, r.src)
+        and _first_pair("transitivity", (sq & ~row for sq, row in zip(compose(r, r).rows, r.rows)), r.src, r.src)
+        and CheckResult(False, "transitivity")
+    )
 
 
 def _first_pair(axiom: str, rows, src: FinSet, dst: FinSet) -> CheckResult:
@@ -94,8 +95,9 @@ def _first_pair(axiom: str, rows, src: FinSet, dst: FinSet) -> CheckResult:
     return OK
 
 
-def is_preorder(r: Rel) -> bool:
-    return check_preorder(r).ok
+def _part(name: str, res: CheckResult) -> CheckResult:
+    """res, or its failure with the axiom named after the part, as in `x reflexivity` or `src soundness`."""
+    return res or CheckResult(False, f"{name} {res.axiom}", res.witness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,13 +147,11 @@ class Prom:
 
 
 def check_prom(p: Prom) -> CheckResult:
-    res = check_preorder(p.x.rel)
-    if not res:
-        return CheckResult(False, "x " + res.axiom, res.witness)
-    res = check_preorder(p.y.rel)
-    if not res:
-        return CheckResult(False, "y " + res.axiom, res.witness)
-    return _preserves("order preservation", p.f, p.x, p.y)
+    return (
+        _part("x", check_preorder(p.x.rel))
+        and _part("y", check_preorder(p.y.rel))
+        and _preserves("order preservation", p.f, p.x, p.y)
+    )
 
 
 def order_violation(f: FnMap, x: Rel, y: Rel) -> tuple[int, int] | None:
@@ -193,11 +193,7 @@ class PromMorphism:
 
 def _ends(check, m) -> CheckResult:
     """`check` on m's source, then its destination, naming the failing end."""
-    for end, obj in (("src", m.src), ("dst", m.dst)):
-        res = check(obj)
-        if not res:
-            return CheckResult(False, f"{end} {res.axiom}", res.witness)
-    return OK
+    return _part("src", check(m.src)) and _part("dst", check(m.dst))
 
 
 def check_prom_morphism(m: PromMorphism) -> CheckResult:
@@ -246,9 +242,9 @@ class Representation:
 
 
 def check_representation(r: Representation) -> CheckResult:
-    res = check_preorder(r.ord.rel)
+    res = _part("ord", check_preorder(r.ord.rel))
     if not res:
-        return CheckResult(False, "ord " + res.axiom, res.witness)
+        return res
     closed, rows = compose(r.sat, r.ord.rel).rows, r.sat.rows
     if closed == rows:
         return OK

@@ -742,6 +742,24 @@ def test_enumerated_set_matches_golden(law, bounds):
     assert (len(reprs), digest) == GOLDEN_SETS[law, bounds]
 
 
+#: (enumerator, bounds, sha256 of `repr(list(enumerator(*bounds)))`).
+#: `GOLDEN_SETS` sorts its reprs, so only these pin the order in which
+#: exhaustive runs meet their instances, and so which witness they report.
+GOLDEN_ORDERS = [
+    (enumerate_proms, (2, 2), "b0e6bbeac58cca79dc1afcdcc8eb04e10460a89d72ce1cfc83bb3164c02c8512"),
+    (enumerate_proms, (3, 2), "b0c07ac9bd229d1cd2dcc610e65e67f121b48983e3cb777c620e8883af482aa4"),
+    (enumerate_representations, (2, 2), "1c94b0571511d29cb284b7acf88816f64336eb7e05891e5016ab27f4f962637e"),
+    (enumerate_representations, (2, 3), "99a47b7287049d2a8a733058d86224c464612d0196e3db17189987c6073e55f6"),
+]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, bounds, digest", GOLDEN_ORDERS, ids=[f"{e.__name__}{b}" for e, b, _ in GOLDEN_ORDERS]
+)
+def test_enumeration_order_matches_golden(enumerate_, bounds, digest):
+    assert hashlib.sha256(repr(list(enumerate_(*bounds))).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("law", [law for law, spec in CATALOG.items() if spec.enumerate is not None])
 def test_generated_instances_at_the_limit_are_enumerated(law):
     # drift guard: both search modes must range over the same instance space

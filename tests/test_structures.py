@@ -43,6 +43,7 @@ from promrep.harness import random_rel
 from promrep.structures import check_prom_morphism, check_representation
 import promrep.structures as structures_module
 from seeded import gen_prom, gen_prom_morphism, gen_rep_morphism, gen_representation
+from test_mutants import patch
 
 A2 = finset("A", 2, "a")
 A3 = finset("A", 3, "a")
@@ -323,6 +324,7 @@ def test_check_preorder_matches_reference_on_every_small_relation(small_square_r
     for r in small_square_relations:
         want = reference_check_preorder(r)
         assert outcome(check_preorder(r)) == want, r.rows
+        assert is_preorder(r) == check_preorder(r).ok == want[0], r.rows
         axioms.add(want[1])
     assert axioms == {None, "reflexivity", "transitivity"}
 
@@ -330,13 +332,14 @@ def test_check_preorder_matches_reference_on_every_small_relation(small_square_r
 def test_check_preorder_matches_reference_on_near_preorders(near_preorders):
     got = [outcome(check_preorder(r)) for r in near_preorders]
     assert got == [reference_check_preorder(r) for r in near_preorders]
+    assert [is_preorder(r) for r in near_preorders] == [ok for ok, _, _ in got]
     assert {axiom for _, axiom, _ in got} == {None, "transitivity"}
 
 
 def test_every_non_reflexive_relation_fails_at_its_first_missing_loop():
-    """On at most 3 points, in two carriers, a non-reflexive relation gets
-    the result a fresh CheckResult would hold, one shared result per label."""
-    shared = {}
+    """On at most 3 points, in two carriers, a non-reflexive relation fails
+    reflexivity at its first missing loop, under that carrier's labels."""
+    labels = set()
     for n, prefix in product(range(4), "ab"):
         carrier = finset(prefix.upper(), n, prefix)
         for rows in product(range(1 << n), repeat=n):
@@ -345,8 +348,18 @@ def test_every_non_reflexive_relation_fails_at_its_first_missing_loop():
                 a = carrier.elements[missing[0]]
                 got = check_preorder(Rel(carrier, carrier, rows))
                 assert got == CheckResult(False, "reflexivity", (a, a)) and not got
-                assert shared.setdefault(a, got) is got
-    assert sorted(shared) == ["a0", "a1", "a2", "b0", "b1", "b2"]
+                labels.add(a)
+    assert sorted(labels) == ["a0", "a1", "a2", "b0", "b1", "b2"]
+
+
+def test_a_self_contradicting_compose_still_fails_transitivity(monkeypatch):
+    """With compose dropping the last bit of each row of x, r⨾r of this
+    reflexive, non-transitive r (a0 ≤ a1 ≤ a2, no a0 ≤ a2) shows no pair
+    outside r, yet `is_transitive` rejects r: r fails with no witness."""
+    patch(monkeypatch, "compose-dropping-last-bit-of-x")
+    r = Rel(A3, A3, (0b011, 0b110, 0b100))
+    assert outcome(check_preorder(r)) == (False, "transitivity", None)
+    assert not is_preorder(r)
 
 
 def without_empty_below_top(p):
