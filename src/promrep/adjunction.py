@@ -2,11 +2,12 @@
 
 `lift` (Ψ) and `lower` (T) are the Galois maps between the hom-sets
 R(p) → r and p → M(r); each checks its morphism's ends against the R(p)
-and M(r) that p and r keep.  The unit η: p → M(R p) is the identity on A
-with the map sending each point of B to its down-set, and the counit
-ε: R(M r) → r is the identity on S with membership ∈ as its relation.  The
-paper defines them as Ψ(1_{R p}) and T(1_{M r}); a test checks them
-against those.
+and M(r) that p and r keep.  Ψ(τ) = Λ(τ⨾y) takes only τ and y, as Λ
+takes only its relation; T (`map_to_rel`) alone is handed ∈.  The unit
+η: p → M(R p) is the identity on A with the map sending each point of B
+to its down-set, and the counit ε: R(M r) → r is the identity on S with
+membership ∈ as its relation.  The paper defines them as Ψ(1_{R p}) and
+T(1_{M r}); a test checks them against those.
 
 The naturality squares live only in the harness's checks, which reuse
 the units and counits they check.  The triangles and membership recovery
@@ -48,7 +49,7 @@ from .functors import (
 
 def unit(p: Prom) -> PromMorphism:
     """η: the identity on A and the down-set map b ↦ {b' | (b',b)∈y}; a test checks it is Ψ(1_{R p})."""
-    return PromMorphism(p, rep_to_prom(prom_to_rep(p)), identity_map(p.A), power_transpose(p.y.rel, powerset(p.B).mem))
+    return PromMorphism(p, rep_to_prom(prom_to_rep(p)), identity_map(p.A), power_transpose(p.y.rel))
 
 
 def counit(r: Representation) -> RepMorphism:
@@ -96,23 +97,17 @@ def triangle_prom(r: Representation) -> bool:
     powerset 2^(2^M) is ever enumerated.
     """
     mem = powerset(r.M).mem
-    return _triangle_prom_composite(mem) == identity_map(mem.dst)
+    return power_transpose(recover_by_membership(mem)) == identity_map(mem.dst)
 
 
-def _triangle_prom_composite(mem: Rel) -> FnMap:
-    """Λ(∈⨾(∈\\∈)): 2^M → 2^M, α ↦ {m | m lies in some β ⊆ α}."""
-    return power_transpose(compose(mem, left_residual(mem, mem)), mem)
-
-
-def rel_to_map(tau: Rel, y: Preorder, mem: Rel) -> FnMap:
+def rel_to_map(tau: Rel, y: Preorder) -> FnMap:
     """Ψ: saturate tau along y and read it as a set-valued map B → 2^M.
 
     b ↦ {m | ∃b': (m,b')∈tau and (b',b)∈y}, that is Λ(τ⨾y), characterized
-    by ∈⨾(result)^* = tau⨾y.  `mem` is ∈ on tau's source M.
+    by ∈⨾(result)^* = tau⨾y.  A tau that does not target y's carrier
+    raises `CarrierMismatch` from the composite.
     """
-    if tau.dst != y.carrier:
-        raise ValueError("tau must target the preordered carrier")
-    return power_transpose(compose(tau, y.rel), mem)
+    return power_transpose(compose(tau, y.rel))
 
 
 def map_to_rel(psi: FnMap, mem: Rel) -> Rel:
@@ -125,7 +120,7 @@ def lift(m: RepMorphism, p: Prom) -> PromMorphism:
     if m.src != prom_to_rep(p):
         raise ValueError("morphism is not in the hom-set R(p) → r")
     r = m.dst
-    return PromMorphism(p, rep_to_prom(r), m.phi, rel_to_map(m.tau, p.y, powerset(r.M).mem))
+    return PromMorphism(p, rep_to_prom(r), m.phi, rel_to_map(m.tau, p.y))
 
 
 def lower(m: PromMorphism, r: Representation) -> RepMorphism:

@@ -48,18 +48,18 @@ def prommor_to_repmor(m: PromMorphism) -> RepMorphism:
 
 def rep_to_prom(r: Representation) -> Prom:
     """⟨S, 2^M, ≤, ⊆, Λ(⊨)⟩; ⊆ is the residual ∈\\∈, its rows shared per
-    |M|, and Λ(⊨) is the theory map s ↦ {m | m ⊨ s}.  Built once per r."""
+    |M|, and Λ(⊨), onto the same 2^M, is s ↦ {m | m ⊨ s}.  Built once per r."""
     mr = r.__dict__.get("rep_to_prom")
     if mr is None:
         b = powerset(r.M)
         subset = Preorder(Rel(b.carrier, b.carrier, subset_rows(b.mem)))
-        mr = r.__dict__["rep_to_prom"] = Prom(r.ord, subset, power_transpose(r.sat, b.mem))
+        mr = r.__dict__["rep_to_prom"] = Prom(r.ord, subset, power_transpose(r.sat))
     return mr
 
 
 def direct_image(tau: Rel) -> FnMap:
     """Lift tau: M' ⇸ M to the map 2^M → 2^M', α ↦ {b | ∃a∈α: (b,a)∈tau}: Λ(τ⨾∈)."""
-    return power_transpose(compose(tau, powerset(tau.dst).mem), powerset(tau.src).mem)
+    return power_transpose(compose(tau, powerset(tau.dst).mem))
 
 
 def repmor_to_prommor(m: RepMorphism) -> PromMorphism:

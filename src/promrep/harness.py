@@ -596,8 +596,7 @@ _LEMMA7 = Schema((("A", "a", 0), ("B", "b", 1)), (("x", "rel", "A", "B"),))
 
 def _check_psi_char(inst):
     tau, y = inst["tau"], inst["y"]
-    mem = powerset(tau.src).mem
-    if not eq(compose(mem, graph_upper(rel_to_map(tau, y, mem))), compose(tau, y.rel)):
+    if not eq(compose(powerset(tau.src).mem, graph_upper(rel_to_map(tau, y))), compose(tau, y.rel)):
         return "characterization ∈⨾(Ψτ)^* = τ⨾y broken", {}
     return None, {}
 

@@ -56,11 +56,11 @@ covers and x⨾x costs 3^n row ORs.  Smaller relations keep the walk alone.
 
 The powerset encoding lives here: a subset's index in its powerset
 carrier is its bitmask over the base order.  `powerset` builds the carrier
-and the membership relation ∈, and `power_transpose` (Λ) turns a relation
-into the set-valued map it denotes, so the constructions convert between
-relations and maps into a powerset only through these two.  (The
-harness's reference for ∈\\∈ builds its masks apart from this module on
-purpose.)
+and the membership relation ∈, and `power_transpose` (Λ) turns a relation x,
+its one argument, into the set-valued map it denotes, onto the memoized
+`powerset(x.src).carrier`; the constructions convert between relations
+and maps into a powerset only through these two.  (The harness's
+reference for ∈\\∈ builds its masks apart from this module on purpose.)
 
 Checking a law builds many tiny relations over few carriers, so kernel
 objects are made cheap to build and compare, and every check is kept.
@@ -636,15 +636,13 @@ def clear_caches() -> None:
     _SUBSET_ROWS.clear()
 
 
-def power_transpose(x: Rel, mem: Rel) -> FnMap:
+def power_transpose(x: Rel) -> FnMap:
     """Λx: x.dst → 2^(x.src), b ↦ {a | (a,b)∈x}; the unique f with ∈⨾f^* = x.
 
-    `mem` is the membership relation of x.src's powerset.  Column b of x,
-    read as a mask over x.src, is the carrier index of Λx(b).
+    Column b of x, read as a mask over x.src, is the carrier index of Λx(b)
+    in the memoized `powerset(x.src).carrier`.
     """
-    if mem.src != x.src:
-        raise CarrierMismatch(f"membership over {mem.src.name} cannot transpose {x.src.name}")
-    return FnMap(x.dst, mem.dst, _transpose(x.rows, len(x.dst)))
+    return FnMap(x.dst, powerset(x.src).carrier, _transpose(x.rows, len(x.dst)))
 
 
 def pullback(y: Rel, f: FnMap) -> Rel:

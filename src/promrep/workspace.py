@@ -64,8 +64,6 @@ KINDS = {
     ),
 }
 
-STRUCTURE_KINDS = tuple(KINDS)
-
 #: Structure class → its kind.
 KIND_OF = {cls: kind for kind, (cls, _) in KINDS.items()}
 
@@ -134,7 +132,7 @@ def parse(doc) -> Workspace:
     records = _optional(doc, "structures", dict, "section 'structures'")
     for name, rec in records.items():
         kind = rec.get("kind") if isinstance(rec, dict) else None
-        if kind not in STRUCTURE_KINDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise WorkspaceError(f"structure {name!r} has unknown kind {kind!r}")
     # two passes: morphisms reference other structures, so they come second
     for morphisms in (False, True):

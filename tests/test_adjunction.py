@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from promrep import (
+    CarrierMismatch,
     FnMap,
     Preorder,
     Prom,
@@ -35,7 +36,7 @@ from promrep import (
     triangle_rep,
     unit,
 )
-from promrep.adjunction import _triangle_prom_composite, map_to_rel
+from promrep.adjunction import map_to_rel
 from promrep.cli import main
 from promrep.harness import (
     SearchConfig,
@@ -82,7 +83,7 @@ def test_unit_discrete_order_is_singleton_map():
     p = Prom(Preorder(identity(A)), Preorder(identity(B)), FnMap(A, B, (0,)))
     eta = unit(p)
     assert eta.psi.as_dict() == {"b0": "{b0}", "b1": "{b1}"}
-    assert eta.psi == power_transpose(identity(B), powerset(B).mem)
+    assert eta.psi == power_transpose(identity(B))
 
 
 def test_unit_two_chain_downsets():
@@ -274,7 +275,7 @@ def pointwise_superset_masks(n):
 @pytest.mark.parametrize("n", range(9))
 def test_triangle_prom_composite_matches_pointwise_definition(n):
     mem = powerset(finset("M", n, "m")).mem
-    assert _triangle_prom_composite(mem).image == pointwise_triangle_prom_image(n)
+    assert power_transpose(recover_by_membership(mem)).image == pointwise_triangle_prom_image(n)
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -503,15 +504,24 @@ def test_verify_reports_a_rejected_kernel_result_as_its_witness(monkeypatch, cap
 def test_psi_discrete_order_reads_tau_columns():
     M, B = finset("M", 1, "m"), finset("B", 2, "b")
     tau = rel(M, B, ("m0", "b0"))
-    psi = rel_to_map(tau, Preorder(identity(B)), powerset(M).mem)
+    psi = rel_to_map(tau, Preorder(identity(B)))
     assert psi.as_dict()["b0"] == "{m0}" and psi.as_dict()["b1"] == "{}"
 
 
 def test_psi_saturates_along_chain():
     M, B = finset("M", 1, "m"), finset("B", 2, "b")
     tau = rel(M, B, ("m0", "b0"))
-    psi = rel_to_map(tau, chain2(B), powerset(M).mem)
+    psi = rel_to_map(tau, chain2(B))
     assert psi.as_dict()["b0"] == "{m0}" and psi.as_dict()["b1"] == "{m0}"
+
+
+def test_psi_rejects_tau_off_the_preordered_carrier():
+    """τ⨾y is composed before Λ, so a τ that does not target y's carrier
+    raises the composite's CarrierMismatch."""
+    M, B = finset("M", 1, "m"), finset("B", 2, "b")
+    tau = rel(M, finset("C", 2, "c"), ("m0", "c0"))
+    with pytest.raises(CarrierMismatch, match="^cannot compose C with B$"):
+        rel_to_map(tau, chain2(B))
 
 
 def test_tee_inverts_membership():
@@ -530,7 +540,7 @@ def test_tee_of_psi_is_tau_saturated():
         tau = random_rel(rng, M, B, 0.4)
         y = gen_preorder(rng.randrange(1 << 30), len(B), "B", "b")
         mem = powerset(M).mem
-        assert eq(map_to_rel(rel_to_map(tau, y, mem), mem), compose(tau, y.rel))
+        assert eq(map_to_rel(rel_to_map(tau, y), mem), compose(tau, y.rel))
 
 
 def test_psi_characterization_equation():
@@ -541,7 +551,7 @@ def test_psi_characterization_equation():
         tau = random_rel(rng, M, B, 0.4)
         y = gen_preorder(rng.randrange(1 << 30), len(B), "B", "b")
         mem = powerset(M).mem
-        lhs = compose(mem, graph_upper(rel_to_map(tau, y, mem)))
+        lhs = compose(mem, graph_upper(rel_to_map(tau, y)))
         assert eq(lhs, compose(tau, y.rel))
 
 

@@ -129,8 +129,8 @@ def pullback_forgetting_f_upper(pullback):
 
 def power_transpose_past_its_carrier(transpose):
     """Λ whose last image index is one past the powerset carrier."""
-    def mutant(x, mem):
-        f = transpose(x, mem)
+    def mutant(x):
+        f = transpose(x)
         return FnMap(f.src, f.dst, f.image[:-1] + (len(f.dst),) * bool(f.image))
 
     return mutant

@@ -150,7 +150,7 @@ def _counit(d, E):
 
 def _psi(d, E):
     y = Preorder(_rel(d["y"], E["B"], E["B"]))
-    return _mapping(rel_to_map(_rel(d["tau"], E["M"], E["B"]), y, powerset(E["M"]).mem), None, E["M"])
+    return _mapping(rel_to_map(_rel(d["tau"], E["M"], E["B"]), y), None, E["M"])
 
 
 def _tee(d, E):

@@ -71,10 +71,12 @@ def test_dangling_reference():
 
 
 def test_unknown_kind():
-    bad = json.loads(json.dumps(SAMPLE))
-    bad["structures"]["p"]["kind"] = "gadget"
-    with pytest.raises(WorkspaceError):
-        workspace.parse(bad)
+    """A kind that is not a string, hashable or not, is unknown too."""
+    for kind in ("gadget", ["prom"], {"prom": 1}, 3, None):
+        bad = json.loads(json.dumps(SAMPLE))
+        bad["structures"]["p"]["kind"] = kind
+        with pytest.raises(WorkspaceError, match="unknown kind"):
+            workspace.parse(bad)
 
 
 def test_bad_json_text():
